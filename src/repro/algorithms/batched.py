@@ -1,27 +1,25 @@
 """Batched census folding: the per-instance summaries as array ops.
 
 The serial census fold (:func:`repro.algorithms.counting.run_census`)
-spends its time in two interpreted per-instance loops — the
-first-appearance relabel of :func:`~repro.core.notation.canonical_code`
-and the pairwise :func:`~repro.core.eventpairs.classify_pair` walk.
-This module performs both over whole **instance blocks** — the
+spends its time in an interpreted per-instance loop — the
+first-appearance relabel of :func:`~repro.core.notation.canonical_code`.
+This module performs it over whole **instance blocks** — the
 ``(n, n_events)`` arrays streamed by
 :func:`repro.engine.driver.run_plan_blocks` — and folds the results into
 a :class:`~repro.algorithms.counting.MotifCensus` bit-identically to the
-serial pass.
+serial pass.  Pair types need no pass of their own: the census derives
+them from its code counts.
 
-The packing trick: a block's rows collapse to one int64 key each —
-decimal-packed relabel digits (the motif code) times ``7**(k-1)`` plus
-the base-7 packed pair-type sequence — and one ``np.unique`` with a
-stable first-appearance sort reproduces the serial counters exactly,
-*including key order*: two instances share a composite key iff they
-share both code and pair sequence, and the first instance of each
-distinct key lands in the counters at the same rank the serial loop
+The packing trick: a block's rows collapse to one int64 key each — the
+decimal-packed relabel digits, i.e. the motif code — and one
+``np.unique`` with a stable first-appearance sort reproduces the serial
+code counter exactly, *including key order*: the first instance of each
+distinct code lands in the counter at the same rank the serial loop
 would have inserted it.
 
-The key fits 64 bits only while ``10**(2k) * 7**(k-1)`` does, which
-bounds the batched fold at :data:`MAX_BATCH_EVENTS` events; larger
-motifs stay on the tuple path.
+The key fits 64 bits only while ``10**(2k - 1)`` does, which bounds the
+batched fold at :data:`MAX_BATCH_EVENTS` events; larger motifs stay on
+the tuple path.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core._optional import import_numpy
-from repro.core.eventpairs import ALL_PAIR_TYPES
 from repro.core.notation import MAX_NOTATION_NODES
 
 np = import_numpy()
@@ -37,14 +34,10 @@ np = import_numpy()
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.algorithms.counting import MotifCensus
 
-#: Pair-type by packed id: the six paper types in presentation order,
-#: then disjoint (``None``) — the order :func:`classify_block_pairs`
-#: assigns ids in.
-PAIR_BY_ID = ALL_PAIR_TYPES + (None,)
-
-#: Largest motif size the packed composite key can hold in an int64
-#: (``10**(2k) * 7**(k-1) < 2**63`` holds through ``k = 6``).
-MAX_BATCH_EVENTS = 6
+#: Largest motif size the packed code key can hold in an int64
+#: (a code's first digit is 0, and ``10**(2k - 1) < 2**63`` holds through
+#: ``k = 9``).
+MAX_BATCH_EVENTS = 9
 
 
 def available() -> bool:
@@ -92,23 +85,6 @@ def encode_block_codes(us, vs):
     return keys
 
 
-def classify_block_pairs(u1, v1, u2, v2):
-    """Packed pair-type ids of consecutive event pairs, elementwise.
-
-    Ids index :data:`PAIR_BY_ID` (R, P, I, O, C, W, disjoint).  The
-    priority — two-node-sharing cases before one-node cases — is the
-    serial :func:`~repro.core.eventpairs.classify_pair` order, realized
-    by ``np.select``'s first-match semantics.
-    """
-    r = (u1 == u2) & (v1 == v2)
-    p = (u1 == v2) & (v1 == u2)
-    i = v1 == v2
-    o = u1 == u2
-    c = v1 == u2
-    w = u1 == v2
-    return np.select([r, p, i, o, c, w], [0, 1, 2, 3, 4, 5], default=6).astype(np.int8)
-
-
 def fold_census_blocks(
     census: "MotifCensus",
     blocks: Iterable,
@@ -131,56 +107,22 @@ def fold_census_blocks(
     floats and ints throughout — array scalars never leak out).
     """
     code_counts = census.code_counts
-    pair_counts = census.pair_counts
-    pair_sequence_counts = census.pair_sequence_counts
-    code_str_cache: dict[int, str] = {}
-    pair_seq_cache: dict[int, tuple] = {}
     total = 0
     for block in blocks:
         n, k = block.shape
         if n == 0:
             continue
         total += n
-        us = u_col[block]
-        vs = v_col[block]
-        code_keys = encode_block_codes(us, vs)
-        pair_keys = classify_block_pairs(
-            us[:, 0], vs[:, 0], us[:, 1], vs[:, 1]
-        ).astype(np.int64)
-        for j in range(1, k - 1):
-            ids = classify_block_pairs(us[:, j], vs[:, j], us[:, j + 1], vs[:, j + 1])
-            pair_keys *= 7
-            pair_keys += ids
-        pair_base = 7 ** (k - 1)
-        composite = code_keys * pair_base + pair_keys
+        code_keys = encode_block_codes(u_col[block], v_col[block])
         uniq, first_idx, inverse, counts = np.unique(
-            composite, return_index=True, return_inverse=True, return_counts=True
+            code_keys, return_index=True, return_inverse=True, return_counts=True
         )
         order = np.argsort(first_idx, kind="stable")
 
         codes_by_uniq = [""] * len(uniq)
         for rank in order.tolist():
-            key = int(uniq[rank])
-            count = int(counts[rank])
-            code_key, pair_key = divmod(key, pair_base)
-            code = code_str_cache.get(code_key)
-            if code is None:
-                code = code_str_cache[code_key] = str(code_key).zfill(2 * k)
-            codes_by_uniq[rank] = code
-            pair_seq = pair_seq_cache.get(pair_key)
-            if pair_seq is None:
-                ids_rev = []
-                pk = pair_key
-                for _ in range(k - 1):
-                    pk, pid = divmod(pk, 7)
-                    ids_rev.append(pid)
-                pair_seq = pair_seq_cache[pair_key] = tuple(
-                    PAIR_BY_ID[pid] for pid in reversed(ids_rev)
-                )
-            code_counts[code] += count
-            for ptype in pair_seq:
-                pair_counts[ptype] += count
-            pair_sequence_counts[pair_seq] += count
+            code = codes_by_uniq[rank] = str(int(uniq[rank])).zfill(2 * k)
+            code_counts[code] += int(counts[rank])
 
         if collect_timespans:
             spans = (t_col[block[:, -1]] - t_col[block[:, 0]]).tolist()

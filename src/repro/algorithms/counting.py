@@ -1,9 +1,17 @@
-"""Counting APIs: per-code counters and the one-pass motif census.
+"""Counting APIs: the one-pass motif census and its projections.
 
 Most experiments in the paper need several summaries of the same instance
 set (counts per motif code, event-pair counts, pair-sequence matrices,
-timespans, intermediate-event positions).  :class:`MotifCensus` collects
+timespans, intermediate-event positions).  :func:`run_census` collects
 all of them in a single enumeration pass so each experiment costs one scan.
+
+The pass counts canonical motif codes only.  An event pair's type depends
+only on which nodes its two events share, so a motif's pair sequence is a
+function of its code: :class:`MotifCensus` reads its pair counters off
+``code_counts`` rather than classifying every instance, and the total is
+the sum of the code counts.  :func:`count_motifs` and
+:func:`count_event_pairs` are projections of :func:`run_census`, so the
+roots handling and sharded routing live in one place.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 from repro.algorithms import batched
 from repro.algorithms.enumeration import Instance, enumerate_instances
 from repro.core.constraints import TimingConstraints
-from repro.core.eventpairs import CW_GROUP, RPIO_GROUP, classify_pair
+from repro.core.eventpairs import CW_GROUP, RPIO_GROUP, pair_sequence_of_code
 from repro.core.notation import canonical_code
 from repro.core.temporal_graph import TemporalGraph
 from repro.engine import ExecutionPlan, compile_plan, run_plan_blocks
@@ -24,13 +32,6 @@ Predicate = Callable[[TemporalGraph, Instance], bool]
 
 #: Default cap on per-code sample lists (timespans, positions) to bound memory.
 DEFAULT_SAMPLE_CAP = 200_000
-
-
-def _parallel_jobs(jobs: int | None) -> int:
-    """Resolve the effective worker count (argument > session default > env)."""
-    from repro.parallel.executor import resolve_jobs
-
-    return resolve_jobs(jobs)
 
 
 def _route_sharded(graph: TemporalGraph, jobs: int | None, roots_sorted: bool) -> bool:
@@ -43,9 +44,11 @@ def _route_sharded(graph: TemporalGraph, jobs: int | None, roots_sorted: bool) -
     materialization.  Sorted roots remain a precondition either way
     (per-shard merges reproduce the serial order only then).
     """
+    from repro.parallel.executor import resolve_jobs
+
     if not roots_sorted:
         return False
-    if _parallel_jobs(jobs) > 1:
+    if resolve_jobs(jobs) > 1:
         return True
     return graph.storage.prefers_sharded_execution
 
@@ -78,6 +81,9 @@ def count_motifs(
 ) -> Counter:
     """Count motif instances per canonical code.
 
+    The ``code_counts`` of :func:`run_census`, filtered in key order
+    when ``node_counts`` is given.
+
     Parameters
     ----------
     node_counts:
@@ -100,38 +106,20 @@ def count_motifs(
         Precompiled :class:`~repro.engine.plan.ExecutionPlan` (advanced;
         see :func:`repro.engine.compile_plan`).
     """
-    roots, roots_sorted = _normalize_roots(roots)
-    if _route_sharded(graph, jobs, roots_sorted):
-        from repro.parallel import parallel_count_motifs
-
-        return parallel_count_motifs(
-            graph,
-            n_events,
-            constraints,
-            jobs=jobs,
-            max_nodes=max_nodes,
-            node_counts=node_counts,
-            predicate=predicate,
-            roots=roots,
-            plan=plan,
-        )
-    wanted = set(node_counts) if node_counts is not None else None
-    counts: Counter = Counter()
-    for inst in enumerate_instances(
+    counts = run_census(
         graph,
         n_events,
         constraints,
         max_nodes=max_nodes,
         predicate=predicate,
+        jobs=jobs,
         roots=roots,
-        jobs=1,
         plan=plan,
-    ):
-        code = canonical_code([graph.events[i].edge for i in inst])
-        if wanted is not None and len(set(code)) not in wanted:
-            continue
-        counts[code] += 1
-    return counts
+    ).code_counts
+    if node_counts is None:
+        return counts
+    wanted = set(node_counts)
+    return Counter({code: n for code, n in counts.items() if len(set(code)) in wanted})
 
 
 def count_event_pairs(
@@ -149,37 +137,19 @@ def count_event_pairs(
 
     This is the quantity of Table 5: each ``m``-event instance contributes
     ``m − 1`` pair observations.  Disjoint consecutive pairs (possible only
-    in 4-node motifs) are counted under ``None``.
+    in 4-node motifs) are counted under ``None``.  The
+    :attr:`MotifCensus.pair_counts` of :func:`run_census`.
     """
-    roots, roots_sorted = _normalize_roots(roots)
-    if _route_sharded(graph, jobs, roots_sorted):
-        from repro.parallel import parallel_count_event_pairs
-
-        return parallel_count_event_pairs(
-            graph,
-            n_events,
-            constraints,
-            jobs=jobs,
-            max_nodes=max_nodes,
-            predicate=predicate,
-            roots=roots,
-            plan=plan,
-        )
-    counts: Counter = Counter()
-    for inst in enumerate_instances(
+    return run_census(
         graph,
         n_events,
         constraints,
         max_nodes=max_nodes,
         predicate=predicate,
+        jobs=jobs,
         roots=roots,
-        jobs=1,
         plan=plan,
-    ):
-        edges = [graph.events[i].edge for i in inst]
-        for first, second in zip(edges, edges[1:]):
-            counts[classify_pair(first, second)] += 1
-    return counts
+    ).pair_counts
 
 
 @dataclass
@@ -190,10 +160,6 @@ class MotifCensus:
     ----------
     code_counts:
         instances per canonical motif code.
-    pair_counts:
-        event-pair observations per :class:`PairType` (``None`` = disjoint).
-    pair_sequence_counts:
-        instances per ordered tuple of pair types (Figure 6 heat maps).
     timespans:
         per code, sampled list of instance timespans (Figure 5).
     intermediate_positions:
@@ -202,13 +168,14 @@ class MotifCensus:
         ``relative_time`` is ``(t_i − t_1)/(t_m − t_1)`` (Figure 4).
     total:
         total instance count.
+
+    :attr:`pair_counts` and :attr:`pair_sequence_counts` are read-only,
+    derived from ``code_counts`` on each access.
     """
 
     n_events: int
     constraints: TimingConstraints
     code_counts: Counter = field(default_factory=Counter)
-    pair_counts: Counter = field(default_factory=Counter)
-    pair_sequence_counts: Counter = field(default_factory=Counter)
     timespans: dict[str, list[float]] = field(default_factory=dict)
     intermediate_positions: dict[str, list[tuple[int, float]]] = field(
         default_factory=dict
@@ -218,6 +185,28 @@ class MotifCensus:
     # ------------------------------------------------------------------
     # derived views
     # ------------------------------------------------------------------
+    # A motif's pair sequence is a function of its code, so the pair
+    # counters are read off ``code_counts``.  Walking the codes in key
+    # order inserts each pair type (and sequence) at the first code that
+    # carries it — the instance where the serial pass would have first
+    # met it — so key order matches a per-instance fold as well.
+    @property
+    def pair_counts(self) -> Counter:
+        """Event-pair observations per :class:`PairType` (``None`` = disjoint)."""
+        out: Counter = Counter()
+        for code, n in self.code_counts.items():
+            for ptype in pair_sequence_of_code(code):
+                out[ptype] += n
+        return out
+
+    @property
+    def pair_sequence_counts(self) -> Counter:
+        """Instances per ordered tuple of pair types (Figure 6 heat maps)."""
+        out: Counter = Counter()
+        for code, n in self.code_counts.items():
+            out[pair_sequence_of_code(code)] += n
+        return out
+
     def codes_with_nodes(self, n_nodes: int) -> Counter:
         """Sub-counter of codes with exactly ``n_nodes`` distinct nodes."""
         return Counter(
@@ -346,9 +335,6 @@ def run_census(
     # motif's edges per instance, and instances outnumber events.
     edge_of = [ev.edge for ev in graph.events]
     code_counts = census.code_counts
-    pair_counts = census.pair_counts
-    pair_sequence_counts = census.pair_sequence_counts
-    total = 0
 
     for inst in enumerate_instances(
         graph,
@@ -360,14 +346,8 @@ def run_census(
         jobs=1,
         plan=plan,
     ):
-        edges = [edge_of[i] for i in inst]
-        code = canonical_code(edges)
+        code = canonical_code([edge_of[i] for i in inst])
         code_counts[code] += 1
-        total += 1
-        pair_seq = tuple(map(classify_pair, edges, edges[1:]))
-        for ptype in pair_seq:
-            pair_counts[ptype] += 1
-        pair_sequence_counts[pair_seq] += 1
 
         if collect_timespans and (span_filter is None or code in span_filter):
             bucket = census.timespans.setdefault(code, [])
@@ -385,58 +365,8 @@ def run_census(
                     if len(bucket2) >= sample_cap:
                         break
                     bucket2.append((pos, (times[idx] - t_first) / span))
-    census.total = total
+    census.total = sum(code_counts.values())
     return census
-
-
-def total_instances(
-    graph: TemporalGraph,
-    n_events: int,
-    constraints: TimingConstraints,
-    *,
-    max_nodes: int | None = None,
-    predicate: Predicate | None = None,
-    jobs: int | None = None,
-    roots: Iterable[int] | None = None,
-    plan: ExecutionPlan | None = None,
-) -> int:
-    """Total number of instances, without per-code bookkeeping."""
-    roots, roots_sorted = _normalize_roots(roots)
-    if _route_sharded(graph, jobs, roots_sorted):
-        from repro.parallel import parallel_total_instances
-
-        return parallel_total_instances(
-            graph,
-            n_events,
-            constraints,
-            jobs=jobs,
-            max_nodes=max_nodes,
-            predicate=predicate,
-            roots=roots,
-            plan=plan,
-        )
-    if plan is None and n_events >= 2:
-        plan = compile_plan(
-            n_events, constraints, predicate, graph.storage, max_nodes=max_nodes
-        )
-    if plan is not None:
-        # Block lane: count rows without materializing tuples.
-        blocks = run_plan_blocks(plan, graph, roots=roots)
-        if blocks is not None:
-            return sum(int(block.shape[0]) for block in blocks)
-    return sum(
-        1
-        for _ in enumerate_instances(
-            graph,
-            n_events,
-            constraints,
-            max_nodes=max_nodes,
-            predicate=predicate,
-            roots=roots,
-            jobs=1,
-            plan=plan,
-        )
-    )
 
 
 def merge_counters(counters: Iterable[Counter]) -> Counter:

@@ -20,6 +20,7 @@ is only a broad description and some consecutive events may share no node
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.core.notation import canonical_code, parse_code
@@ -101,11 +102,15 @@ def classify_pair(first: tuple[int, int], second: tuple[int, int]) -> PairType |
     return None
 
 
+@lru_cache(maxsize=1 << 16)
 def pair_sequence_of_code(code: str) -> tuple[PairType | None, ...]:
     """The ``m − 1`` event-pair types of a motif code, in order.
 
     Entries are ``None`` where consecutive events share no node (only
-    possible in ≥4-node motifs).
+    possible in ≥4-node motifs).  A pair type depends only on which
+    nodes the two events share, so every instance of a code has this
+    pair sequence; memoised per code, since census derivations look
+    the same few codes up over and over.
     """
     pairs = parse_code(code)
     return tuple(

@@ -400,18 +400,17 @@ class OnlineCensus:
         """The window's counters as a :class:`MotifCensus` snapshot.
 
         Matches ``run_census(graph.slice(now - W, now), ...)`` on
-        ``code_counts``, ``pair_counts``, ``pair_sequence_counts`` and
-        ``total``.  The per-code sample lists (timespans, intermediate
-        positions) are batch-only — their caps depend on enumeration
-        order — and stay empty here.
+        ``code_counts`` and ``total``; the pair counters, derived from
+        the codes, match as counters (their key order follows this
+        window's code order, which expiry can reshuffle).  The per-code
+        sample lists (timespans, intermediate positions) are batch-only
+        — their caps depend on enumeration order — and stay empty here.
         """
         view = self._view
         return MotifCensus(
             n_events=self._n_events,
             constraints=self._constraints,
             code_counts=Counter(view.code_counts),
-            pair_counts=Counter(view.pair_counts),
-            pair_sequence_counts=Counter(view.pair_seq_counts),
             total=view.total,
         )
 
@@ -562,14 +561,6 @@ class OnlineCensus:
     @property
     def _code_counts(self) -> Counter:
         return self._view.code_counts
-
-    @property
-    def _pair_counts(self) -> Counter:
-        return self._view.pair_counts
-
-    @property
-    def _pair_seq_counts(self) -> Counter:
-        return self._view.pair_seq_counts
 
     def _bind_kernel(self) -> None:
         self._mv._bind_kernel()

@@ -11,10 +11,13 @@ A checkpoint is a directory with two parts:
 
 The counters are *not* stored: they are a pure fold over the ledger, so
 :func:`load_checkpoint` rebuilds them and cross-checks the recorded
-total, which makes a truncated or hand-edited state file fail loudly
-instead of drifting.  Restoring converts the graph to the requested (or
-session-default) storage backend, so a checkpoint written by a
-``"numpy"`` session resumes cleanly under ``"list"`` or ``"columnar"``.
+total.  The pair-sequence column is redundant with the code (the writer
+derives it from the code, keeping the layout unchanged) and the reader
+checks every entry's column against the code, so a truncated or
+hand-edited state file fails loudly instead of drifting.  Restoring
+converts the graph to the requested (or session-default) storage
+backend, so a checkpoint written by a ``"numpy"`` session resumes
+cleanly under ``"list"`` or ``"columnar"``.
 
 Predicates are code, not data — the manifest only records that one was
 in use, and :func:`load_checkpoint` refuses to resume until the caller
@@ -28,7 +31,7 @@ import json
 import os
 
 from repro.core.constraints import TimingConstraints
-from repro.core.eventpairs import PairType
+from repro.core.eventpairs import pair_sequence_of_code
 from repro.core.temporal_graph import TemporalGraph
 from repro.online.census import OnlineCensus, Predicate
 from repro.online.multiview import _LedgerEntry
@@ -57,7 +60,7 @@ def save_checkpoint(census: OnlineCensus, path: str | os.PathLike) -> None:
         [
             anchor_t,
             entry.code,
-            [None if p is None else p.value for p in entry.pair_seq],
+            _pair_column(entry.code),
         ]
         for anchor_t, _seq, entry in sorted(census._heap)
     ]
@@ -80,6 +83,11 @@ def save_checkpoint(census: OnlineCensus, path: str | os.PathLike) -> None:
     }
     with open(os.path.join(path, STATE_FILE), "w") as fh:
         json.dump(state, fh, indent=2)
+
+
+def _pair_column(code: str) -> list[str | None]:
+    """A ledger entry's stored pair sequence: type letters, ``None`` = disjoint."""
+    return [None if p is None else p.value for p in pair_sequence_of_code(code)]
 
 
 def load_checkpoint(
@@ -155,16 +163,18 @@ def load_checkpoint(
     census._expired = state["expired"]
     heap: list[tuple[float, int, _LedgerEntry]] = []
     for seq_no, (anchor_t, code, pair_values) in enumerate(state["ledger"]):
-        pair_seq = tuple(None if p is None else PairType(p) for p in pair_values)
+        if pair_values != _pair_column(code):
+            raise ValueError(
+                f"{path!r}: ledger entry {seq_no} (code {code!r}) stores pair "
+                f"sequence {pair_values!r}, but the code's is "
+                f"{_pair_column(code)!r} (corrupt checkpoint?)"
+            )
         # The node tuple and event indices are fan-out-time data (sliced-
         # view routing, predicate re-evaluation); a restored solo engine
         # never re-folds these entries, so they stay empty.
-        entry = _LedgerEntry(anchor_t, seq_no, code, pair_seq, (), anchor_t, ())
+        entry = _LedgerEntry(anchor_t, seq_no, code, (), anchor_t, ())
         heap.append((anchor_t, seq_no, entry))
         census._code_counts[code] += 1
-        for ptype in pair_seq:
-            census._pair_counts[ptype] += 1
-        census._pair_seq_counts[pair_seq] += 1
     heapq.heapify(heap)
     census._heap = heap
     census._seq = len(heap)

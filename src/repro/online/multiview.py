@@ -10,13 +10,13 @@ shared by every view:
 * the node-bucketed **prefix store** of live partial instances,
 * the compiled **plan/kernel** pair from :mod:`repro.engine`, and
 * the **ledger** — a retention-bounded min-heap of every discovered
-  instance (anchor time, canonical code, pair sequence, node set) that
-  lets a view registered mid-stream backfill its counters instead of
-  starting cold.
+  instance (anchor time, canonical code, node set) that lets a view
+  registered mid-stream backfill its counters instead of starting cold.
 
-Per-view state is deliberately thin: three counters, an anchor-time
-expiry heap of *references* into the shared ledger entries, and a
-scheduled wake time.  One ``push(event)`` therefore runs discovery once
+Per-view state is deliberately thin: one code counter (pair counters
+are derived from it on read), an anchor-time expiry heap of
+*references* into the shared ledger entries, and a scheduled wake
+time.  One ``push(event)`` therefore runs discovery once
 and fans each completed instance out to the views that accept it:
 
 * **plain window views** differ only in their window length ``W``; they
@@ -69,7 +69,6 @@ import repro.obs as _obs
 from repro.algorithms.counting import MotifCensus
 from repro.algorithms.enumeration import Instance, enumerate_instances
 from repro.core.constraints import TimingConstraints
-from repro.core.eventpairs import classify_pair
 from repro.core.events import Event
 from repro.core.notation import canonical_code
 from repro.core.temporal_graph import TemporalGraph
@@ -83,20 +82,19 @@ __all__ = ["MultiViewCensus"]
 class _LedgerEntry:
     """One discovered instance, shared between the ledger and view heaps.
 
-    Self-contained (anchor/last timestamps, canonical code, pair
-    sequence, node tuple, global event indices) so views never resolve
-    anything against the graph.  Heaps hold ``(anchor_t, seq, entry)``
+    Self-contained (anchor/last timestamps, canonical code, node tuple,
+    global event indices) so views never resolve anything against the
+    graph.  Heaps hold ``(anchor_t, seq, entry)``
     triples — the unique ``seq`` tiebreak keeps ordering at C tuple
     speed and the entry itself out of every comparison.
     """
 
-    __slots__ = ("anchor_t", "seq", "code", "pair_seq", "nodes", "t_last", "events")
+    __slots__ = ("anchor_t", "seq", "code", "nodes", "t_last", "events")
 
-    def __init__(self, anchor_t, seq, code, pair_seq, nodes, t_last, events) -> None:
+    def __init__(self, anchor_t, seq, code, nodes, t_last, events) -> None:
         self.anchor_t = anchor_t
         self.seq = seq
         self.code = code
-        self.pair_seq = pair_seq
         self.nodes = nodes
         self.t_last = t_last
         self.events = events
@@ -119,8 +117,6 @@ class _ViewState:
         "q",
         "seed",
         "code_counts",
-        "pair_counts",
-        "pair_seq_counts",
         "total",
         "discovered",
         "expired",
@@ -141,8 +137,6 @@ class _ViewState:
         self.q: float | None = None
         self.seed: int | None = None
         self.code_counts: Counter = Counter()
-        self.pair_counts: Counter = Counter()
-        self.pair_seq_counts: Counter = Counter()
         self.total = 0
         self.discovered = 0
         self.expired = 0
@@ -423,8 +417,6 @@ class MultiViewCensus:
         view.q = float(q)
         view.seed = seed
         view.code_counts.clear()
-        view.pair_counts.clear()
-        view.pair_seq_counts.clear()
         view.total = 0
         view.heap = []
         view.wake_t = None
@@ -574,11 +566,7 @@ class MultiViewCensus:
         node_index = self._node_index
         ledger = self._ledger
         for seq, edges, t_root, nodes in completions:
-            code = canonical_code(edges)
-            pair_seq = tuple(
-                classify_pair(edges[j], edges[j + 1]) for j in range(len(edges) - 1)
-            )
-            entry = _LedgerEntry(t_root, self._seq, code, pair_seq, nodes, t_a, seq)
+            entry = _LedgerEntry(t_root, self._seq, canonical_code(edges), nodes, t_a, seq)
             self._seq += 1
             self._discovered += 1
             heapq.heappush(ledger, (t_root, entry.seq, entry))
@@ -619,10 +607,6 @@ class MultiViewCensus:
             if not view.predicate(self._graph, local_inst):
                 return
         view.code_counts[entry.code] += 1
-        pair_counts = view.pair_counts
-        for ptype in entry.pair_seq:
-            pair_counts[ptype] += 1
-        view.pair_seq_counts[entry.pair_seq] += 1
         view.total += 1
         view.discovered += 1
         item = (entry.anchor_t, entry.seq, entry)
@@ -697,21 +681,12 @@ class MultiViewCensus:
         heap = view.heap
         retired = 0
         code_counts = view.code_counts
-        pair_counts = view.pair_counts
-        pair_seq_counts = view.pair_seq_counts
         while heap and heap[0][0] < horizon:
             entry = heapq.heappop(heap)[2]
             retired += 1
             code_counts[entry.code] -= 1
             if not code_counts[entry.code]:
                 del code_counts[entry.code]
-            for ptype in entry.pair_seq:
-                pair_counts[ptype] -= 1
-                if not pair_counts[ptype]:
-                    del pair_counts[ptype]
-            pair_seq_counts[entry.pair_seq] -= 1
-            if not pair_seq_counts[entry.pair_seq]:
-                del pair_seq_counts[entry.pair_seq]
             view.total -= 1
             view.expired += 1
         if retired and self._obs is not None:
@@ -794,8 +769,6 @@ class MultiViewCensus:
             n_events=self._n_events,
             constraints=self._constraints,
             code_counts=Counter(view.code_counts),
-            pair_counts=Counter(view.pair_counts),
-            pair_sequence_counts=Counter(view.pair_seq_counts),
             total=view.total,
         )
 

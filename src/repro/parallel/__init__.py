@@ -18,12 +18,9 @@ experiments CLI's ``--jobs`` flag.
 from repro.parallel.engine import (
     is_shard_safe,
     mark_shard_safe,
-    parallel_count_event_pairs,
-    parallel_count_motifs,
     parallel_enumerate,
     parallel_map,
     parallel_run_census,
-    parallel_total_instances,
 )
 from repro.parallel.executor import (
     ENV_JOBS,
@@ -51,12 +48,9 @@ __all__ = [
     "merge_censuses",
     "merge_counts",
     "merge_instances",
-    "parallel_count_event_pairs",
-    "parallel_count_motifs",
     "parallel_enumerate",
     "parallel_map",
     "parallel_run_census",
-    "parallel_total_instances",
     "plan_root_shards",
     "plan_shards",
     "resolve_jobs",

@@ -1,10 +1,13 @@
 """The sharded execution engine behind ``jobs=`` throughout the library.
 
-Each entry point plans shards for the graph (time shards when the
-predicate is shard-safe and the constraints bound the motif window; root
-shards otherwise), ships one self-contained :class:`_ShardTask` per shard
-to the executor, and reduces the per-shard results with the merge helpers
-— in shard order, so every output is bit-identical to the serial run.
+Two entry points shard work: :func:`parallel_run_census` (behind every
+counting call — counts, event pairs and totals are projections of the
+census) and :func:`parallel_enumerate`.  Each plans shards for the graph
+(time shards when the predicate is shard-safe and the constraints bound
+the motif window; root shards otherwise), ships one self-contained
+:class:`_ShardTask` per shard to the executor, and reduces the per-shard
+results with the merge helpers — in shard order, so every output is
+bit-identical to the serial run.
 
 Shard-safety of predicates
 --------------------------
@@ -24,7 +27,6 @@ import bisect
 import math
 import pickle
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
@@ -35,7 +37,7 @@ from repro.core.temporal_graph import TemporalGraph
 from repro.engine import ExecutionPlan, compile_plan
 from repro.engine import is_shard_safe as is_shard_safe  # re-export (one copy)
 from repro.parallel.executor import get_executor, resolve_jobs
-from repro.parallel.merge import merge_censuses, merge_counts, merge_instances
+from repro.parallel.merge import merge_censuses, merge_instances
 from repro.parallel.shards import Shard, plan_root_shards, plan_shards, shard_graph
 from repro.storage import get_backend
 
@@ -72,7 +74,8 @@ class _ShardTask:
     to the shard storage instead of re-deriving deadlines, node caps and
     kernel capability per shard.  ``local_roots`` overrides the shard's
     owned anchor range when the caller restricted the search to explicit
-    roots (the sampling estimators).
+    roots (the sampling estimators).  ``kind`` is ``"census"`` or
+    ``"instances"``.
     """
 
     kind: str
@@ -139,28 +142,6 @@ def _run_shard_inner(task: _ShardTask):
             task.constraints,
             **common,
             **task.options,
-        )
-    if task.kind == "counts":
-        return counting.count_motifs(
-            graph,
-            task.n_events,
-            task.constraints,
-            **common,
-            **task.options,
-        )
-    if task.kind == "pairs":
-        return counting.count_event_pairs(
-            graph,
-            task.n_events,
-            task.constraints,
-            **common,
-        )
-    if task.kind == "total":
-        return counting.total_instances(
-            graph,
-            task.n_events,
-            task.constraints,
-            **common,
         )
     if task.kind == "instances":
         common.pop("jobs")  # enumerate_instances parallelizes via this engine
@@ -266,93 +247,6 @@ def _owned_roots(shard: Shard, roots: Sequence[int] | None) -> list[int] | None:
     return [r - ev_lo for r in roots[lo:hi]]
 
 
-def parallel_count_motifs(
-    graph: TemporalGraph,
-    n_events: int,
-    constraints: TimingConstraints,
-    *,
-    jobs: int | None = None,
-    max_nodes: int | None = None,
-    node_counts: Iterable[int] | None = None,
-    predicate: Predicate | None = None,
-    roots: Sequence[int] | None = None,
-    plan: ExecutionPlan | None = None,
-) -> Counter:
-    """Sharded :func:`repro.algorithms.counting.count_motifs`.
-
-    ``roots`` (non-decreasing event indices) restricts the count to
-    instances anchored there — each shard enumerates only the owned
-    roots it is handed, so a sampled census shards exactly like a full
-    one.
-    """
-    options = {"node_counts": set(node_counts) if node_counts is not None else None}
-    _shards, results = _execute(
-        "counts",
-        graph,
-        n_events,
-        constraints,
-        jobs=jobs,
-        max_nodes=max_nodes,
-        predicate=predicate,
-        roots=roots,
-        plan=plan,
-        options=options,
-    )
-    return merge_counts(results)
-
-
-def parallel_count_event_pairs(
-    graph: TemporalGraph,
-    n_events: int,
-    constraints: TimingConstraints,
-    *,
-    jobs: int | None = None,
-    max_nodes: int | None = None,
-    predicate: Predicate | None = None,
-    roots: Sequence[int] | None = None,
-    plan: ExecutionPlan | None = None,
-) -> Counter:
-    """Sharded :func:`repro.algorithms.counting.count_event_pairs`."""
-    _shards, results = _execute(
-        "pairs",
-        graph,
-        n_events,
-        constraints,
-        jobs=jobs,
-        max_nodes=max_nodes,
-        predicate=predicate,
-        roots=roots,
-        plan=plan,
-    )
-    return merge_counts(results)
-
-
-def parallel_total_instances(
-    graph: TemporalGraph,
-    n_events: int,
-    constraints: TimingConstraints,
-    *,
-    jobs: int | None = None,
-    max_nodes: int | None = None,
-    predicate: Predicate | None = None,
-    roots: Sequence[int] | None = None,
-    plan: ExecutionPlan | None = None,
-) -> int:
-    """Sharded :func:`repro.algorithms.counting.total_instances`."""
-    _shards, results = _execute(
-        "total",
-        graph,
-        n_events,
-        constraints,
-        jobs=jobs,
-        max_nodes=max_nodes,
-        predicate=predicate,
-        roots=roots,
-        plan=plan,
-    )
-    return sum(results)
-
-
 def parallel_run_census(
     graph: TemporalGraph,
     n_events: int,
@@ -443,11 +337,8 @@ def parallel_map(
 __all__ = [
     "is_shard_safe",
     "mark_shard_safe",
-    "parallel_count_event_pairs",
-    "parallel_count_motifs",
     "parallel_enumerate",
     "parallel_map",
     "parallel_run_census",
-    "parallel_total_instances",
     "shard_graph",
 ]

@@ -54,7 +54,8 @@ def merge_censuses(
 ) -> MotifCensus:
     """Fold per-shard censuses into one, in shard order.
 
-    Counters merge with :func:`merge_counts`; the per-code sample lists
+    Code counters merge with :func:`merge_counts` (the pair counters are
+    derived from them, key order included); the per-code sample lists
     (timespans, intermediate positions) concatenate and are re-capped at
     ``sample_cap``.  Because each shard capped its own list at the same
     bound and list concatenation keeps prefixes, the merged result is
@@ -65,8 +66,6 @@ def merge_censuses(
     first = censuses[0]
     merged = MotifCensus(n_events=first.n_events, constraints=first.constraints)
     merged.code_counts = merge_counts(c.code_counts for c in censuses)
-    merged.pair_counts = merge_counts(c.pair_counts for c in censuses)
-    merged.pair_sequence_counts = merge_counts(c.pair_sequence_counts for c in censuses)
     merged.total = sum(c.total for c in censuses)
     for census in censuses:
         _extend_samples(merged.timespans, census.timespans, sample_cap)

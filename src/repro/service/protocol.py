@@ -18,9 +18,11 @@ to restrict to a closed time window, ``max_nodes``, and per-request
 ``jobs`` — worker processes *inside* the worker handling the request):
 
 * ``census``   — full :func:`~repro.algorithms.counting.run_census`:
-  per-code counts, pair counts, pair-group totals.
+  per-code counts, plus the pair counts and pair-group totals derived
+  from them.
 * ``count``    — per-code counts only
-  (:func:`~repro.algorithms.counting.count_motifs`).
+  (:func:`~repro.algorithms.counting.count_motifs`, the same census
+  pass projected onto its code counts).
 * ``window``   — ``census`` with ``t_lo``/``t_hi`` *required*: the
   point-lookup shape of a dashboard query.
 * ``estimate`` — root-sampling approximate counts

@@ -2,15 +2,19 @@
 
 from collections import Counter
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.algorithms.counting import (
     count_event_pairs,
     count_motifs,
     merge_counters,
     run_census,
-    total_instances,
 )
+from repro.algorithms.enumeration import enumerate_instances
 from repro.core.constraints import TimingConstraints
-from repro.core.eventpairs import PairType
+from repro.core.eventpairs import PairType, classify_pair
+from repro.core.notation import canonical_code
 from repro.core.temporal_graph import TemporalGraph
 
 
@@ -50,7 +54,7 @@ class TestCountEventPairs:
     def test_pair_total_is_instances_times_m_minus_1(self, small_sms):
         constraints = TimingConstraints(delta_c=300, delta_w=600)
         pairs = count_event_pairs(small_sms, 3, constraints, max_nodes=3)
-        instances = total_instances(small_sms, 3, constraints, max_nodes=3)
+        instances = run_census(small_sms, 3, constraints, max_nodes=3).total
         assert sum(pairs.values()) == 2 * instances
 
 
@@ -166,8 +170,80 @@ class TestPairGroups:
 
 class TestHelpers:
     def test_total_instances(self, triangle_graph, loose):
-        assert total_instances(triangle_graph, 3, loose) == 1
+        assert run_census(triangle_graph, 3, loose).total == 1
 
     def test_merge_counters(self):
         merged = merge_counters([Counter({"a": 1}), Counter({"a": 2, "b": 3})])
         assert merged == Counter({"a": 3, "b": 3})
+
+
+# ----------------------------------------------------------------------
+# key order: projections and derived pair counters vs a per-instance fold
+# ----------------------------------------------------------------------
+def _reference_fold(graph, n_events, constraints, max_nodes):
+    """The census counters as a per-instance ``classify_pair`` fold."""
+    codes, pairs, sequences = Counter(), Counter(), Counter()
+    for inst in enumerate_instances(graph, n_events, constraints, max_nodes=max_nodes, jobs=1):
+        edges = [graph.events[i].edge for i in inst]
+        codes[canonical_code(edges)] += 1
+        sequence = tuple(classify_pair(a, b) for a, b in zip(edges, edges[1:]))
+        for ptype in sequence:
+            pairs[ptype] += 1
+        sequences[sequence] += 1
+    return codes, pairs, sequences
+
+
+def _tie_heavy(steps):
+    t = 0.0
+    events = []
+    for u, v, dt in steps:
+        t += dt
+        events.append((u, v, t))
+    return events
+
+
+tie_heavy_streams = st.lists(
+    st.tuples(
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0]),
+    ).filter(lambda e: e[0] != e[1]),
+    min_size=1,
+    max_size=24,
+).map(_tie_heavy)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    events=tie_heavy_streams,
+    n_events=st.integers(1, 4),
+    max_nodes=st.sampled_from([None, 3]),
+    jobs=st.sampled_from([1, 2]),
+    node_counts=st.sampled_from([None, {2}, {3}]),
+)
+def test_projections_and_pair_counters_keep_key_order(
+    events, n_events, max_nodes, jobs, node_counts
+):
+    """Counts, pairs and sequences come off the code counter in serial order.
+
+    Runs on every registered backend through the session fixture; same-
+    timestamp ticks and repeated edges are the corners where first-
+    appearance order is easiest to get wrong.
+    """
+    graph = TemporalGraph.from_tuples(events)
+    constraints = TimingConstraints(delta_c=2.0, delta_w=4.0)
+    kwargs = dict(max_nodes=max_nodes, jobs=jobs)
+    census = run_census(graph, n_events, constraints, **kwargs)
+    codes = list(census.code_counts.items())
+    expected = [(c, n) for c, n in codes if node_counts is None or len(set(c)) in node_counts]
+    counts = count_motifs(graph, n_events, constraints, node_counts=node_counts, **kwargs)
+    assert list(counts.items()) == expected
+    pairs = count_event_pairs(graph, n_events, constraints, **kwargs)
+    assert list(pairs.items()) == list(census.pair_counts.items())
+    ref_codes, ref_pairs, ref_sequences = _reference_fold(graph, n_events, constraints, max_nodes)
+    assert codes == list(ref_codes.items())
+    assert list(census.pair_counts.items()) == list(ref_pairs.items())
+    assert list(census.pair_sequence_counts.items()) == list(ref_sequences.items())
+    assert census.total == sum(ref_codes.values())
+    if n_events == 1:
+        assert census.pair_sequence_counts == {(): census.total}

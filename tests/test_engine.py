@@ -584,12 +584,12 @@ class TestConsumerParity:
         assert sharded == serial
 
     def test_parallel_api_rejects_unsorted_roots(self):
-        from repro.parallel import parallel_count_motifs
+        from repro.parallel import parallel_run_census
 
         graph = TemporalGraph([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
         constraints = TimingConstraints.only_w(10.0)
         with pytest.raises(ValueError, match="non-decreasing roots"):
-            parallel_count_motifs(graph, 2, constraints, roots=[2, 0], jobs=2)
+            parallel_run_census(graph, 2, constraints, roots=[2, 0], jobs=2, sample_cap=10)
 
     def test_precompiled_plan_reused_across_graphs(self):
         constraints = TimingConstraints(delta_c=2.0, delta_w=6.0)

@@ -98,7 +98,7 @@ class TestOrbits:
 
     def test_profiles_consistent_with_counts(self, small_sms):
         """Summing orbit-0 participation over nodes equals total instances."""
-        from repro.algorithms.counting import total_instances
+        from repro.algorithms.counting import run_census
 
         constraints = TimingConstraints(delta_c=300, delta_w=600)
         profiles = node_motif_profiles(small_sms, 3, constraints, max_nodes=3)
@@ -108,9 +108,7 @@ class TestOrbits:
             for (code, orbit), n in profile.items()
             if orbit == 0
         )
-        assert orbit0 == total_instances(
-            small_sms, 3, constraints, max_nodes=3
-        )
+        assert orbit0 == run_census(small_sms, 3, constraints, max_nodes=3).total
 
     def test_profile_vector_projection(self):
         profile = {("0101", 0): 3, ("0101", 1): 1}

@@ -443,6 +443,42 @@ class TestCheckpointValidation:
         with pytest.raises(ValueError, match="ledger"):
             OnlineCensus.restore(checkpoint)
 
+    def test_edited_pair_column_rejected(self, checkpoint):
+        import json
+
+        state_path = checkpoint / "state.json"
+        state = json.loads(state_path.read_text())
+        assert state["ledger"][0][1:] == ["0112", ["C"]]
+        state["ledger"][0][2] = ["I"]
+        state_path.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match="ledger entry 0 .*'0112'"):
+            OnlineCensus.restore(checkpoint)
+
+    def test_untouched_checkpoint_roundtrips_bit_identically(self, tmp_path):
+        pytest.importorskip("numpy", reason="checkpoints use the numpy page format")
+        # 4-event motifs reach four nodes, so the ledger's pair columns
+        # include disjoint (null) entries as well as every letter.
+        rng = random.Random(5)
+        engine = OnlineCensus(4, TimingConstraints(delta_w=6.0), 8.0)
+        t = 0.0
+        for _ in range(60):
+            t += rng.choice([0.0, 1.0])
+            u = rng.randrange(5)
+            engine.push(Event(u, (u + rng.randrange(1, 5)) % 5, t))
+        engine.snapshot(tmp_path / "a")
+        written = (tmp_path / "a" / "state.json").read_bytes()
+        assert b"null" in written
+        resumed = OnlineCensus.restore(tmp_path / "a")
+        resumed.snapshot(tmp_path / "b")
+        assert (tmp_path / "b" / "state.json").read_bytes() == written
+        # A restore folds the ledger in anchor order, so the counters
+        # match as counters, not in key order.
+        before, after = engine.census(), resumed.census()
+        assert after.code_counts == before.code_counts
+        assert after.pair_counts == before.pair_counts
+        assert after.pair_sequence_counts == before.pair_sequence_counts
+        assert after.total == before.total
+
     def test_predicate_mismatch_rejected(self, checkpoint):
         with pytest.raises(ValueError, match="predicate"):
             OnlineCensus.restore(checkpoint, predicate=lambda g, inst: True)

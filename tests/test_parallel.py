@@ -22,7 +22,6 @@ from repro.algorithms.counting import (
     count_event_pairs,
     count_motifs,
     run_census,
-    total_instances,
 )
 from repro.algorithms.enumeration import enumerate_instances
 from repro.algorithms.restrictions import (
@@ -317,8 +316,8 @@ class TestParity:
         assert parallel == serial
 
     def test_total_instances(self, medium_graph):
-        serial = total_instances(medium_graph, 3, CONSTRAINTS)
-        assert total_instances(medium_graph, 3, CONSTRAINTS, jobs=3) == serial
+        serial = run_census(medium_graph, 3, CONSTRAINTS).total
+        assert run_census(medium_graph, 3, CONSTRAINTS, jobs=3).total == serial
 
     def test_enumerate_yields_serial_order(self, medium_graph):
         serial = list(enumerate_instances(medium_graph, 3, CONSTRAINTS))
@@ -382,7 +381,7 @@ class TestParity:
     def test_empty_graph(self):
         graph = TemporalGraph([])
         assert count_motifs(graph, 3, CONSTRAINTS, jobs=4) == Counter()
-        assert total_instances(graph, 3, CONSTRAINTS, jobs=4) == 0
+        assert run_census(graph, 3, CONSTRAINTS, jobs=4).total == 0
 
 
 # ----------------------------------------------------------------------
