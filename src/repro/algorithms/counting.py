@@ -304,9 +304,9 @@ def run_census(
     pos_filter = set(position_codes) if position_codes is not None else None
 
     # Array-native lane: when the engine can stream instance *blocks*
-    # (native kernel, banded arrays ready) and the motif size fits the
-    # packed fold, the whole census folds as array ops — bit-identical
-    # to the serial loop below, counter key order included.
+    # (numpy or native kernel, banded arrays ready) and the motif size
+    # fits the packed fold, the whole census folds as array ops —
+    # bit-identical to the serial loop below, counter key order included.
     if batched.available() and 2 <= n_events <= batched.MAX_BATCH_EVENTS:
         if plan is None:
             plan = compile_plan(

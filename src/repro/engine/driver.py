@@ -61,7 +61,7 @@ def _root_blocks(root_iter: Iterable[int]) -> Iterator[list[int]]:
 
 
 def _observe_levels(stats, level_partials, level_ext) -> None:
-    """Mirror the per-level frontier histograms for one native block.
+    """Mirror the per-level frontier histograms for one expanded block.
 
     Matches the Partial-object path's cadence: the root level is always
     observed; a deeper level only if its frontier was non-empty (the
@@ -120,11 +120,12 @@ def run_plan(
         )
         rec.inc(labeled("engine.run_plan.calls", kernel=plan.kernel_name))
 
-    # Native whole-block lane: the kernel grows each root block to
-    # completion inside one JIT call and hands back the completed
+    # Whole-block lane (numpy and native kernels): the kernel grows each
+    # root block to completion over arrays and hands back the completed
     # instances as an array in the exact DFS yield order — no Partial
-    # objects, no intermediate triples.  Unavailable (tail appends
-    # pending) routes to the Partial path below, unchanged.
+    # objects, no intermediate triples; a predicate filters per row.
+    # Unavailable (tail appends pending; counted as a demotion) routes
+    # to the Partial path below, unchanged.
     expand = getattr(kernel, "expand_block", None)
     if expand is not None and kernel.block_ready():
         for block_roots in _root_blocks(root_iter):

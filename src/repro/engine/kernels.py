@@ -36,6 +36,12 @@ Two kernels implement the contract:
   :class:`~repro.storage.numpy_backend.NumpyStorage`
   (:meth:`~repro.storage.numpy_backend.NumpyStorage.extension_arrays`),
   falling back to the generic path while tail appends are pending.
+  Its admission is one array core over a padded node table and
+  ``t_last``/``t_root`` columns, with two front ends: an adapter from
+  Partial-like records for the contract above, and the **block lane**
+  (``block_ready()`` / ``expand_block(roots)``), which grows a whole
+  root block to an ``(n, n_events)`` instance array without building
+  Partial objects (see :func:`repro.engine.driver.run_plan_blocks`).
 
 Backends advertise their native kernel via the
 :attr:`~repro.storage.base.GraphStorage.extension_kernel` class
@@ -253,17 +259,31 @@ class GenericExtensionKernel(ExtensionKernel):
     kernel_name = "generic"
 
 
+#: Pad value of the node tables the numpy kernel admits against.  A
+#: storage holding this node id cannot be served by the array paths.
+_SENTINEL = np.iinfo(np.int64).min if np else None
+
+
 class NumpyExtensionKernel(ExtensionKernel):
     """Vectorized kernel over :class:`NumpyStorage`'s banded CSR arrays.
 
     Extends the whole frontier at once: per-(partial, node) half-open
     window queries become four batched ``searchsorted`` sweeps, the
     ragged candidate ranges gather through one fancy-index, and
-    dedup/adjacency/node-cap admission run as array ops.  Only the
-    final triple materialization is per-extension Python.
+    dedup/adjacency/node-cap admission run as array ops.  That sweep,
+    :meth:`_admit_arrays`, is the kernel's one admission implementation,
+    with two front ends: the Partial-object entry points adapt record
+    sequences into its arrays (only the triple or :class:`Partial`
+    materialization is per-extension Python), and the block lane
+    (:meth:`block_ready` / :meth:`expand_block`) keeps a whole root
+    block in arrays from its roots to its completed instances.
     """
 
     kernel_name = "numpy"
+
+    def __init__(self, plan: "ExecutionPlan", storage: "GraphStorage") -> None:
+        super().__init__(plan, storage)
+        self._block_arrays: dict | None = None
 
     def _extend_partialwise(
         self, partials: Sequence, lo: int, hi: int, need_nodes: bool
@@ -339,47 +359,140 @@ class NumpyExtensionKernel(ExtensionKernel):
             nxt.extend(group)
         return nxt
 
+    # ------------------------------------------------------------------
+    # block lane: a whole root block in arrays, no Partial objects
+    # ------------------------------------------------------------------
+    def block_ready(self) -> bool:
+        """Whether :meth:`expand_block` can serve this storage right now.
+
+        Caches the banded arrays on the kernel for the run's block calls.
+        ``False`` (tail appends pending, or a node id equal to the pad
+        sentinel) routes the driver to the Partial-object path, whose
+        per-call fallback is the generic kernel; that demotion is counted
+        here, once per call.
+        """
+        arrays = getattr(self._storage, "extension_arrays", lambda: None)()
+        if arrays is not None and len(arrays["keys"]) and arrays["keys"][0] == _SENTINEL:
+            arrays = None  # pragma: no cover - pathological id
+        self._block_arrays = arrays
+        if arrays is None:
+            count_kernel_demotion(self.kernel_name, "generic")
+        return arrays is not None
+
+    def expand_block(self, roots):
+        """One root block to completion: ``(rows, level_partials, level_ext)``.
+
+        ``rows`` is the ``(n, n_events)`` int64 array of completed
+        instances in the driver's DFS yield order; the level arrays hold
+        each level's frontier size and admitted extensions for the
+        frontier histograms.  Requires a prior ``block_ready()``.
+
+        The frontier is an ``(n_p, depth)`` sequence matrix, a padded
+        node table and ``t_root``/``t_last`` columns, advanced one
+        :meth:`_admit_arrays` call per level.  At non-final levels each
+        parent's children are reversed by an index permutation (the
+        LIFO reversal); the final level stays ascending.
+        """
+        arrays = self._block_arrays
+        n = self._plan.n_events
+        t_col = arrays["t"]
+        roots = np.asarray(roots, dtype=np.int64)
+        seqs = roots[:, None]
+        # Wide enough for every partial: a root carries two nodes, and
+        # each later event adds at most one, never past the node cap.
+        width = max(2, min(self._plan.node_cap, n + 1))
+        padded = np.full((len(roots), width), _SENTINEL, dtype=np.int64)
+        padded[:, 0] = arrays["u"][roots]
+        padded[:, 1] = arrays["v"][roots]
+        sizes = np.full(len(roots), 2, dtype=np.int64)
+        t_root = t_last = t_col[roots]
+        level_partials = np.zeros(n - 1, dtype=np.int64)
+        level_ext = np.zeros(n - 1, dtype=np.int64)
+        for depth in range(1, n):
+            level_partials[depth - 1] = len(seqs)
+            vec = self._admit_arrays(arrays, t_last, t_root, padded, sizes, 0, arrays["m"])
+            if not vec:
+                break
+            cand, cand_part, cu, cv, u_in, v_in = vec
+            level_ext[depth - 1] = len(cand)
+            if depth == n - 1:
+                return np.column_stack((seqs[cand_part], cand)), level_partials, level_ext
+            # cand_part is grouped ascending: reverse each group, element
+            # i of a group [gstart, gend) taking position gstart+gend-1-i.
+            counts = np.bincount(cand_part)
+            gend = np.cumsum(counts)
+            gstart = gend - counts
+            perm = (gstart + gend - 1)[cand_part] - np.arange(len(cand))
+            cand = cand[perm]
+            cand_part = cand_part[perm]
+            # An adjacent candidate introduces at most one node.
+            grow = ~(u_in & v_in)[perm]
+            new_node = np.where(u_in, cv, cu)[perm]
+            parent_sizes = sizes[cand_part]
+            sizes = parent_sizes + grow
+            padded = padded[cand_part]
+            rows = np.flatnonzero(grow)
+            padded[rows, parent_sizes[rows]] = new_node[rows]
+            seqs = np.column_stack((seqs[cand_part], cand))
+            t_root = t_root[cand_part]
+            t_last = t_col[cand]
+        return np.empty((0, n), dtype=np.int64), level_partials, level_ext
+
+    # ------------------------------------------------------------------
+    # the admission sweep
+    # ------------------------------------------------------------------
     def _vector_candidates(self, partials: Sequence, lo: int, hi: int):
-        """The vectorized admission sweep shared by both entry points.
+        """Adapt ``Partial``-like records to :meth:`_admit_arrays`.
 
         Returns ``None`` when the storage cannot serve the banded arrays
-        (pending tail appends, pathological node ids) — callers fall back
-        to the generic path — or ``()`` when no extension is admissible.
-        Otherwise ``(cand, cand_part, cu, cv, u_in, v_in)``: the admitted
-        event indices, their partial positions (grouped in input order,
-        events ascending within a partial), the candidate endpoints and
-        their membership masks against the partial's node tuple.
+        (pending tail appends, a node id equal to the pad sentinel) —
+        callers fall back to the generic path — else the core's result.
         """
         arrays = getattr(self._storage, "extension_arrays", lambda: None)()
         n_p = len(partials)
         if arrays is None or n_p == 0:
             return None if arrays is None else ()
+        t_last = np.fromiter((p.t_last for p in partials), np.float64, n_p)
+        t_root = np.fromiter((p.t_root for p in partials), np.float64, n_p)
+        sizes = np.fromiter((len(p.nodes) for p in partials), np.int64, n_p)
+        flat_nodes = np.fromiter(
+            (node for p in partials for node in p.nodes), np.int64, int(sizes.sum())
+        )
+        if bool((flat_nodes == _SENTINEL).any()):  # pragma: no cover - pathological id
+            return None
+        padded = np.full((n_p, int(sizes.max())), _SENTINEL, dtype=np.int64)
+        padded[np.arange(padded.shape[1]) < sizes[:, None]] = flat_nodes
+        return self._admit_arrays(arrays, t_last, t_root, padded, sizes, lo, hi)
+
+    def _admit_arrays(self, arrays, t_last, t_root, padded, sizes, lo, hi):
+        """Every admissible extension of an array-shaped frontier.
+
+        ``padded`` is the ``(n_p, width)`` node table: row ``i`` holds
+        partial ``i``'s ``sizes[i]`` distinct nodes, then
+        :data:`_SENTINEL`.  ``t_last``/``t_root`` are its time columns;
+        ``[lo, hi)`` bounds the candidate event indices.  Returns ``()``
+        when no extension is admissible, else ``(cand, cand_part, cu, cv,
+        u_in, v_in)``: the admitted event indices, their partial
+        positions (grouped in input order, events ascending within a
+        partial), the candidate endpoints and their membership masks
+        against the partial's node row.
+        """
         t_col = arrays["t"]
         keys = arrays["keys"]
         m = arrays["m"]
-        if not len(keys):
+        n_p = len(sizes)
+        if not len(keys) or n_p == 0:
             return ()
         plan = self._plan
         node_cap = plan.node_cap
 
         # Per-partial deadlines — the plan's chained-deadline arithmetic,
         # broadcast: min(t_last + ΔC, t_root + ΔW).
-        t_last = np.fromiter((p.t_last for p in partials), np.float64, n_p)
-        t_root = np.fromiter((p.t_root for p in partials), np.float64, n_p)
         deadline = np.minimum(t_last + plan.delta_c, t_root + plan.delta_w)
 
         # One window query per (partial, node); empty/past-deadline
         # windows fall out as empty index ranges.
-        sizes = np.fromiter((len(p.nodes) for p in partials), np.int64, n_p)
-        total_q = int(sizes.sum())
-        if total_q == 0:
-            return []
-        flat_nodes = np.fromiter(
-            (node for p in partials for node in p.nodes), np.int64, total_q
-        )
-        sentinel = np.iinfo(np.int64).min
-        if bool((flat_nodes == sentinel).any()):  # pragma: no cover - pathological id
-            return None
+        flat_nodes = padded[np.arange(padded.shape[1]) < sizes[:, None]]
         q_part = np.repeat(np.arange(n_p, dtype=np.int64), sizes)
 
         # Half-open (t_last, deadline] -> global index range, then into
@@ -412,6 +525,8 @@ class NumpyExtensionKernel(ExtensionKernel):
         # (queries are grouped by partial), so the two-key sort packs
         # into one int64 sort — much cheaper than a lexsort — unless the
         # packed key cannot fit, in which case lexsort is the fallback.
+        # Sort plus a neighbour mask, not ``np.unique``: on int64 keys
+        # NumPy 2.x may take a far slower hash path.
         bits = int(m).bit_length()
         if bits + int(n_p).bit_length() < 63:
             packed = (cand_part << bits) | cand
@@ -445,18 +560,13 @@ class NumpyExtensionKernel(ExtensionKernel):
             return ()
 
         # Node-cap admission: membership of each candidate's endpoints in
-        # its partial's padded node row.  The pad is as wide as the
-        # *largest* partial, not the cap — a root always carries two
+        # its partial's padded node row.  The pad is at least as wide as
+        # the *largest* partial, not the cap — a root always carries two
         # nodes even under a degenerate ``max_nodes=1`` — and, exactly
         # like the scalar kernels, only extensions that *introduce*
         # nodes are tested against the cap.
         cu = arrays["u"][cand]
         cv = arrays["v"][cand]
-        padded = np.full((n_p, int(sizes.max())), sentinel, dtype=np.int64)
-        cols = np.arange(total_q, dtype=np.int64) - np.repeat(
-            np.cumsum(sizes) - sizes, sizes
-        )
-        padded[q_part, cols] = flat_nodes
         rows = padded[cand_part]
         u_in = (rows == cu[:, None]).any(axis=1)
         v_in = (rows == cv[:, None]).any(axis=1)

@@ -10,18 +10,20 @@ with the frontier itself kept in preallocated arrays (a partial->nodes
 table plus ``t_root``/``t_last`` columns) instead of per-
 :class:`~repro.engine.kernels.Partial` Python objects.
 
-Beyond the ``extend_frontier`` contract, the native kernel adds a
-**block path**: :meth:`NativeExtensionKernel.expand_block` grows one
-whole root block to completion inside a single JIT call — every level,
-including the non-final ``next_frontier`` steps, advances without
-constructing intermediate Python triples — and returns the completed
-instances as one ``(n, n_events)`` int64 array in exactly the driver's
-DFS yield order (parents in pop order, children appended in descending
+The block lane itself is not native-only: the numpy kernel's
+:meth:`~repro.engine.kernels.NumpyExtensionKernel.expand_block` grows a
+whole root block over arrays on plain NumPy, and
+:func:`repro.engine.driver.run_plan_blocks` streams its ``(n,
+n_events)`` instance arrays to batched consumers such as the vectorized
+census fold of :mod:`repro.algorithms.batched`.  This kernel inherits
+``block_ready()`` and replaces only the body of
+:meth:`NativeExtensionKernel.expand_block`: one JIT call grows the block
+to completion — every level, the non-final ones included, advances
+without intermediate Python triples — and returns the same arrays in
+the same DFS yield order (parents in pop order, children in descending
 event order at non-final levels — the LIFO reversal — and ascending at
 the final level; see :mod:`repro.engine.driver` for the equivalence
-argument).  :func:`repro.engine.driver.run_plan_blocks` streams these
-arrays to batched consumers such as the vectorized census fold of
-:mod:`repro.algorithms.batched`.
+argument).
 
 Registration follows the numpy backend's optional-dependency pattern:
 ``"native"`` lands in :data:`~repro.engine.kernels.KERNELS` only when
@@ -40,7 +42,7 @@ partial, historical DFS yield order, counter key order.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.core._optional import import_numpy
 from repro.engine.kernels import (
@@ -55,10 +57,6 @@ try:  # pragma: no cover - exercised only where numba is installed
     import numba as _numba
 except Exception:  # pragma: no cover - the numba-less default
     _numba = None
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.plan import ExecutionPlan
-    from repro.storage.base import GraphStorage
 
 
 def available() -> bool:
@@ -377,22 +375,18 @@ def _expand_block_impl(roots, n_events, node_cap, dc, dw, t, u, v, keys, banded,
 
 
 class NativeExtensionKernel(NumpyExtensionKernel):
-    """JIT kernel over the banded CSR, with the whole-block fast path.
+    """JIT kernel over the banded CSR, with a JIT whole-block body.
 
     Inherits the numpy kernel's triple materialization and fused
     ``next_frontier`` (both consume :meth:`_vector_candidates`, which
-    this class reroutes through the JIT sweep) and the base class's
-    event-major single-arrival path, so the online push shape is shared
-    untouched.  While tail appends are pending the storage cannot serve
-    the banded arrays and every entry point falls back to the generic
-    path, counted as a runtime demotion.
+    this class reroutes through the JIT sweep), its ``block_ready()``,
+    and the base class's event-major single-arrival path, so the online
+    push shape is shared untouched.  While tail appends are pending the
+    storage cannot serve the banded arrays and every entry point falls
+    back to the generic path, counted as a runtime demotion.
     """
 
     kernel_name = "native"
-
-    def __init__(self, plan: "ExecutionPlan", storage: "GraphStorage") -> None:
-        super().__init__(plan, storage)
-        self._block_arrays: dict | None = None
 
     # ------------------------------------------------------------------
     # extend_frontier contract (arbitrary partial records)
@@ -445,17 +439,6 @@ class NativeExtensionKernel(NumpyExtensionKernel):
     # ------------------------------------------------------------------
     # block path (the driver's array-native fast lane)
     # ------------------------------------------------------------------
-    def block_ready(self) -> bool:
-        """Whether :meth:`expand_block` can serve this storage right now.
-
-        Caches the validated extension arrays on the kernel for the
-        run's block calls; ``False`` (tail appends pending) routes the
-        driver to the Partial-object path, whose per-call fallback is
-        the generic kernel.
-        """
-        self._block_arrays = getattr(self._storage, "extension_arrays", lambda: None)()
-        return self._block_arrays is not None
-
     def expand_block(self, roots):
         """One root block to completion: ``(rows, level_partials, level_ext)``.
 

@@ -475,6 +475,146 @@ class TestNativeKernelParity:
 
 
 # ----------------------------------------------------------------------
+# numpy block lane: whole root blocks over arrays, no Partial objects
+# ----------------------------------------------------------------------
+#: Node-id relabelings: the admission arrays must not assume small,
+#: non-negative ids (the padded node table pads with int64 min).
+NODE_IDS = {
+    "small": lambda n: n,
+    "negative": lambda n: -5 - 3 * n,
+    "above 2**40": lambda n: 2**40 + 11 * n,
+}
+
+
+def _even_last(graph, inst) -> bool:
+    return inst[-1] % 2 == 0
+
+
+@requires_numpy_backend
+class TestNumpyBlockLane:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        event_lists(),
+        st.integers(2, 5),
+        st.sampled_from([None, 1, 2, 3]),
+        st.sampled_from([2.0, 4.0, None]),
+        st.sampled_from(sorted(NODE_IDS)),
+        st.data(),
+    )
+    def test_expand_block_rows_match_generic_run_plan(
+        self, events, n_events, max_nodes, delta_c, ids, data
+    ):
+        relabel = NODE_IDS[ids]
+        graph = TemporalGraph(
+            [Event(relabel(e.u), relabel(e.v), e.t) for e in events], backend="numpy"
+        )
+        constraints = _constraints(delta_c, 8.0)
+
+        def plan_for(kernel, predicate=None):
+            return compile_plan(
+                n_events,
+                constraints,
+                predicate,
+                graph.storage,
+                max_nodes=max_nodes,
+                kernel=kernel,
+            )
+
+        generic = plan_for("generic")
+        vectorized = plan_for("numpy")
+        kernel = vectorized.bind(graph.storage)
+        assert kernel.kernel_name == "numpy"
+        assert kernel.block_ready()
+        m = len(graph)
+        order = data.draw(st.permutations(range(m)))
+        k = data.draw(st.integers(1, m))
+        for roots in (list(range(m)), sorted(order[:k]), list(order[:k])):
+            expected = list(run_plan(generic, graph, roots=roots))
+            rows, level_partials, level_ext = kernel.expand_block(roots)
+            assert rows.shape == (len(expected), n_events)
+            assert str(rows.dtype) == "int64"
+            assert [tuple(row) for row in rows.tolist()] == expected
+            assert int(level_partials[0]) == len(roots)
+            assert int(level_ext[-1]) == len(expected)
+            assert list(run_plan(vectorized, graph, roots=roots)) == expected
+        cap = data.draw(st.integers(1, 6))
+        assert list(run_plan(vectorized, graph, max_instances=cap)) == list(
+            run_plan(generic, graph, max_instances=cap)
+        )
+        # Predicate plans take the lane through run_plan, filtered per row.
+        for predicate in (satisfies_consecutive_events, _even_last):
+            assert list(run_plan(plan_for("numpy", predicate), graph)) == list(
+                run_plan(plan_for("generic", predicate), graph)
+            )
+
+    def test_block_whose_intermediate_frontier_empties(self):
+        # Two-event partials exist, but no third event falls inside any
+        # of their windows: the block stops at its second level.
+        events = [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 50.0), (4, 5, 51.0)]
+        constraints = TimingConstraints(delta_c=2.0, delta_w=4.0)
+        graph = TemporalGraph(events, backend="numpy")
+        plan = compile_plan(4, constraints, None, graph.storage, kernel="numpy")
+        kernel = plan.bind(graph.storage)
+        assert kernel.block_ready()
+        rows, level_partials, level_ext = kernel.expand_block([0, 1, 2, 3])
+        assert rows.shape == (0, 4)
+        assert level_partials.tolist() == [4, 2, 0]
+        assert level_ext.tolist() == [2, 0, 0]
+        assert list(run_plan(plan, graph)) == []
+
+    def test_frontier_histograms_match_the_partial_path(self, monkeypatch):
+        import random
+
+        import repro.obs as obs
+        from repro.engine import NumpyExtensionKernel, run_plan_blocks
+
+        # Enough roots for several geometric blocks; sparse enough that
+        # some blocks' frontiers empty before the final level.
+        rng = random.Random(7)
+        t = 0.0
+        events = []
+        for _ in range(600):
+            t += rng.choice([0.0, 0.5, 1.0, 3.0, 9.0])
+            u, v = rng.sample(range(12), 2)
+            events.append((u, v, t))
+        graph = TemporalGraph(events, backend="numpy")
+        constraints = TimingConstraints(delta_c=2.0, delta_w=5.0)
+
+        def histograms(kernel, blocks=False):
+            plan = compile_plan(
+                4, constraints, None, graph.storage, max_nodes=3, kernel=kernel
+            )
+            registry = obs.enable(obs.MetricsRegistry())
+            try:
+                if blocks:
+                    for _rows in run_plan_blocks(plan, graph):
+                        pass
+                else:
+                    list(run_plan(plan, graph))
+            finally:
+                obs.disable()
+            snap = registry.snapshot()
+            assert not any(key.startswith("engine.kernel.demote") for key in snap["counters"])
+            return [
+                (snap["histograms"][key]["count"], snap["histograms"][key]["total"])
+                for key in (
+                    f"engine.frontier.partials{{kernel={kernel}}}",
+                    f"engine.frontier.extensions{{kernel={kernel}}}",
+                )
+            ]
+
+        reference = histograms("generic")
+
+        def partial_path(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("the block lane fell back to Partial objects")
+
+        # The numpy kernel must take the block lane on both entry points.
+        monkeypatch.setattr(NumpyExtensionKernel, "_vector_candidates", partial_path)
+        assert histograms("numpy") == reference
+        assert histograms("numpy", blocks=True) == reference
+
+
+# ----------------------------------------------------------------------
 # consumer bit-identity
 # ----------------------------------------------------------------------
 def _census_key(census):

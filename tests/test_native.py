@@ -8,11 +8,11 @@ Four layers of guarantees on top of the engine differential suite in
   :func:`~repro.core.notation.canonical_code` oracle;
 * **consumer bit-identity under the block lane** — ``run_census``
   (sample lists, caps, filters included) and its ``total`` with
-  the native kernel forced, against the generic path;
+  the native kernel and with the numpy kernel, against the generic path;
 * **demotion** — numba-less builds resolve ``"native"`` down the
   fallback chain exactly once per session (pinned in the
   ``engine.kernel.demote`` obs counter), stale plans re-resolve at bind
-  time, runtime tail-pending fallback is counted, and
+  time, runtime tail-pending fallback is counted on both array kernels, and
   :func:`~repro.engine.clear_plan_cache` invalidates the capability
   memo;
 * **multi-view parity** — the fan-out engine behaves identically with
@@ -73,6 +73,28 @@ def registered_native():
     finally:
         if added:
             del KERNELS["native"]
+        clear_plan_cache()
+
+
+@contextmanager
+def block_kernel(kernel):
+    """Resolve the numpy backend's advertised kernel to ``kernel``.
+
+    ``"native"`` force-registers the JIT kernel; ``"numpy"`` leaves it
+    unregistered, so resolution demotes one rung to the numpy kernel.
+    """
+    if kernel == "native":
+        with registered_native():
+            yield
+        return
+    has_kernel("native")  # run the one-shot import probe before unregistering
+    added = KERNELS.pop("native", None)
+    clear_plan_cache()
+    try:
+        yield
+    finally:
+        if added is not None:
+            KERNELS["native"] = added
         clear_plan_cache()
 
 
@@ -148,10 +170,18 @@ class TestBatchedEncoders:
 # consumer bit-identity through the block lane
 # ----------------------------------------------------------------------
 class TestBlockLaneParity:
+    """Block-lane parity on the native kernel.
+
+    :class:`TestNumpyBlockLaneParity` reruns every test on the numpy
+    kernel: both kernels feed the block lane.
+    """
+
+    kernel = "native"
+
     @settings(max_examples=40, deadline=None)
     @given(event_lists(), st.sampled_from([2, 3, 4]), st.sampled_from([None, 3]))
     def test_run_census_with_samples_bit_identical(self, events, n_events, max_nodes):
-        with registered_native():
+        with block_kernel(self.kernel):
             graph = TemporalGraph(events, backend="numpy")
             kwargs = dict(
                 max_nodes=max_nodes,
@@ -182,7 +212,7 @@ class TestBlockLaneParity:
 
     def test_sample_values_are_python_scalars(self):
         events = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 0, 4.0)]
-        with registered_native():
+        with block_kernel(self.kernel):
             graph = TemporalGraph(events, backend="numpy")
             census = run_census(
                 graph, 3, CONSTRAINTS, collect_timespans=True, collect_positions=True
@@ -196,7 +226,7 @@ class TestBlockLaneParity:
 
     def test_sample_code_filters_apply(self):
         events = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (1, 0, 3.5), (2, 0, 4.0)]
-        with registered_native():
+        with block_kernel(self.kernel):
             graph = TemporalGraph(events, backend="numpy")
             full = run_census(graph, 3, CONSTRAINTS, collect_timespans=True)
             target = next(iter(full.timespans))
@@ -210,7 +240,7 @@ class TestBlockLaneParity:
     @settings(max_examples=30, deadline=None)
     @given(event_lists(), st.sampled_from([2, 3, 4]))
     def test_total_instances_parity(self, events, n_events):
-        with registered_native():
+        with block_kernel(self.kernel):
             graph = TemporalGraph(events, backend="numpy")
             reference = run_census(
                 TemporalGraph(events, backend="list"), n_events, CONSTRAINTS
@@ -222,7 +252,7 @@ class TestBlockLaneParity:
         # A root always carries two nodes, so max_nodes=1 exceeds the cap
         # from the start; only zero-new-node extensions may be admitted.
         events = [(0, 1, 1.0), (1, 0, 2.0), (0, 1, 2.5), (1, 2, 3.0), (0, 1, 4.0)]
-        with registered_native():
+        with block_kernel(self.kernel):
             graph = TemporalGraph(events, backend="numpy")
             native_plan = compile_plan(
                 3, CONSTRAINTS, None, graph.storage, max_nodes=max_nodes
@@ -231,14 +261,14 @@ class TestBlockLaneParity:
                 3, CONSTRAINTS, None, graph.storage,
                 max_nodes=max_nodes, kernel="generic",
             )
-            assert native_plan.kernel_name == "native"
+            assert native_plan.kernel_name == self.kernel
             assert list(run_plan(native_plan, graph)) == list(
                 run_plan(generic_plan, graph)
             )
 
     def test_run_plan_blocks_contract(self):
         events = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 3, 4.0)]
-        with registered_native():
+        with block_kernel(self.kernel):
             graph = TemporalGraph(events, backend="numpy")
             plan = compile_plan(3, CONSTRAINTS, None, graph.storage)
             blocks = run_plan_blocks(plan, graph)
@@ -258,15 +288,19 @@ class TestBlockLaneParity:
         # Plans pickle by kernel *name*: a plan compiled where "native"
         # is registered must demote cleanly inside numba-less workers.
         events = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 3, 4.0), (1, 3, 5.0)]
-        with registered_native():
+        with block_kernel(self.kernel):
             graph = TemporalGraph(events, backend="numpy")
             plan = compile_plan(3, CONSTRAINTS, None, graph.storage)
-            assert plan.kernel_name == "native"
+            assert plan.kernel_name == self.kernel
             serial = run_census(graph, 3, CONSTRAINTS, plan=plan)
             sharded = run_census(graph, 3, CONSTRAINTS, plan=plan, jobs=2)
             assert dict(sharded.code_counts) == dict(serial.code_counts)
             assert list(sharded.code_counts) == list(serial.code_counts)
             assert sharded.total == serial.total
+
+
+class TestNumpyBlockLaneParity(TestBlockLaneParity):
+    kernel = "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +373,32 @@ class TestDemotion:
                 3, CONSTRAINTS, None, graph.storage, kernel="generic"
             )
             assert native == list(run_plan(generic_plan, graph))
+
+    def test_numpy_tail_pending_fallback_is_counted_and_correct(self):
+        with block_kernel("numpy"):
+            graph = TemporalGraph([(0, 1, 1.0), (1, 2, 2.0)], backend="numpy")
+            graph.append(Event(0, 2, 3.0))  # lands in the un-banded tail
+            plan = compile_plan(3, CONSTRAINTS, None, graph.storage)
+            assert plan.kernel_name == "numpy"
+            key = "engine.kernel.demote{from=numpy,to=generic}"
+            registry = obs.enable()
+            # The block lane refuses while the banded arrays are pending.
+            assert run_plan_blocks(plan, graph) is None
+            assert registry.counters[key] == 1
+            numpy_rows = list(run_plan(plan, graph))
+            assert registry.counters[key] == 2  # once per run_plan call
+            census = run_census(graph, 3, CONSTRAINTS, plan=plan)
+            assert registry.counters[key] >= 3
+            obs.disable()
+            generic_plan = compile_plan(
+                3, CONSTRAINTS, None, graph.storage, kernel="generic"
+            )
+            assert numpy_rows == list(run_plan(generic_plan, graph))
+            reference = run_census(graph, 3, CONSTRAINTS, plan=generic_plan)
+            assert list(census.code_counts.items()) == list(
+                reference.code_counts.items()
+            )
+            assert census.total == reference.total > 0
 
     def test_resolve_kernel_name_walks_unknown_names_to_generic(self):
         assert resolve_kernel_name("definitely-not-a-kernel") == "generic"
