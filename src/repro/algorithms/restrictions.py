@@ -15,6 +15,25 @@ Three restriction predicates, each a filter over enumerated instances:
 
 All predicates take ``(graph, instance)`` so they can be passed directly as
 the ``predicate`` of :func:`repro.algorithms.enumeration.enumerate_instances`.
+
+Row forms
+---------
+
+The two window-local restrictions, :func:`satisfies_consecutive_events`
+and :func:`satisfies_cdg`, also carry an array form as their ``rows``
+attribute (next to the ``shard_safe`` and ``tick_boundary_sensitive``
+marks): ``pred.rows(graph, rows)`` takes an ``(n, k)`` integer array of
+instances, one per row, and returns an ``(n,)`` bool mask that equals
+``[pred(graph, tuple(r)) for r in rows]`` exactly.  The engine's block
+lane (:func:`repro.engine.run_plan`, :func:`repro.engine.run_plan_blocks`)
+filters whole instance blocks with it, so predicated censuses on the
+numpy backend take the batched fold.  The masks are vectorized over the
+columns of a :class:`~repro.storage.numpy_backend.NumpyStorage`; any
+other storage, or one with tail appends pending, gets the scalar
+predicate row by row.  :func:`combine` carries a row form
+exactly when every component has one.  :func:`is_static_induced` has none
+and is evaluated per instance; so is any user predicate without a ``rows``
+attribute.  NumPy is imported lazily: the scalar predicates need none.
 """
 
 from __future__ import annotations
@@ -22,9 +41,29 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Sequence
 
+from repro.core._optional import import_numpy
 from repro.core.temporal_graph import TemporalGraph
 
+np = import_numpy()
+
 Instance = Sequence[int]
+
+
+def _scalar_rows(predicate, graph: TemporalGraph, rows):
+    """The row-form contract, one scalar call per row (the exact fallback)."""
+    return np.fromiter(
+        (predicate(graph, tuple(row)) for row in rows.tolist()),
+        dtype=bool,
+        count=len(rows),
+    )
+
+
+def _columns(graph: TemporalGraph):
+    """The numpy storage's ``u``/``v``/``t`` columns, or ``None``."""
+    arrays = getattr(graph.storage, "extension_arrays", lambda: None)()
+    if arrays is None:
+        return None
+    return arrays["u"], arrays["v"], arrays["t"]
 
 
 def satisfies_consecutive_events(graph: TemporalGraph, instance: Instance) -> bool:
@@ -54,6 +93,45 @@ def satisfies_consecutive_events(graph: TemporalGraph, instance: Instance) -> bo
     return True
 
 
+def _consecutive_events_rows(graph: TemporalGraph, rows):
+    """Row form of :func:`satisfies_consecutive_events`.
+
+    Per row, the ``2k`` endpoint slots group by node; each group's size
+    (a self-loop fills two slots, as the scalar form appends its time
+    twice) must equal the node's event count over the group's closed
+    time span, one batched window count per ``(row, node)``.  The check
+    ignores event order, so rows are sorted first: along a sorted row
+    the times never decrease, and a group spans from its first slot's
+    time to its last slot's.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    columns = _columns(graph) if len(rows) else None
+    if columns is None:
+        return _scalar_rows(satisfies_consecutive_events, graph, rows)
+    u, v, t = columns
+    rows = np.sort(rows, axis=1)
+    n, k = rows.shape
+    ends = np.empty((n, 2 * k), dtype=np.int64)
+    ends[:, 0::2] = u[rows]
+    ends[:, 1::2] = v[rows]
+    stamps = t[rows]
+    # One query per group, made at the group's first slot.
+    queries: list[tuple] = []
+    for j in range(2 * k):
+        same = ends == ends[:, j : j + 1]
+        lead = np.flatnonzero(~same[:, :j].any(axis=1))
+        same = same[lead]
+        last = 2 * k - 1 - same[:, ::-1].argmax(axis=1)
+        t_lo, t_hi = stamps[lead, j // 2], stamps[lead, last // 2]
+        queries.append((lead, ends[lead, j], t_lo, t_hi, same.sum(axis=1)))
+    row, nodes, t_los, t_his, sizes = (np.concatenate(col) for col in zip(*queries))
+    counts = graph.storage.count_node_events_in_batch(nodes, t_los, t_his)
+    mask = np.ones(n, dtype=bool)
+    mask[row[np.asarray(counts) != sizes]] = False
+    return mask
+
+
+satisfies_consecutive_events.rows = _consecutive_events_rows
 # Only consults events inside the instance's closed time window, which a
 # time shard always contains -> safe for the sharded parallel engine.
 satisfies_consecutive_events.shard_safe = True
@@ -86,6 +164,30 @@ def satisfies_cdg(graph: TemporalGraph, instance: Instance) -> bool:
     return True
 
 
+def _cdg_rows(graph: TemporalGraph, rows):
+    """Row form of :func:`satisfies_cdg`.
+
+    For consecutive ``(a, b)`` on different edges, ``b`` is its edge's
+    only event in ``[t_a, t_b]`` iff the edge's previous event is before
+    ``t_a`` and its next one after ``t_b`` — two gathers from
+    :meth:`~repro.storage.numpy_backend.NumpyStorage.edge_adjacent_times`.
+    (``t_a > t_b`` is an empty window, which fails as in the scalar form.)
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    columns = _columns(graph) if len(rows) else None
+    adjacent = graph.storage.edge_adjacent_times() if columns is not None else None
+    if adjacent is None:
+        return _scalar_rows(satisfies_cdg, graph, rows)
+    u, v, t = columns
+    prev_t, next_t = adjacent
+    a, b = rows[:, :-1], rows[:, 1:]
+    t_a, t_b = t[a], t[b]
+    same_edge = (u[a] == u[b]) & (v[a] == v[b])
+    fresh = (prev_t[b] < t_a) & (next_t[b] > t_b) & (t_a <= t_b)
+    return (same_edge | fresh).all(axis=1)
+
+
+satisfies_cdg.rows = _cdg_rows
 # Window-local for the same reason as the consecutive-events check.
 satisfies_cdg.shard_safe = True
 # Counts edge events in the closed [t1, t2] interval -> same boundary-tie
@@ -147,11 +249,28 @@ def combine(*predicates):
 
     The combined predicate is shard-safe for the parallel engine exactly
     when every component is (see
-    :func:`repro.parallel.mark_shard_safe`).
+    :func:`repro.parallel.mark_shard_safe`), and carries a row form
+    exactly when every component does: the AND of the component masks.
     """
 
     def combined(graph: TemporalGraph, instance: Instance) -> bool:
         return all(pred(graph, instance) for pred in predicates)
+
+    row_forms = [getattr(pred, "rows", None) for pred in predicates]
+    if all(form is not None for form in row_forms):
+
+        def combined_rows(graph: TemporalGraph, rows):
+            rows = np.asarray(rows, dtype=np.int64)
+            # Each component judges only the rows the earlier ones kept,
+            # as the scalar conjunction short-circuits.
+            kept = np.arange(len(rows))
+            for form in row_forms:
+                kept = kept[form(graph, rows[kept])]
+            mask = np.zeros(len(rows), dtype=bool)
+            mask[kept] = True
+            return mask
+
+        combined.rows = combined_rows
 
     combined.shard_safe = all(
         getattr(pred, "shard_safe", False) for pred in predicates

@@ -123,18 +123,26 @@ def run_plan(
     # Whole-block lane (numpy and native kernels): the kernel grows each
     # root block to completion over arrays and hands back the completed
     # instances as an array in the exact DFS yield order — no Partial
-    # objects, no intermediate triples; a predicate filters per row.
+    # objects, no intermediate triples.  A predicate with a row form
+    # filters each block with one mask; any other predicate filters per
+    # row (counted, so the scalar fallback shows in ``stats``).
     # Unavailable (tail appends pending; counted as a demotion) routes
     # to the Partial path below, unchanged.
     expand = getattr(kernel, "expand_block", None)
     if expand is not None and kernel.block_ready():
+        row_filter = getattr(predicate, "rows", None)
+        scalar = predicate if row_filter is None else None
+        if scalar is not None and rec is not None:
+            rec.inc("engine.predicate.scalar")
         for block_roots in _root_blocks(root_iter):
             rows, level_partials, level_ext = expand(block_roots)
             if stats is not None:
                 _observe_levels(stats, level_partials, level_ext)
+            if row_filter is not None:
+                rows = rows[row_filter(graph, rows)]
             for row in rows.tolist():
                 inst = tuple(row)
-                if predicate is not None and not predicate(graph, inst):
+                if scalar is not None and not scalar(graph, inst):
                     continue
                 yield inst
                 yielded += 1
@@ -216,13 +224,15 @@ def run_plan_blocks(
     Returns a generator of ``(n_i, n_events)`` int64 arrays — one per
     root block, rows concatenating to exactly :func:`run_plan`'s yield
     sequence — for consumers that fold instances with array ops (the
-    batched census of :mod:`repro.algorithms.batched`).  Returns
-    ``None`` when the block lane cannot serve this run — single-event
-    plans, a restriction predicate (rows here are unfiltered), a kernel
-    without a block path, or a storage whose banded arrays are pending —
-    and the caller takes the tuple path.
+    batched census of :mod:`repro.algorithms.batched`).  A restriction
+    predicate filters each block through its row form (``predicate.rows``,
+    see :mod:`repro.algorithms.restrictions`).  Returns ``None`` when the
+    block lane cannot serve this run — single-event plans, a predicate
+    without a row form, a kernel without a block path, or a storage whose
+    banded arrays are pending — and the caller takes the tuple path.
     """
-    if plan.n_events < 2 or plan.predicate is not None:
+    row_filter = getattr(plan.predicate, "rows", None)
+    if plan.n_events < 2 or (plan.predicate is not None and row_filter is None):
         return None
     storage = graph.storage
     kernel = plan.bind(storage)
@@ -245,6 +255,8 @@ def run_plan_blocks(
             rows, level_partials, level_ext = expand(block_roots)
             if stats is not None:
                 _observe_levels(stats, level_partials, level_ext)
+            if row_filter is not None:
+                rows = rows[row_filter(graph, rows)]
             yield rows
 
     return _blocks()

@@ -150,6 +150,8 @@ class NumpyStorage(GraphStorage):
         self._node_banded: Any | None = None
         # Lazy sorted node-id array (vectorized node -> slot resolution).
         self._node_keys_sorted: Any | None = None
+        # Lazy per-event previous/next times on the same edge.
+        self._edge_adjacent: tuple | None = None
         # Tail delta for appends (mirrors the columnar backend's layout).
         self._tail: list[Event] = []
         self._tail_node_events: dict[int, list[int]] = {}
@@ -692,6 +694,38 @@ class NumpyStorage(GraphStorage):
             "idx": self._node_index()[2],
             "m": self._m,
         }
+
+    def edge_adjacent_times(self) -> tuple | None:
+        """Per-event ``(prev_t, next_t)``: the times of the events just
+        before and just after each event on its own directed edge.
+
+        Two float64 columns of length ``len(self)``, ``-inf`` / ``inf``
+        where the event is its edge's first / last.  Along an edge the
+        events sit in index order, so "no other event on ``e_i``'s edge
+        in ``[t_lo, t_i]``" is ``prev_t[i] < t_lo``, and likewise
+        ``next_t[i] > t_hi`` for ``[t_i, t_hi]`` — the CDG restriction's
+        row form reads both with two gathers.  Built on first use;
+        ``None`` while tail appends are pending (the tail is not in the
+        edge CSR).
+        """
+        if self._tail:
+            return None
+        if self._edge_adjacent is None:
+            _slot, off, order = self._edge_index()
+            seg_t = self._edge_times_flat()
+            prev_sorted = np.empty_like(seg_t)
+            next_sorted = np.empty_like(seg_t)
+            if len(seg_t):
+                prev_sorted[1:] = seg_t[:-1]
+                next_sorted[:-1] = seg_t[1:]
+                prev_sorted[off[:-1]] = -np.inf
+                next_sorted[off[1:] - 1] = np.inf
+            prev_t = np.empty_like(seg_t)
+            next_t = np.empty_like(seg_t)
+            prev_t[order] = prev_sorted
+            next_t[order] = next_sorted
+            self._edge_adjacent = (prev_t, next_t)
+        return self._edge_adjacent
 
     def adjacent_events_between(
         self, nodes: Sequence[int], t_lo: float, t_hi: float

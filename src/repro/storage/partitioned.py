@@ -43,9 +43,14 @@ resident set stays bounded no matter how large the directory is.  It is
 **read-only** (:meth:`append` raises); the hot windowed queries touch
 only the partitions overlapping the window, while the whole-stream
 materialized views (``events``, ``times``, the adjacency dicts) remain
-available as O(m) correctness fallbacks.  Census execution over a
-partitioned graph routes through the sharded engine even at ``jobs=1``
-(see :attr:`~repro.storage.base.GraphStorage.prefers_sharded_execution`):
+available as O(m) correctness fallbacks.  Those fallbacks, and a slice
+of the whole multi-partition stream, void the memory bound, so they are
+loud: each counts ``storage.partition.materialize`` and the first per
+storage warns.  Serial ``enumerate_instances`` and root-shard routing
+of a predicate that is not shard-safe take that path.  Census
+execution over a partitioned graph routes through the sharded engine
+even at ``jobs=1`` (see
+:attr:`~repro.storage.base.GraphStorage.prefers_sharded_execution`):
 each shard rebuilds an in-memory numpy storage covering just its
 δ-overlapped window, so peak memory follows the largest shard, not the
 stream.
@@ -58,6 +63,7 @@ import json
 import os
 import shutil
 import tempfile
+import warnings
 import weakref
 from collections import OrderedDict
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
@@ -306,6 +312,7 @@ class PartitionedStorage(GraphStorage):
         self._times_cache: list[float] | None = None
         self._node_maps: tuple[dict, dict] | None = None
         self._edge_maps: tuple[dict, dict] | None = None
+        self._materialize_warned = False
 
     # ------------------------------------------------------------------
     # construction / conversion
@@ -412,9 +419,25 @@ class PartitionedStorage(GraphStorage):
     # ------------------------------------------------------------------
     # materialized views (O(m) correctness fallbacks)
     # ------------------------------------------------------------------
+    def _materialize(self, what: str) -> None:
+        """Count a fold of every partition into memory; warn on the first."""
+        rec = _obs.ACTIVE
+        if rec is not None:
+            rec.inc("storage.partition.materialize")
+        if not self._materialize_warned:
+            self._materialize_warned = True
+            warnings.warn(
+                f"partitioned graph {self._path!r}: building the whole-stream "
+                f"{what} folds all {self.n_partitions} partitions into memory; "
+                "this path is not memory-bounded",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+
     @property
     def events(self) -> tuple[Event, ...]:
         if self._events_cache is None:
+            self._materialize("events view")
             out: list[Event] = []
             for p in range(self.n_partitions):
                 out.extend(self.partition(p).events)
@@ -424,6 +447,7 @@ class PartitionedStorage(GraphStorage):
     @property
     def times(self) -> list[float]:
         if self._times_cache is None:
+            self._materialize("times view")
             out: list[float] = []
             for p in range(self.n_partitions):
                 out.extend(self.partition(p).times)
@@ -432,6 +456,7 @@ class PartitionedStorage(GraphStorage):
 
     def _node_views(self) -> tuple[dict, dict]:
         if self._node_maps is None:
+            self._materialize("node maps")
             idxs: dict[int, list[int]] = {}
             ts: dict[int, list[float]] = {}
             for p in range(self.n_partitions):
@@ -446,6 +471,7 @@ class PartitionedStorage(GraphStorage):
 
     def _edge_views(self) -> tuple[dict, dict]:
         if self._edge_maps is None:
+            self._materialize("edge maps")
             idxs: dict[tuple[int, int], list[int]] = {}
             ts: dict[tuple[int, int], list[float]] = {}
             for p in range(self.n_partitions):
@@ -651,6 +677,8 @@ class PartitionedStorage(GraphStorage):
             part = self.partition(p_lo)
             a, b = lo - self._ev_lo[p_lo], hi - self._ev_lo[p_lo]
             return NumpyStorage.from_arrays(part._u[a:b], part._v[a:b], part._t[a:b])
+        if lo == 0 and hi == self._n:
+            self._materialize("slice")
         us, vs, ts = [], [], []
         for p in range(p_lo, p_hi + 1):
             part = self.partition(p)

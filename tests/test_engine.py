@@ -30,7 +30,12 @@ from hypothesis import strategies as st
 
 from repro.algorithms.counting import run_census
 from repro.algorithms.enumeration import enumerate_instances, is_instance
-from repro.algorithms.restrictions import satisfies_consecutive_events
+from repro.algorithms.restrictions import (
+    combine,
+    is_static_induced,
+    satisfies_cdg,
+    satisfies_consecutive_events,
+)
 from repro.core.constraints import TimingConstraints
 from repro.core.events import Event
 from repro.core.temporal_graph import TemporalGraph
@@ -43,6 +48,7 @@ from repro.engine import (
     has_kernel,
     is_shard_safe,
     run_plan,
+    run_plan_blocks,
 )
 from repro.online import OnlineCensus
 from repro.storage import available_backends, get_backend
@@ -566,7 +572,7 @@ class TestNumpyBlockLane:
         import random
 
         import repro.obs as obs
-        from repro.engine import NumpyExtensionKernel, run_plan_blocks
+        from repro.engine import NumpyExtensionKernel
 
         # Enough roots for several geometric blocks; sparse enough that
         # some blocks' frontiers empty before the final level.
@@ -612,6 +618,86 @@ class TestNumpyBlockLane:
         monkeypatch.setattr(NumpyExtensionKernel, "_vector_candidates", partial_path)
         assert histograms("numpy") == reference
         assert histograms("numpy", blocks=True) == reference
+
+
+# ----------------------------------------------------------------------
+# predicated block lane: restriction row forms filter whole blocks
+# ----------------------------------------------------------------------
+ROW_PREDICATES = {
+    "consecutive events": satisfies_consecutive_events,
+    "cdg": satisfies_cdg,
+    "both": combine(satisfies_cdg, satisfies_consecutive_events),
+}
+
+
+@requires_numpy_backend
+class TestPredicatedBlockLane:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        event_lists(max_events=16),
+        configs,
+        st.sampled_from(sorted(ROW_PREDICATES)),
+        st.sampled_from(sorted(NODE_IDS)),
+        st.integers(1, 8),
+    )
+    def test_predicated_census_matches_list_backend(
+        self, events, config, name, ids, cap
+    ):
+        import tempfile
+
+        n_events, delta_c, delta_w, max_nodes = config
+        constraints = _constraints(delta_c, delta_w)
+        predicate = ROW_PREDICATES[name]
+        relabel = NODE_IDS[ids]
+        events = [Event(relabel(e.u), relabel(e.v), e.t) for e in events]
+        limits = dict(max_nodes=max_nodes, predicate=predicate)
+        options = dict(limits, collect_timespans=True, collect_positions=True)
+
+        def census_of(graph, jobs=1):
+            census = run_census(graph, n_events, constraints, jobs=jobs, **options)
+            return _census_key(census), census.timespans, census.intermediate_positions
+
+        reference = TemporalGraph(events, backend="list")
+        expected = census_of(reference)
+        graph = TemporalGraph(events, backend="numpy")
+        plan = compile_plan(
+            n_events, constraints, predicate, graph.storage, max_nodes=max_nodes
+        )
+        assert run_plan_blocks(plan, graph) is not None
+        assert census_of(graph, jobs=1) == expected
+        assert census_of(graph, jobs=2) == expected
+        with tempfile.TemporaryDirectory() as tmp:
+            graph.save(tmp + "/pages", partition_events=4)
+            assert census_of(TemporalGraph.load(tmp + "/pages")) == expected
+        assert list(
+            enumerate_instances(graph, n_events, constraints, max_instances=cap, **limits)
+        ) == list(
+            enumerate_instances(reference, n_events, constraints, max_instances=cap, **limits)
+        )
+
+    def test_scalar_fallback_is_counted(self):
+        import repro.obs as obs
+
+        events = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 0, 4.0), (1, 0, 5.0)]
+        graph = TemporalGraph(events, backend="numpy")
+        constraints = TimingConstraints(delta_c=3.0, delta_w=6.0)
+
+        def scalar_count(predicate):
+            plan = compile_plan(3, constraints, predicate, graph.storage, kernel="numpy")
+            registry = obs.enable(obs.MetricsRegistry())
+            try:
+                first = list(run_plan(plan, graph))
+                second = list(run_plan(plan, graph))
+                assert first == second
+            finally:
+                obs.disable()
+            return registry.counters.get("engine.predicate.scalar", 0)
+
+        assert scalar_count(is_static_induced) == 2
+        assert scalar_count(satisfies_consecutive_events) == 0
+        assert scalar_count(None) == 0
+        plan = compile_plan(3, constraints, is_static_induced, graph.storage)
+        assert run_plan_blocks(plan, graph) is None
 
 
 # ----------------------------------------------------------------------

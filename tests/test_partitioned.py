@@ -331,6 +331,50 @@ def test_shard_count_hint_covers_partitions(tmp_path):
     assert storage.shard_count_hint() == storage.n_partitions > 1
 
 
+def test_whole_stream_materialization_is_loud(tmp_path):
+    import warnings
+
+    import repro.obs as obs
+    from repro.algorithms.enumeration import enumerate_instances
+    from repro.algorithms.restrictions import is_static_induced, satisfies_cdg
+
+    write_partitioned(_stream(120, tick=4), tmp_path, partition_events=16)
+    constraints = TimingConstraints(delta_c=2.0, delta_w=4.0)
+    graph = TemporalGraph.load(tmp_path)
+    assert graph.storage.n_partitions > 2
+
+    def materializations(run, *, warns):
+        registry = obs.enable(obs.MetricsRegistry())
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run()
+        finally:
+            obs.disable()
+        loud = [w for w in caught if "folds all" in str(w.message)]
+        assert len(loud) == warns, [str(w.message) for w in caught]
+        return registry.counters.get("storage.partition.materialize", 0)
+
+    # Time shards of a shard-safe predicate stay within their windows.
+    assert materializations(
+        lambda: run_census(graph, 3, constraints, predicate=satisfies_cdg), warns=0
+    ) == 0
+    # Root shards of a predicate that is not shard-safe rebuild the whole
+    # stream in every shard's storage: counted per shard, warned per storage.
+    n_shards = graph.storage.shard_count_hint()
+    assert materializations(
+        lambda: run_census(graph, 3, constraints, predicate=is_static_induced),
+        warns=n_shards,
+    ) == n_shards
+    # Serial enumeration reads the whole-stream views: one warning for
+    # this storage, one count per view built, none once built.
+    def serial():
+        list(enumerate_instances(graph, 3, constraints))
+
+    assert materializations(serial, warns=1) >= 1
+    assert materializations(serial, warns=0) == 0
+
+
 def test_census_bit_identity(tmp_path):
     events = _stream(150, tick=4)
     write_partitioned(events, tmp_path, partition_events=16, name="census")

@@ -1,6 +1,8 @@
 """Tests for the temporal-inducedness restriction predicates."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.restrictions import (
     combine,
@@ -8,7 +10,13 @@ from repro.algorithms.restrictions import (
     satisfies_cdg,
     satisfies_consecutive_events,
 )
+from repro.core.events import Event, validate_events
 from repro.core.temporal_graph import TemporalGraph
+from repro.storage import available_backends
+
+requires_numpy = pytest.mark.skipif(
+    "numpy" not in available_backends(), reason="the numpy storage backend is not registered"
+)
 
 
 class TestConsecutiveEvents:
@@ -140,3 +148,140 @@ class TestCombine:
     def test_combined_fails_when_any_fails(self, star_graph):
         both = combine(satisfies_cdg, satisfies_consecutive_events)
         assert not both(star_graph, (0, 2))  # consecutive restriction broken
+
+    def test_row_form_only_when_every_component_has_one(self):
+        assert combine(satisfies_consecutive_events, satisfies_cdg).rows is not None
+        assert not hasattr(combine(satisfies_cdg, is_static_induced), "rows")
+        assert not hasattr(is_static_induced, "rows")
+
+
+# ----------------------------------------------------------------------
+# row forms: one bool mask per instance block, equal to the scalar form
+# ----------------------------------------------------------------------
+#: Node-id relabelings: the row forms must not assume small,
+#: non-negative ids.
+NODE_IDS = {
+    "small": lambda n: n,
+    "negative": lambda n: -7 - 3 * n,
+    "above 2**40": lambda n: 2**40 + 13 * n,
+}
+
+ROW_PREDICATES = {
+    "consecutive events": satisfies_consecutive_events,
+    "cdg": satisfies_cdg,
+    "both": combine(satisfies_consecutive_events, satisfies_cdg),
+}
+
+
+def _tie_heavy_events(steps, relabel):
+    """Sorted events from ``(u, v, dt)`` steps: ties, repeats, loops."""
+    t = 0.0
+    events = []
+    for u, v, dt in steps:
+        t += dt
+        events.append(Event(relabel(u), relabel(v), t))
+    return validate_events(events, allow_loops=True)
+
+
+#: Few nodes and a small alphabet of gaps, so repeated edges, reciprocal
+#: edges, self-loops and same-timestamp runs are all common.
+tie_heavy_steps = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.5]),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+def _numpy_graph(events) -> TemporalGraph:
+    from repro.storage.numpy_backend import NumpyStorage
+
+    return TemporalGraph._from_storage(NumpyStorage(events, presorted=True))
+
+
+@requires_numpy
+class TestRowForms:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tie_heavy_steps,
+        st.sampled_from(sorted(NODE_IDS)),
+        st.integers(2, 5),
+        st.data(),
+    )
+    def test_mask_equals_scalar_predicate_row_by_row(self, steps, ids, k, data):
+        import numpy as np
+
+        graph = _numpy_graph(_tie_heavy_events(steps, NODE_IDS[ids]))
+        m = len(graph)
+        index = st.integers(0, m - 1)
+        chronological = st.lists(index, min_size=k, max_size=k).map(sorted)
+        # Any index rows at all: the contract is exact equality, so
+        # repeated and out-of-order indices must agree too.
+        arbitrary = st.lists(index, min_size=k, max_size=k)
+        rows = data.draw(st.lists(chronological | arbitrary, max_size=40))
+        block = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+        for predicate in ROW_PREDICATES.values():
+            mask = predicate.rows(graph, block)
+            assert mask.dtype == bool and mask.shape == (len(rows),)
+            assert mask.tolist() == [predicate(graph, tuple(r)) for r in rows]
+
+    @pytest.mark.parametrize("name", sorted(ROW_PREDICATES))
+    def test_storages_without_columns_take_the_scalar_rows(self, name):
+        import numpy as np
+
+        predicate = ROW_PREDICATES[name]
+        events = [(0, 1, 0.0), (1, 2, 1.0), (0, 1, 1.0), (2, 0, 2.0), (1, 2, 3.0)]
+        rows = np.array([[0, 1, 3], [0, 2, 3], [1, 3, 4], [0, 1, 4]], dtype=np.int64)
+        flat = TemporalGraph(events, backend="numpy")
+        expected = [predicate(flat, tuple(r)) for r in rows.tolist()]
+        assert predicate.rows(flat, rows).tolist() == expected
+        assert predicate.rows(TemporalGraph(events, backend="list"), rows).tolist() == expected
+        # Tail appends pending: the columns are not current.
+        tailed = TemporalGraph(events[:2], backend="numpy")
+        tailed.storage.extension_arrays()
+        for ev in events[2:]:
+            tailed.append(ev)
+        assert tailed.storage.extension_arrays() is None
+        assert predicate.rows(tailed, rows).tolist() == [
+            predicate(tailed, tuple(r)) for r in rows.tolist()
+        ]
+        assert predicate.rows(flat, rows[:0]).tolist() == []
+
+    def test_edge_adjacent_times(self):
+        graph = TemporalGraph(
+            [(0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0), (0, 1, 2.0), (2, 1, 3.0)],
+            backend="numpy",
+        )
+        prev_t, next_t = graph.storage.edge_adjacent_times()
+        inf = float("inf")
+        assert prev_t.tolist() == [-inf, -inf, 1.0, 2.0, -inf]
+        assert next_t.tolist() == [2.0, inf, 2.0, inf, inf]
+
+
+@requires_numpy
+def test_combined_census_takes_the_batched_lane(monkeypatch):
+    import repro.algorithms.counting as counting
+    from repro.algorithms.counting import run_census
+    from repro.core.constraints import TimingConstraints
+
+    events = [(0, 1, 0.0), (1, 2, 1.0), (0, 2, 1.0), (2, 0, 2.0), (1, 0, 2.5)]
+    events += [(0, 1, 3.0), (2, 1, 3.0), (1, 2, 4.0), (0, 2, 5.0), (2, 0, 5.5)]
+    constraints = TimingConstraints(delta_c=3.0, delta_w=5.0)
+    both = combine(satisfies_consecutive_events, satisfies_cdg)
+    scalar = run_census(
+        TemporalGraph(events, backend="list"), 3, constraints, predicate=both
+    )
+
+    def tuple_path(*args, **kwargs):  # pragma: no cover - failure path
+        raise AssertionError("the predicated census left the batched fold")
+
+    monkeypatch.setattr(counting, "enumerate_instances", tuple_path)
+    batched = run_census(
+        TemporalGraph(events, backend="numpy"), 3, constraints, predicate=both
+    )
+    assert scalar.total > 0
+    assert list(batched.code_counts.items()) == list(scalar.code_counts.items())
+    assert batched.total == scalar.total
