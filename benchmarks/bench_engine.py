@@ -8,19 +8,16 @@ times the end-to-end ``run_census`` under both kernels on every
 registered backend:
 
 * **census_engine** — the plan's advertised kernel (what ``run_census``
-  picks by default: the JIT tier on ``numpy`` when numba is installed,
-  the vectorized numpy kernel otherwise, generic elsewhere);
+  picks by default: the vectorized numpy kernel on ``numpy``, generic
+  elsewhere);
 * **census_generic** — the same census with the kernel forced to
   ``"generic"`` via :func:`repro.engine.compile_plan`; on the numpy
   backend this is the per-state bisection path the pre-engine DFS ran,
-  so the engine/generic ratio is the vectorization speedup;
-* **census_native** — the numba kernel forced explicitly (numpy
-  backend, only when registered), so the JIT tier has its own gated
-  baseline row independent of what ``census_engine`` resolves to.
+  so the engine/generic ratio is the vectorization speedup.
 
 Parity is asserted on every timed run — all kernels must produce the
 identical census, counter key order included.  Per-kernel warm-up
-(lazy index build + JIT compilation) is measured separately and
+(the lazy index build) is measured separately and
 recorded in the JSON ``warmup`` field, excluded from the timed rounds,
 so the regression gate compares steady-state numbers.
 
@@ -58,7 +55,7 @@ from bench_storage import CONSTRAINTS, STREAM_CONFIG
 from repro.algorithms.counting import run_census
 from repro.core.temporal_graph import TemporalGraph
 from repro.datasets.generators import generate
-from repro.engine import compile_plan, has_kernel
+from repro.engine import compile_plan
 from repro.storage import available_backends
 
 # The out-of-core partitioned backend has its own harness
@@ -103,17 +100,6 @@ def test_census_generic_kernel(benchmark, stream_events, backend):
     assert census.total > 0
 
 
-@pytest.mark.skipif(
-    not has_kernel("native"), reason="the native (numba) kernel is not registered"
-)
-def test_census_native_kernel(benchmark, stream_events):
-    graph = TemporalGraph(stream_events, backend="numpy")
-    _census(graph, "native")  # JIT compile outside the timed rounds
-    census = benchmark(lambda: _census(graph, "native"))
-    assert census.total > 0
-    assert _census_key(census) == _census_key(_census(graph, "generic"))
-
-
 def _census_key(census):
     return (
         dict(census.code_counts),
@@ -142,13 +128,9 @@ def compare(
     generic rows measure an identical code path on pure-Python backends,
     so single-run scheduler noise would otherwise read as a kernel
     difference.  The first (untimed) call per kernel is recorded
-    separately in the warm-up map: it covers the lazy index build and,
-    for the native kernel, JIT compilation — the regression gate
-    compares steady-state medians, never first-call compile cost.
-
-    When the native (numba) kernel is registered, the numpy backend
-    grows an explicit ``census_native`` forced row alongside the
-    default-resolution ``census_engine`` row.
+    separately in the warm-up map: it covers the lazy index build —
+    the regression gate compares steady-state medians, never first-call
+    cost.
     """
     events = generate(replace(STREAM_CONFIG, n_events=n_events), seed=42).events
     out: dict[str, dict[str, float]] = {}
@@ -159,14 +141,12 @@ def compare(
             "census_engine": None,
             "census_generic": "generic",
         }
-        if backend == "numpy" and has_kernel("native"):
-            kernels["census_native"] = "native"
         rows: dict[str, float] = {}
         warm: dict[str, float] = {}
         reference = None
         for label, kernel in kernels.items():
             started = time.perf_counter()
-            _census(graph, kernel)  # lazy indices + JIT compile, untimed
+            _census(graph, kernel)  # lazy indices, untimed
             warm[label] = time.perf_counter() - started
             seconds, census = _best_of(lambda k=kernel: _census(graph, k), rounds)
             key = _census_key(census)
@@ -250,9 +230,8 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover - manual too
             )
     print(
         "\nspeedup = generic-kernel census seconds / kernel census seconds "
-        "(numpy engine target >= 2x at 100k events, native >= 5x over the "
-        "numpy kernel; warm-up covers lazy indices + JIT compile and is "
-        "excluded from the timed rounds)"
+        "(numpy engine target >= 2x at 100k events; warm-up covers lazy "
+        "indices and is excluded from the timed rounds)"
     )
     overhead, snapshot = instrumentation_overhead(args.events, rounds=args.rounds)
     print(f"\n{'backend':<10}{'obs off':>12}{'obs on':>12}{'overhead':>10}")

@@ -10,12 +10,6 @@ unlocks the ``"numpy"`` mmap page storage backend, vectorizes the
 columnar backend's construction, and speeds the statistics/shuffle
 modules, while the core motif models run on the pure-Python paths
 without it.
-
-Numba is a second, stacked accelerator (``pip install -e
-'.[numpy,native]'``): it registers the JIT ``"native"`` execution-engine
-kernel (``repro.engine.native``), which the numpy backend advertises and
-which demotes to the vectorized numpy kernel — then to generic — when
-the import fails (see ``repro.engine.kernels.KERNEL_FALLBACKS``).
 """
 
 from setuptools import find_packages, setup
@@ -34,8 +28,5 @@ setup(
     install_requires=[],
     extras_require={
         "numpy": ["numpy>=1.22"],
-        # The JIT kernel tier sits on top of the numpy backend's flat
-        # arrays, so install as '.[numpy,native]'.
-        "native": ["numba>=0.57"],
     },
 )

@@ -304,31 +304,31 @@ def run_census(
     pos_filter = set(position_codes) if position_codes is not None else None
 
     # Array-native lane: when the engine can stream instance *blocks*
-    # (numpy or native kernel, banded arrays ready) and the motif size
-    # fits the packed fold, the whole census folds as array ops —
-    # bit-identical to the serial loop below, counter key order included.
-    if batched.available() and 2 <= n_events <= batched.MAX_BATCH_EVENTS:
+    # with their motif codes (numpy kernel, banded arrays ready, motif
+    # within the packed code's size), the whole census folds as array
+    # ops — bit-identical to the serial loop below, counter key order
+    # included.
+    arrays = getattr(graph.storage, "extension_arrays", lambda: None)()
+    if arrays is not None:
         if plan is None:
             plan = compile_plan(
                 n_events, constraints, predicate, graph.storage, max_nodes=max_nodes
             )
-        arrays = getattr(graph.storage, "extension_arrays", lambda: None)()
-        if arrays is not None:
-            blocks = run_plan_blocks(plan, graph, roots=roots)
-            if blocks is not None:
-                census.total = batched.fold_census_blocks(
-                    census,
-                    blocks,
-                    arrays["t"],
-                    arrays["u"],
-                    arrays["v"],
-                    collect_timespans=collect_timespans,
-                    collect_positions=collect_positions,
-                    span_filter=span_filter,
-                    pos_filter=pos_filter,
-                    sample_cap=sample_cap,
-                )
-                return census
+        blocks = run_plan_blocks(plan, graph, roots=roots)
+        if blocks is not None:
+            census.total = batched.fold_census_blocks(
+                census,
+                blocks,
+                arrays["t"],
+                arrays["u"],
+                arrays["v"],
+                collect_timespans=collect_timespans,
+                collect_positions=collect_positions,
+                span_filter=span_filter,
+                pos_filter=pos_filter,
+                sample_cap=sample_cap,
+            )
+            return census
 
     times = graph.times
     # Resolve each event's (u, v) pair once up front: the fold reads a

@@ -187,7 +187,7 @@ class ActivityModel:
     # ------------------------------------------------------------------
     # simulation
     # ------------------------------------------------------------------
-    def run(self) -> TemporalGraph:
+    def run(self, *, name: str = "") -> TemporalGraph:
         """Simulate until ``n_events`` events are emitted; return the graph."""
         cfg = self.config
         rate = cfg.n_events / cfg.timespan
@@ -215,7 +215,7 @@ class ActivityModel:
                 u = self._sample_active_node()
                 v = self._sample_popular_node(exclude=(u,))
                 self._emit(u, v, t, 0, u, heap, emitted, used_edges)
-        return TemporalGraph(emitted[: cfg.n_events])
+        return TemporalGraph(emitted[: cfg.n_events], name=name)
 
     def _emit(
         self,
@@ -284,5 +284,4 @@ class ActivityModel:
 
 def generate(config: ActivityConfig, seed: int | None = None, *, name: str = "") -> TemporalGraph:
     """Run the activity model once and return the resulting temporal graph."""
-    graph = ActivityModel(config, seed=seed).run()
-    return TemporalGraph(graph.events, name=name) if name else graph
+    return ActivityModel(config, seed=seed).run(name=name)

@@ -24,8 +24,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import repro.obs as _obs
-from repro.engine.kernels import Partial
+from repro.core._optional import import_numpy
+from repro.engine.kernels import MAX_CODE_EVENTS, Partial
 from repro.obs import labeled
+
+np = import_numpy()
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.temporal_graph import TemporalGraph
@@ -58,6 +61,24 @@ def _root_blocks(root_iter: Iterable[int]) -> Iterator[list[int]]:
                 block_cap *= 2
     if block:
         yield block
+
+
+def _block_roots(roots: Iterable[int] | None, m: int) -> Iterator:
+    """The block lane's root blocks, on :func:`_root_blocks`' schedule.
+
+    A full scan (``roots is None``) slices ``arange`` blocks straight
+    off the index range instead of collecting them root by root.
+    """
+    if roots is not None:
+        yield from _root_blocks(roots)
+        return
+    start = 0
+    block_cap = FIRST_BLOCK
+    while start < m:
+        stop = min(m, start + block_cap)
+        yield np.arange(start, stop, dtype=np.int64)
+        start = stop
+        block_cap = min(2 * block_cap, ROOT_BLOCK)
 
 
 def _observe_levels(stats, level_partials, level_ext) -> None:
@@ -120,12 +141,12 @@ def run_plan(
         )
         rec.inc(labeled("engine.run_plan.calls", kernel=plan.kernel_name))
 
-    # Whole-block lane (numpy and native kernels): the kernel grows each
-    # root block to completion over arrays and hands back the completed
-    # instances as an array in the exact DFS yield order — no Partial
-    # objects, no intermediate triples.  A predicate with a row form
-    # filters each block with one mask; any other predicate filters per
-    # row (counted, so the scalar fallback shows in ``stats``).
+    # Whole-block lane (numpy kernel): the kernel grows each root block
+    # to completion over arrays and hands back the completed instances
+    # as an array in the exact DFS yield order — no Partial objects, no
+    # intermediate triples.  A predicate with a row form filters each
+    # block with one mask; any other predicate filters per row
+    # (counted, so the scalar fallback shows in ``stats``).
     # Unavailable (tail appends pending; counted as a demotion) routes
     # to the Partial path below, unchanged.
     expand = getattr(kernel, "expand_block", None)
@@ -134,7 +155,7 @@ def run_plan(
         scalar = predicate if row_filter is None else None
         if scalar is not None and rec is not None:
             rec.inc("engine.predicate.scalar")
-        for block_roots in _root_blocks(root_iter):
+        for block_roots in _block_roots(roots, m):
             rows, level_partials, level_ext = expand(block_roots)
             if stats is not None:
                 _observe_levels(stats, level_partials, level_ext)
@@ -221,23 +242,30 @@ def run_plan_blocks(
 ):
     """Array-shaped enumeration: instance blocks instead of tuples.
 
-    Returns a generator of ``(n_i, n_events)`` int64 arrays — one per
-    root block, rows concatenating to exactly :func:`run_plan`'s yield
-    sequence — for consumers that fold instances with array ops (the
-    batched census of :mod:`repro.algorithms.batched`).  A restriction
-    predicate filters each block through its row form (``predicate.rows``,
-    see :mod:`repro.algorithms.restrictions`).  Returns ``None`` when the
-    block lane cannot serve this run — single-event plans, a predicate
-    without a row form, a kernel without a block path, or a storage whose
-    banded arrays are pending — and the caller takes the tuple path.
+    Returns a generator of ``(rows, codes)`` pairs, one per root block:
+    ``rows`` is an ``(n_i, n_events)`` int64 array, the rows
+    concatenating to exactly :func:`run_plan`'s yield sequence, and
+    ``codes`` the ``(n_i,)`` motif codes the kernel built while growing
+    them (see :meth:`~repro.engine.kernels.NumpyExtensionKernel.grow_block`)
+    — for consumers that fold instances with array ops (the batched
+    census of :mod:`repro.algorithms.batched`).  A restriction
+    predicate filters each block through its row form
+    (``predicate.rows``, see :mod:`repro.algorithms.restrictions`).
+    Returns ``None`` when the block lane cannot serve this run —
+    single-event plans, motifs past
+    :data:`~repro.engine.kernels.MAX_CODE_EVENTS`, a predicate without a
+    row form, a kernel without a block path, or a storage whose banded
+    arrays are pending — and the caller takes the tuple path.
     """
     row_filter = getattr(plan.predicate, "rows", None)
-    if plan.n_events < 2 or (plan.predicate is not None and row_filter is None):
+    if not 2 <= plan.n_events <= MAX_CODE_EVENTS:
+        return None
+    if plan.predicate is not None and row_filter is None:
         return None
     storage = graph.storage
     kernel = plan.bind(storage)
-    expand = getattr(kernel, "expand_block", None)
-    if expand is None or not kernel.block_ready():
+    grow = getattr(kernel, "grow_block", None)
+    if grow is None or not kernel.block_ready():
         return None
     rec = _obs.ACTIVE
     stats = None
@@ -248,15 +276,16 @@ def run_plan_blocks(
             labeled("engine.frontier.extensions", kernel=plan.kernel_name),
         )
         rec.inc(labeled("engine.run_plan.calls", kernel=plan.kernel_name))
-    root_iter: Iterable[int] = range(len(storage)) if roots is None else roots
 
     def _blocks():
-        for block_roots in _root_blocks(root_iter):
-            rows, level_partials, level_ext = expand(block_roots)
+        for block_roots in _block_roots(roots, len(storage)):
+            rows, codes, level_partials, level_ext = grow(block_roots)
             if stats is not None:
                 _observe_levels(stats, level_partials, level_ext)
             if row_filter is not None:
-                rows = rows[row_filter(graph, rows)]
-            yield rows
+                keep = row_filter(graph, rows)
+                rows = rows[keep]
+                codes = codes[keep]
+            yield rows, codes
 
     return _blocks()

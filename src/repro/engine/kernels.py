@@ -36,14 +36,17 @@ Two kernels implement the contract:
   :class:`~repro.storage.numpy_backend.NumpyStorage`
   (:meth:`~repro.storage.numpy_backend.NumpyStorage.extension_arrays`),
   falling back to the generic path while tail appends are pending.
-  Its admission is one array core over a padded node table and
-  ``t_last``/``t_root`` columns, with two front ends: an adapter from
-  Partial-like records for the contract above, and the **block lane**
-  (``block_ready()`` / ``expand_block(roots)``), which grows a whole
-  root block to an ``(n, n_events)`` instance array without building
-  Partial objects (see :func:`repro.engine.driver.run_plan_blocks`).
+  Its admission is one array core over a table of dense node slots and
+  per-partial global index windows, with two front ends: an adapter
+  from Partial-like records for the contract above, which resolves
+  nodes and deadlines per call, and the **block lane**
+  (``block_ready()`` / ``grow_block(roots)``), which reads them from
+  per-event tables built once per run and grows a whole root block to
+  an ``(n, n_events)`` instance array plus each row's motif code,
+  without building Partial objects (see
+  :func:`repro.engine.driver.run_plan_blocks`).
 
-Backends advertise their native kernel via the
+Backends advertise their kernel via the
 :attr:`~repro.storage.base.GraphStorage.extension_kernel` class
 attribute; :func:`kernel_for` resolves it, demoting to generic when the
 advertised kernel is unavailable.
@@ -259,31 +262,36 @@ class GenericExtensionKernel(ExtensionKernel):
     kernel_name = "generic"
 
 
-#: Pad value of the node tables the numpy kernel admits against.  A
-#: storage holding this node id cannot be served by the array paths.
-_SENTINEL = np.iinfo(np.int64).min if np else None
+#: Largest motif whose block-lane code fits an int64: the code packs two
+#: decimal digits per event and its first digit is always 0, and
+#: ``10**(2k - 1) < 2**63`` holds through ``k = 9``.
+MAX_CODE_EVENTS = 9
 
 
 class NumpyExtensionKernel(ExtensionKernel):
     """Vectorized kernel over :class:`NumpyStorage`'s banded CSR arrays.
 
     Extends the whole frontier at once: per-(partial, node) half-open
-    window queries become four batched ``searchsorted`` sweeps, the
-    ragged candidate ranges gather through one fancy-index, and
-    dedup/adjacency/node-cap admission run as array ops.  That sweep,
-    :meth:`_admit_arrays`, is the kernel's one admission implementation,
-    with two front ends: the Partial-object entry points adapt record
-    sequences into its arrays (only the triple or :class:`Partial`
-    materialization is per-extension Python), and the block lane
-    (:meth:`block_ready` / :meth:`expand_block`) keeps a whole root
-    block in arrays from its roots to its completed instances.
+    window queries become two batched ``searchsorted`` sweeps over the
+    banded CSR, the ragged candidate ranges gather through one
+    fancy-index, and dedup/adjacency/node-cap admission run as array
+    ops.  That sweep, :meth:`_admit_arrays`, is the kernel's one
+    admission implementation.  It works on dense node *slots* (a node's
+    position in the storage's ascending node-id array) and per-partial
+    global index windows, with two front ends: the Partial-object entry
+    points resolve nodes to slots and times to windows per call (only
+    the triple or :class:`Partial` materialization is per-extension
+    Python), and the block lane (:meth:`block_ready` /
+    :meth:`expand_block`) reads both from per-event tables built once
+    per run and keeps a whole root block in arrays from its roots to
+    its completed instances and their motif codes.
     """
 
     kernel_name = "numpy"
 
     def __init__(self, plan: "ExecutionPlan", storage: "GraphStorage") -> None:
         super().__init__(plan, storage)
-        self._block_arrays: dict | None = None
+        self._block: dict | None = None
 
     def _extend_partialwise(
         self, partials: Sequence, lo: int, hi: int, need_nodes: bool
@@ -365,78 +373,136 @@ class NumpyExtensionKernel(ExtensionKernel):
     def block_ready(self) -> bool:
         """Whether :meth:`expand_block` can serve this storage right now.
 
-        Caches the banded arrays on the kernel for the run's block calls.
-        ``False`` (tail appends pending, or a node id equal to the pad
-        sentinel) routes the driver to the Partial-object path, whose
-        per-call fallback is the generic kernel; that demotion is counted
-        here, once per call.
+        Builds the run's per-event tables on the kernel (never on the
+        storage, so they live exactly as long as the run): each event's
+        endpoint slots, and the global index bounds of the windows it
+        opens — ``lo[e]``, the first event strictly later than ``e``,
+        and ``hi_c[e]``/``hi_w[e]``, one past the last event at or
+        before ``t[e] + ΔC`` / ``t[e] + ΔW``.  Because ``searchsorted``
+        is monotone and the sums are the deadline arithmetic's own, a
+        partial's window ``(t_last, min(t_last + ΔC, t_root + ΔW)]`` is
+        exactly ``[lo[last], min(hi_c[last], hi_w[root]))``.
+
+        ``False`` (tail appends pending) routes the driver to the
+        Partial-object path, whose per-call fallback is the generic
+        kernel; that demotion is counted here, once per call.
         """
         arrays = getattr(self._storage, "extension_arrays", lambda: None)()
-        if arrays is not None and len(arrays["keys"]) and arrays["keys"][0] == _SENTINEL:
-            arrays = None  # pragma: no cover - pathological id
-        self._block_arrays = arrays
         if arrays is None:
+            self._block = None
             count_kernel_demotion(self.kernel_name, "generic")
-        return arrays is not None
+            return False
+        t = arrays["t"]
+        su, sv = _slot_columns(arrays)
+        plan = self._plan
+        self._block = {
+            "arrays": arrays,
+            "su": su,
+            "sv": sv,
+            "loops": bool((su == sv).any()),
+            "lo": t.searchsorted(t, side="right"),
+            "hi_c": t.searchsorted(t + plan.delta_c, side="right"),
+            "hi_w": t.searchsorted(t + plan.delta_w, side="right"),
+        }
+        return True
 
     def expand_block(self, roots):
         """One root block to completion: ``(rows, level_partials, level_ext)``.
 
-        ``rows`` is the ``(n, n_events)`` int64 array of completed
-        instances in the driver's DFS yield order; the level arrays hold
-        each level's frontier size and admitted extensions for the
-        frontier histograms.  Requires a prior ``block_ready()``.
-
-        The frontier is an ``(n_p, depth)`` sequence matrix, a padded
-        node table and ``t_root``/``t_last`` columns, advanced one
-        :meth:`_admit_arrays` call per level.  At non-final levels each
-        parent's children are reversed by an index permutation (the
-        LIFO reversal); the final level stays ascending.
+        :meth:`grow_block` without the code column.
         """
-        arrays = self._block_arrays
+        rows, _codes, level_partials, level_ext = self.grow_block(roots)
+        return rows, level_partials, level_ext
+
+    def grow_block(self, roots):
+        """One root block to completion: ``(rows, codes, level_partials, level_ext)``.
+
+        ``rows`` is the ``(n, n_events)`` int64 array of completed
+        instances in the driver's DFS yield order; ``codes`` holds each
+        row's motif code, decimal-packed (``str(code).zfill(2 *
+        n_events)`` is :func:`~repro.core.notation.canonical_code` of
+        the row), ``-1`` for a row holding a self-loop event (which has
+        no code), and is ``None`` past :data:`MAX_CODE_EVENTS`; the
+        level arrays hold each level's frontier size and admitted
+        extensions for the frontier histograms.  Requires a prior
+        ``block_ready()``.
+
+        The frontier is an ``(n_p, depth)`` sequence matrix, a node-slot
+        table padded with ``-1`` (no slot), the partial codes and the
+        window columns, advanced one :meth:`_admit_arrays` call per
+        level.  The node table is in first-appearance order, so an
+        admitted event's canonical labels are its endpoints' positions
+        in the parent row, a new node taking the parent's size: each
+        level appends ``10 * label_u + label_v`` to the code.  At
+        non-final levels each parent's children are reversed by an index
+        permutation (the LIFO reversal); the final level stays
+        ascending.
+        """
+        block = self._block
+        arrays = block["arrays"]
+        su = block["su"]
+        sv = block["sv"]
+        lo_of = block["lo"]
+        hi_c = block["hi_c"]
         n = self._plan.n_events
-        t_col = arrays["t"]
         roots = np.asarray(roots, dtype=np.int64)
         seqs = roots[:, None]
         # Wide enough for every partial: a root carries two nodes, and
         # each later event adds at most one, never past the node cap.
         width = max(2, min(self._plan.node_cap, n + 1))
-        padded = np.full((len(roots), width), _SENTINEL, dtype=np.int64)
-        padded[:, 0] = arrays["u"][roots]
-        padded[:, 1] = arrays["v"][roots]
+        padded = np.full((len(roots), width), -1, dtype=np.int64)
+        padded[:, 0] = su[roots]
+        padded[:, 1] = sv[roots]
         sizes = np.full(len(roots), 2, dtype=np.int64)
-        t_root = t_last = t_col[roots]
+        codes = np.ones(len(roots), dtype=np.int64) if n <= MAX_CODE_EVENTS else None
+        root_hi = block["hi_w"][roots]
+        win_lo = lo_of[roots]
+        win_hi = np.minimum(hi_c[roots], root_hi)
         level_partials = np.zeros(n - 1, dtype=np.int64)
         level_ext = np.zeros(n - 1, dtype=np.int64)
         for depth in range(1, n):
             level_partials[depth - 1] = len(seqs)
-            vec = self._admit_arrays(arrays, t_last, t_root, padded, sizes, 0, arrays["m"])
+            vec = self._admit_arrays(arrays, su, sv, win_lo, win_hi, padded, sizes, 0, arrays["m"])
             if not vec:
                 break
-            cand, cand_part, cu, cv, u_in, v_in = vec
+            cand, cand_part, pos_u, pos_v = vec
             level_ext[depth - 1] = len(cand)
-            if depth == n - 1:
-                return np.column_stack((seqs[cand_part], cand)), level_partials, level_ext
-            # cand_part is grouped ascending: reverse each group, element
-            # i of a group [gstart, gend) taking position gstart+gend-1-i.
-            counts = np.bincount(cand_part)
-            gend = np.cumsum(counts)
-            gstart = gend - counts
-            perm = (gstart + gend - 1)[cand_part] - np.arange(len(cand))
-            cand = cand[perm]
-            cand_part = cand_part[perm]
-            # An adjacent candidate introduces at most one node.
-            grow = ~(u_in & v_in)[perm]
-            new_node = np.where(u_in, cv, cu)[perm]
+            final = depth == n - 1
+            if not final:
+                # cand_part is grouped ascending: reverse each group,
+                # element i of a group [gstart, gend) taking position
+                # gstart+gend-1-i.
+                counts = np.bincount(cand_part)
+                gend = np.cumsum(counts)
+                gstart = gend - counts
+                perm = (gstart + gend - 1)[cand_part] - np.arange(len(cand))
+                cand = cand[perm]
+                cand_part = cand_part[perm]
+                pos_u = pos_u[perm]
+                pos_v = pos_v[perm]
+            seqs = np.column_stack((seqs[cand_part], cand))
             parent_sizes = sizes[cand_part]
+            new_u = pos_u < 0
+            new_v = pos_v < 0
+            if codes is not None:
+                codes = codes[cand_part] * 100
+                codes += 10 * np.where(new_u, parent_sizes, pos_u)
+                codes += np.where(new_v, parent_sizes, pos_v)
+            if final:
+                if codes is not None and block["loops"]:
+                    codes[(su[seqs] == sv[seqs]).any(axis=1)] = -1
+                return seqs, codes, level_partials, level_ext
+            # An adjacent candidate introduces at most one node.
+            grow = new_u | new_v
             sizes = parent_sizes + grow
             padded = padded[cand_part]
             rows = np.flatnonzero(grow)
-            padded[rows, parent_sizes[rows]] = new_node[rows]
-            seqs = np.column_stack((seqs[cand_part], cand))
-            t_root = t_root[cand_part]
-            t_last = t_col[cand]
-        return np.empty((0, n), dtype=np.int64), level_partials, level_ext
+            padded[rows, parent_sizes[rows]] = np.where(new_u, su[cand], sv[cand])[rows]
+            root_hi = root_hi[cand_part]
+            win_lo = lo_of[cand]
+            win_hi = np.minimum(hi_c[cand], root_hi)
+        empty = np.empty((0, n), dtype=np.int64)
+        return empty, None if codes is None else empty[:, 0], level_partials, level_ext
 
     # ------------------------------------------------------------------
     # the admission sweep
@@ -444,71 +510,80 @@ class NumpyExtensionKernel(ExtensionKernel):
     def _vector_candidates(self, partials: Sequence, lo: int, hi: int):
         """Adapt ``Partial``-like records to :meth:`_admit_arrays`.
 
-        Returns ``None`` when the storage cannot serve the banded arrays
-        (pending tail appends, a node id equal to the pad sentinel) —
-        callers fall back to the generic path — else the core's result.
+        Resolves the records' nodes to slots (a node the storage does
+        not hold becomes ``-1``, which queries nothing and matches no
+        candidate) and their deadlines to global index windows.  Returns
+        ``None`` when the storage cannot serve the banded arrays
+        (pending tail appends) — callers fall back to the generic path
+        — else ``()`` or ``(cand, cand_part, cu, cv, u_in, v_in)``: the
+        core's result with the candidate endpoint ids and their
+        membership masks against the partial's nodes.
         """
         arrays = getattr(self._storage, "extension_arrays", lambda: None)()
         n_p = len(partials)
         if arrays is None or n_p == 0:
             return None if arrays is None else ()
+        t_col = arrays["t"]
+        keys = arrays["keys"]
+        if not len(keys):
+            return ()
         t_last = np.fromiter((p.t_last for p in partials), np.float64, n_p)
         t_root = np.fromiter((p.t_root for p in partials), np.float64, n_p)
         sizes = np.fromiter((len(p.nodes) for p in partials), np.int64, n_p)
         flat_nodes = np.fromiter(
             (node for p in partials for node in p.nodes), np.int64, int(sizes.sum())
         )
-        if bool((flat_nodes == _SENTINEL).any()):  # pragma: no cover - pathological id
-            return None
-        padded = np.full((n_p, int(sizes.max())), _SENTINEL, dtype=np.int64)
-        padded[np.arange(padded.shape[1]) < sizes[:, None]] = flat_nodes
-        return self._admit_arrays(arrays, t_last, t_root, padded, sizes, lo, hi)
-
-    def _admit_arrays(self, arrays, t_last, t_root, padded, sizes, lo, hi):
-        """Every admissible extension of an array-shaped frontier.
-
-        ``padded`` is the ``(n_p, width)`` node table: row ``i`` holds
-        partial ``i``'s ``sizes[i]`` distinct nodes, then
-        :data:`_SENTINEL`.  ``t_last``/``t_root`` are its time columns;
-        ``[lo, hi)`` bounds the candidate event indices.  Returns ``()``
-        when no extension is admissible, else ``(cand, cand_part, cu, cv,
-        u_in, v_in)``: the admitted event indices, their partial
-        positions (grouped in input order, events ascending within a
-        partial), the candidate endpoints and their membership masks
-        against the partial's node row.
-        """
-        t_col = arrays["t"]
-        keys = arrays["keys"]
-        m = arrays["m"]
-        n_p = len(sizes)
-        if not len(keys) or n_p == 0:
-            return ()
+        slots = np.minimum(keys.searchsorted(flat_nodes), len(keys) - 1)
+        slots[keys[slots] != flat_nodes] = -1
+        padded = np.full((n_p, int(sizes.max())), -1, dtype=np.int64)
+        padded[np.arange(padded.shape[1]) < sizes[:, None]] = slots
+        # The plan's chained-deadline arithmetic, broadcast:
+        # min(t_last + ΔC, t_root + ΔW), closed on the right.
         plan = self._plan
-        node_cap = plan.node_cap
-
-        # Per-partial deadlines — the plan's chained-deadline arithmetic,
-        # broadcast: min(t_last + ΔC, t_root + ΔW).
         deadline = np.minimum(t_last + plan.delta_c, t_root + plan.delta_w)
-
-        # One window query per (partial, node); empty/past-deadline
-        # windows fall out as empty index ranges.
-        flat_nodes = padded[np.arange(padded.shape[1]) < sizes[:, None]]
-        q_part = np.repeat(np.arange(n_p, dtype=np.int64), sizes)
-
-        # Half-open (t_last, deadline] -> global index range, then into
-        # each node's band of the flat CSR index (strictly increasing per
-        # band, globally sorted after the + slot*m shift).
         win_lo = t_col.searchsorted(t_last, side="right")
         win_hi = t_col.searchsorted(deadline, side="right")
-        slots = np.minimum(keys.searchsorted(flat_nodes), len(keys) - 1)
-        known = keys[slots] == flat_nodes
-        base = slots * np.int64(m)
+        su, sv = _slot_columns(arrays)
+        vec = self._admit_arrays(arrays, su, sv, win_lo, win_hi, padded, sizes, lo, hi)
+        if not vec:
+            return vec
+        cand, cand_part, pos_u, pos_v = vec
+        return cand, cand_part, arrays["u"][cand], arrays["v"][cand], pos_u >= 0, pos_v >= 0
+
+    def _admit_arrays(self, arrays, su, sv, win_lo, win_hi, padded, sizes, lo, hi):
+        """Every admissible extension of an array-shaped frontier.
+
+        ``padded`` is the ``(n_p, width)`` node-slot table: row ``i``
+        holds partial ``i``'s ``sizes[i]`` distinct node slots in
+        first-appearance order, then ``-1``.  ``su``/``sv`` are the
+        per-event endpoint slot columns; ``[win_lo[i], win_hi[i])`` is
+        partial ``i``'s window of global event indices (strictly after
+        its last event, at or before its deadline); ``[lo, hi)`` bounds
+        the candidate event indices.  Returns ``()`` when no extension
+        is admissible, else ``(cand, cand_part, pos_u, pos_v)``: the
+        admitted event indices, their partial positions (grouped in
+        input order, events ascending within a partial), and each
+        candidate endpoint's position in its partial's node row, ``-1``
+        when the endpoint is new.
+        """
+        m = arrays["m"]
+        n_p = len(sizes)
+        if m == 0 or n_p == 0:
+            return ()
+
+        # One window query per (partial, node), mapped into the node's
+        # band of the flat CSR index (strictly increasing per band,
+        # globally sorted after the + slot*m shift).  Empty or
+        # past-deadline windows fall out as empty index ranges, and so
+        # does slot -1, whose band lies below every real one.
+        flat_slots = padded[np.arange(padded.shape[1]) < sizes[:, None]]
+        q_part = np.repeat(np.arange(n_p, dtype=np.int64), sizes)
+        base = flat_slots * np.int64(m)
         banded = arrays["banded"]
         a = banded.searchsorted(base + win_lo[q_part], side="left")
         b = banded.searchsorted(base + win_hi[q_part], side="left")
         cnt = b - a
         np.maximum(cnt, 0, out=cnt)
-        cnt[~known] = 0
         total_c = int(cnt.sum())
         if total_c == 0:
             return ()
@@ -559,29 +634,37 @@ class NumpyExtensionKernel(ExtensionKernel):
         if not len(cand):
             return ()
 
-        # Node-cap admission: membership of each candidate's endpoints in
-        # its partial's padded node row.  The pad is at least as wide as
-        # the *largest* partial, not the cap — a root always carries two
-        # nodes even under a degenerate ``max_nodes=1`` — and, exactly
-        # like the scalar kernels, only extensions that *introduce*
-        # nodes are tested against the cap.
-        cu = arrays["u"][cand]
-        cv = arrays["v"][cand]
-        rows = padded[cand_part]
-        u_in = (rows == cu[:, None]).any(axis=1)
-        v_in = (rows == cv[:, None]).any(axis=1)
-        extra = 2 - u_in.astype(np.int64) - v_in.astype(np.int64)
-        ok = (extra == 0) | (sizes[cand_part] + extra <= node_cap)
+        # Each endpoint's position in its partial's node row, one column
+        # at a time (a row holds distinct slots, so at most one column
+        # matches).  The candidate came from one of the partial's own
+        # node queries, so at most one endpoint is new; and, exactly
+        # like the scalar kernels, only such extensions are tested
+        # against the node cap.  The table is at least as wide as the
+        # *largest* partial, not the cap — a root always carries two
+        # nodes even under a degenerate ``max_nodes=1``.
+        cu = su[cand]
+        cv = sv[cand]
+        pos_u = np.full(len(cand), -1, dtype=np.int64)
+        pos_v = np.full(len(cand), -1, dtype=np.int64)
+        for j in range(int(sizes.max())):
+            col = padded[:, j][cand_part]
+            np.copyto(pos_u, j, where=col == cu)
+            np.copyto(pos_v, j, where=col == cv)
+        ok = ((pos_u >= 0) & (pos_v >= 0)) | (sizes[cand_part] < self._plan.node_cap)
         if not ok.all():
             cand = cand[ok]
             cand_part = cand_part[ok]
-            cu = cu[ok]
-            cv = cv[ok]
-            u_in = u_in[ok]
-            v_in = v_in[ok]
+            pos_u = pos_u[ok]
+            pos_v = pos_v[ok]
             if not len(cand):
                 return ()
-        return cand, cand_part, cu, cv, u_in, v_in
+        return cand, cand_part, pos_u, pos_v
+
+
+def _slot_columns(arrays):
+    """Per-event endpoint slots: positions in the ascending node-id array."""
+    keys = arrays["keys"]
+    return keys.searchsorted(arrays["u"]), keys.searchsorted(arrays["v"])
 
 
 #: Registry of kernel capability names (the values backends may put in
@@ -591,35 +674,15 @@ if np:
     KERNELS["numpy"] = NumpyExtensionKernel
 
 #: The demotion ladder: when an advertised kernel is not registered in
-#: this build, resolution walks down one rung at a time ("native" wants
-#: numba, "numpy" wants NumPy; "generic" is always present).
-KERNEL_FALLBACKS: dict[str, str] = {"native": "numpy", "numpy": "generic"}
-
-_NATIVE_PROBED = False
-
-
-def _probe_native() -> None:
-    """Import the native tier once so it can self-register.
-
-    ``repro.engine.native`` registers ``"native"`` in :data:`KERNELS` at
-    import when numba is present; the import is deferred to first demand
-    (a backend advertising ``"native"``) so numba's import cost is never
-    paid by builds that don't use it.
-    """
-    global _NATIVE_PROBED
-    if _NATIVE_PROBED:
-        return
-    _NATIVE_PROBED = True
-    try:
-        import repro.engine.native  # noqa: F401 - registers on import
-    except Exception:  # pragma: no cover - broken optional install
-        pass
+#: this build, resolution walks down one rung at a time ("numpy" wants
+#: NumPy; "generic" is always present).
+KERNEL_FALLBACKS: dict[str, str] = {"numpy": "generic"}
 
 
 def count_kernel_demotion(src: str, dst: str) -> None:
     """Record one kernel demotion in the obs counters (when enabled).
 
-    Covers both compile-time demotion (numba or NumPy absent at plan
+    Covers both compile-time demotion (NumPy absent at plan
     resolution) and runtime fallback (tail appends pending, so the
     banded arrays are unavailable for this call).
     """
@@ -635,8 +698,6 @@ def resolve_kernel_name(name: str) -> str:
     hop in ``engine.kernel.demote{from=...,to=...}`` so a silent
     fallback is visible in ``stats`` instead of only in timings.
     """
-    if name == "native":
-        _probe_native()
     while name not in KERNELS:
         fallback = KERNEL_FALLBACKS.get(name, "generic")
         count_kernel_demotion(name, fallback)
@@ -646,8 +707,6 @@ def resolve_kernel_name(name: str) -> str:
 
 def has_kernel(name: str) -> bool:
     """Whether a kernel capability name is implemented in this build."""
-    if name == "native":
-        _probe_native()
     return name in KERNELS
 
 
@@ -655,7 +714,7 @@ def kernel_for(plan: "ExecutionPlan", storage: "GraphStorage") -> ExtensionKerne
     """Bind the plan's kernel to one storage engine.
 
     Plans are picklable and travel to workers, so the kernel *name* is
-    re-resolved here: a plan compiled where numba was present demotes
+    re-resolved here: a plan compiled where NumPy was present demotes
     cleanly (and countably) on a worker where it is not.
     """
     name = plan.kernel_name

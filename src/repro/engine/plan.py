@@ -90,8 +90,8 @@ class ExecutionPlan:
         kernels compute deadlines with two adds and a min.
     kernel_name:
         Which extension kernel the plan's storage backend advertised at
-        compile time (``"generic"`` unless the backend declares a native
-        one and that kernel is importable).
+        compile time (``"generic"`` unless the backend declares a faster
+        one and that kernel is available in this build).
     """
 
     n_events: int

@@ -81,12 +81,10 @@ class NumpyStorage(GraphStorage):
 
     backend_name = "numpy"
 
-    #: Frontier-extension capability for the execution engine: the JIT
-    #: tier (:class:`repro.engine.native.NativeExtensionKernel`) when
-    #: numba is installed, demoting down the fallback chain to the
-    #: vectorized :class:`repro.engine.kernels.NumpyExtensionKernel`
-    #: otherwise — both fed by :meth:`extension_arrays`.
-    extension_kernel = "native"
+    #: Frontier-extension capability for the execution engine: the
+    #: vectorized :class:`repro.engine.kernels.NumpyExtensionKernel`, fed
+    #: by :meth:`extension_arrays`.
+    extension_kernel = "numpy"
 
     #: Tail appends tolerated before the columns are rebuilt in one pass.
     compact_threshold = 4096

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import pickle
 from collections import Counter
-from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -47,6 +46,7 @@ from repro.engine import (
     compile_plan,
     has_kernel,
     is_shard_safe,
+    resolve_kernel_name,
     run_plan,
     run_plan_blocks,
 )
@@ -58,31 +58,6 @@ BACKENDS = tuple(b for b in ("list", "columnar", "numpy") if b in available_back
 requires_numpy_backend = pytest.mark.skipif(
     "numpy" not in BACKENDS, reason="the numpy storage backend is not registered"
 )
-
-
-@contextmanager
-def registered_native():
-    """Force-register the native kernel for one test body.
-
-    Without numba the ``@njit`` functions run as plain Python over the
-    same arrays, so this exercises the identical algorithm on every
-    build.  A context manager rather than a fixture: Hypothesis forbids
-    function-scoped fixtures in ``@given`` tests, and registration must
-    wrap each shrunk example, not the whole test function.
-    """
-    from repro.engine import KERNELS
-    from repro.engine.native import NativeExtensionKernel
-
-    added = "native" not in KERNELS
-    if added:
-        KERNELS["native"] = NativeExtensionKernel
-    clear_plan_cache()
-    try:
-        yield
-    finally:
-        if added:
-            del KERNELS["native"]
-        clear_plan_cache()
 
 
 # ----------------------------------------------------------------------
@@ -187,12 +162,7 @@ class TestCompilePlan:
                 [Event(0, 1, 1.0)], presorted=True
             )
             plan = compile_plan(3, constraints, None, storage)
-            if backend == "numpy":
-                # The numpy backend advertises the JIT tier; without
-                # numba the resolution demotes one rung to "numpy".
-                expected = "native" if has_kernel("native") else "numpy"
-            else:
-                expected = "generic"
+            expected = "numpy" if backend == "numpy" else "generic"
             assert plan.kernel_name == expected
             kernel = plan.bind(storage)
             assert kernel.kernel_name == expected
@@ -384,107 +354,10 @@ class TestKernelParity:
 
 
 # ----------------------------------------------------------------------
-# native (JIT) kernel differential: same contract, third implementation
-# ----------------------------------------------------------------------
-@requires_numpy_backend
-class TestNativeKernelParity:
-    @settings(max_examples=60, deadline=None)
-    @given(event_lists(), configs, st.integers(1, 3))
-    def test_native_kernel_matches_generic_and_numpy(self, events, config, j):
-        n_events, delta_c, delta_w, max_nodes = config
-        if j >= n_events:
-            j = n_events - 1 or 1
-        constraints = _constraints(delta_c, delta_w)
-        with registered_native():
-            graph = TemporalGraph(events, backend="numpy")
-            partials = _prefix_partials(graph, j, constraints, max_nodes)
-            kernels = {}
-            for name in ("generic", "numpy", "native"):
-                kernels[name] = compile_plan(
-                    n_events,
-                    constraints,
-                    None,
-                    graph.storage,
-                    max_nodes=max_nodes,
-                    kernel=name,
-                ).bind(graph.storage)
-            assert kernels["native"].kernel_name == "native"
-            m = len(graph)
-            reference = kernels["generic"].extend_frontier(partials, 0, m)
-            assert kernels["numpy"].extend_frontier(partials, 0, m) == reference
-            assert kernels["native"].extend_frontier(partials, 0, m) == reference
-            # Event-major stitching (the online push shape): one event at
-            # a time covers the same admissible pairs.
-            stitched = [
-                triple
-                for idx in range(m)
-                for triple in kernels["native"].extend_frontier(partials, idx, idx + 1)
-            ]
-            assert sorted(stitched) == sorted(reference)
-
-    @settings(max_examples=50, deadline=None)
-    @given(event_lists(), configs)
-    def test_native_run_plan_and_census_bit_identical(self, events, config):
-        n_events, delta_c, delta_w, max_nodes = config
-        constraints = _constraints(delta_c, delta_w)
-        with registered_native():
-            graph = TemporalGraph(events, backend="numpy")
-            generic_plan = compile_plan(
-                n_events,
-                constraints,
-                None,
-                graph.storage,
-                max_nodes=max_nodes,
-                kernel="generic",
-            )
-            native_plan = compile_plan(
-                n_events, constraints, None, graph.storage, max_nodes=max_nodes
-            )
-            assert native_plan.kernel_name == "native"
-            assert list(run_plan(native_plan, graph)) == list(
-                run_plan(generic_plan, graph)
-            )
-            reference = run_census(
-                graph, n_events, constraints, max_nodes=max_nodes, plan=generic_plan
-            )
-            native = run_census(
-                graph, n_events, constraints, max_nodes=max_nodes, plan=native_plan
-            )
-            assert _census_key(native) == _census_key(reference)
-
-    @settings(max_examples=25, deadline=None)
-    @given(event_lists(max_events=14), configs, st.sampled_from([3.0, 7.0, 15.0]))
-    def test_online_push_parity_under_native_kernel(self, events, config, window):
-        n_events, delta_c, delta_w, max_nodes = config
-        constraints = _constraints(delta_c, delta_w)
-        with registered_native():
-            engine = OnlineCensus(
-                n_events,
-                constraints,
-                window,
-                max_nodes=max_nodes,
-                backend="numpy",
-                prune_every=5,
-            )
-            twin = OnlineCensus(
-                n_events,
-                constraints,
-                window,
-                max_nodes=max_nodes,
-                backend="list",
-                prune_every=5,
-            )
-            for event in events:
-                assert engine.push(event) == twin.push(event)
-            assert engine.counts() == twin.counts()
-            assert list(engine.counts()) == list(twin.counts())
-
-
-# ----------------------------------------------------------------------
 # numpy block lane: whole root blocks over arrays, no Partial objects
 # ----------------------------------------------------------------------
 #: Node-id relabelings: the admission arrays must not assume small,
-#: non-negative ids (the padded node table pads with int64 min).
+#: non-negative ids (node tables hold dense slots, never the ids).
 NODE_IDS = {
     "small": lambda n: n,
     "negative": lambda n: -5 - 3 * n,
@@ -698,6 +571,266 @@ class TestPredicatedBlockLane:
         assert scalar_count(None) == 0
         plan = compile_plan(3, constraints, is_static_induced, graph.storage)
         assert run_plan_blocks(plan, graph) is None
+
+
+# ----------------------------------------------------------------------
+# block-lane motif codes: built during expansion, read by the fold
+# ----------------------------------------------------------------------
+def _loop_graph(events, backend):
+    """A graph that keeps self-loop events (validation rejects them)."""
+    from repro.core.events import validate_events
+    from repro.storage import get_backend
+
+    events = validate_events(events, allow_loops=True)
+    return TemporalGraph._from_storage(get_backend(backend)(events, presorted=True))
+
+
+@requires_numpy_backend
+class TestBlockLaneCodes:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        event_lists(),
+        st.integers(2, 5),
+        st.sampled_from([None, 1, 2, 3]),
+        st.sampled_from([2.0, 4.0, None]),
+        st.sampled_from(sorted(NODE_IDS)),
+    )
+    def test_every_lane_code_is_the_canonical_code_of_its_row(
+        self, events, n_events, max_nodes, delta_c, ids
+    ):
+        from repro.core.notation import canonical_code
+
+        relabel = NODE_IDS[ids]
+        graph = TemporalGraph(
+            [Event(relabel(e.u), relabel(e.v), e.t) for e in events], backend="numpy"
+        )
+        plan = compile_plan(
+            n_events,
+            _constraints(delta_c, 8.0),
+            None,
+            graph.storage,
+            max_nodes=max_nodes,
+        )
+        edges = [ev.edge for ev in graph.events]
+        seen = 0
+        for rows, codes in run_plan_blocks(plan, graph):
+            assert str(codes.dtype) == "int64"
+            assert codes.shape == (len(rows),)
+            for row, code in zip(rows.tolist(), codes.tolist()):
+                assert str(code).zfill(2 * n_events) == canonical_code([edges[i] for i in row])
+            seen += len(rows)
+        assert seen == len(list(run_plan(plan, graph)))
+
+    def test_self_loop_census_raises_like_the_list_backend(self):
+        # Instances through the loop (1, 1) have no motif code: the block
+        # lane must raise the serial encoder's error, while plain
+        # enumeration (no codes) still yields them.
+        events = [(0, 1, 1.0), (1, 1, 2.0), (1, 2, 3.0), (2, 0, 4.0)]
+        constraints = TimingConstraints(delta_c=3.0, delta_w=8.0)
+        errors = []
+        for backend in ("list", "numpy"):
+            graph = _loop_graph(events, backend)
+            with pytest.raises(ValueError, match="self-loop") as caught:
+                run_census(graph, 3, constraints)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+        instances = {
+            backend: list(enumerate_instances(_loop_graph(events, backend), 3, constraints))
+            for backend in ("list", "numpy")
+        }
+        assert instances["numpy"] == instances["list"]
+        assert (0, 1, 2) in instances["numpy"]
+
+
+# ----------------------------------------------------------------------
+# block-lane consumer parity: run_census on the numpy kernel vs generic
+# ----------------------------------------------------------------------
+PARITY_CONSTRAINTS = TimingConstraints(delta_c=3.0, delta_w=8.0)
+
+
+@requires_numpy_backend
+class TestNumpyBlockLaneParity:
+    @settings(max_examples=40, deadline=None)
+    @given(event_lists(), st.sampled_from([2, 3, 4]), st.sampled_from([None, 3]))
+    def test_run_census_with_samples_bit_identical(self, events, n_events, max_nodes):
+        graph = TemporalGraph(events, backend="numpy")
+        kwargs = dict(
+            max_nodes=max_nodes,
+            collect_timespans=True,
+            collect_positions=True,
+            sample_cap=5,  # small enough that the strict cap is exercised
+        )
+        generic_plan = compile_plan(
+            n_events,
+            PARITY_CONSTRAINTS,
+            None,
+            graph.storage,
+            max_nodes=max_nodes,
+            kernel="generic",
+        )
+        reference = run_census(graph, n_events, PARITY_CONSTRAINTS, plan=generic_plan, **kwargs)
+        lane = run_census(graph, n_events, PARITY_CONSTRAINTS, **kwargs)
+        assert _census_key(lane) == _census_key(reference)
+        assert lane.timespans == reference.timespans
+        assert list(lane.timespans) == list(reference.timespans)
+        assert lane.intermediate_positions == reference.intermediate_positions
+
+    def test_sample_values_are_python_scalars(self):
+        events = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 0, 4.0)]
+        graph = TemporalGraph(events, backend="numpy")
+        census = run_census(
+            graph, 3, PARITY_CONSTRAINTS, collect_timespans=True, collect_positions=True
+        )
+        for bucket in census.timespans.values():
+            assert all(type(x) is float for x in bucket)
+        for bucket in census.intermediate_positions.values():
+            assert all(type(pos) is int and type(rel) is float for pos, rel in bucket)
+
+    def test_sample_code_filters_apply(self):
+        events = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (1, 0, 3.5), (2, 0, 4.0)]
+        graph = TemporalGraph(events, backend="numpy")
+        full = run_census(graph, 3, PARITY_CONSTRAINTS, collect_timespans=True)
+        target = next(iter(full.timespans))
+        filtered = run_census(
+            graph, 3, PARITY_CONSTRAINTS, collect_timespans=True, timespan_codes=[target]
+        )
+        assert set(filtered.timespans) == {target}
+        assert filtered.timespans[target] == full.timespans[target]
+
+    @settings(max_examples=30, deadline=None)
+    @given(event_lists(), st.sampled_from([2, 3, 4]))
+    def test_total_instances_parity(self, events, n_events):
+        graph = TemporalGraph(events, backend="numpy")
+        reference = run_census(
+            TemporalGraph(events, backend="list"), n_events, PARITY_CONSTRAINTS
+        ).total
+        assert run_census(graph, n_events, PARITY_CONSTRAINTS).total == reference
+
+    @pytest.mark.parametrize("max_nodes", [1, 2])
+    def test_degenerate_node_caps(self, max_nodes):
+        # A root always carries two nodes, so max_nodes=1 exceeds the cap
+        # from the start; only zero-new-node extensions may be admitted.
+        events = [(0, 1, 1.0), (1, 0, 2.0), (0, 1, 2.5), (1, 2, 3.0), (0, 1, 4.0)]
+        graph = TemporalGraph(events, backend="numpy")
+        lane_plan = compile_plan(3, PARITY_CONSTRAINTS, None, graph.storage, max_nodes=max_nodes)
+        generic_plan = compile_plan(
+            3, PARITY_CONSTRAINTS, None, graph.storage, max_nodes=max_nodes, kernel="generic"
+        )
+        assert lane_plan.kernel_name == "numpy"
+        assert list(run_plan(lane_plan, graph)) == list(run_plan(generic_plan, graph))
+
+    def test_run_plan_blocks_contract(self):
+        events = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 3, 4.0)]
+        graph = TemporalGraph(events, backend="numpy")
+        plan = compile_plan(3, PARITY_CONSTRAINTS, None, graph.storage)
+        blocks = run_plan_blocks(plan, graph)
+        assert blocks is not None
+        rows = [tuple(row) for block, _codes in blocks for row in block.tolist()]
+        assert rows == list(run_plan(plan, graph))
+        # The lane refuses what it cannot serve bit-identically.
+        for n_events in (1, 10):
+            oversize = compile_plan(n_events, PARITY_CONSTRAINTS, None, graph.storage)
+            assert run_plan_blocks(oversize, graph) is None
+        restricted = compile_plan(3, PARITY_CONSTRAINTS, lambda g, i: True, graph.storage)
+        assert run_plan_blocks(restricted, graph) is None
+
+    def test_sharded_census_rebinds_plan_in_workers(self):
+        # Plans pickle by kernel *name*; shard workers rebind it.
+        events = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 3, 4.0), (1, 3, 5.0)]
+        graph = TemporalGraph(events, backend="numpy")
+        plan = compile_plan(3, PARITY_CONSTRAINTS, None, graph.storage)
+        assert plan.kernel_name == "numpy"
+        serial = run_census(graph, 3, PARITY_CONSTRAINTS, plan=plan)
+        sharded = run_census(graph, 3, PARITY_CONSTRAINTS, plan=plan, jobs=2)
+        assert _census_key(sharded) == _census_key(serial)
+
+
+# ----------------------------------------------------------------------
+# demotion: countable, memoized, invalidated with the plan cache
+# ----------------------------------------------------------------------
+@requires_numpy_backend
+class TestKernelDemotion:
+    @pytest.fixture(autouse=True)
+    def _fresh_resolution(self):
+        import repro.obs as obs
+
+        clear_plan_cache()
+        obs.disable()
+        yield
+        clear_plan_cache()
+        obs.disable()
+
+    def test_numpy_resolves_to_generic_and_counts_once(self, monkeypatch):
+        import repro.obs as obs
+        from repro.engine import KERNELS
+
+        monkeypatch.delitem(KERNELS, "numpy")
+        clear_plan_cache()
+        registry = obs.enable()
+        storage = TemporalGraph([(0, 1, 1.0)], backend="numpy").storage
+        plan = compile_plan(3, PARITY_CONSTRAINTS, None, storage)
+        assert plan.kernel_name == "generic"
+        key = "engine.kernel.demote{from=numpy,to=generic}"
+        assert registry.counters[key] == 1
+        # The capability memo makes the next compile free *and* silent.
+        compile_plan(4, PARITY_CONSTRAINTS, None, storage)
+        assert registry.counters[key] == 1
+
+    def test_stale_plan_demotes_at_bind_time(self, monkeypatch):
+        import repro.obs as obs
+        from repro.engine import KERNELS
+
+        events = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)]
+        graph = TemporalGraph(events, backend="numpy")
+        plan = compile_plan(3, PARITY_CONSTRAINTS, None, graph.storage)
+        assert plan.kernel_name == "numpy"
+        # The plan outlives its kernel's registration (a worker
+        # unpickling it, a caller holding it): binding must re-resolve.
+        monkeypatch.delitem(KERNELS, "numpy")
+        registry = obs.enable()
+        kernel = plan.bind(graph.storage)
+        assert kernel.kernel_name == "generic"
+        assert registry.counters["engine.kernel.demote{from=numpy,to=generic}"] == 1
+        generic = compile_plan(3, PARITY_CONSTRAINTS, None, graph.storage, kernel="generic")
+        assert list(run_plan(plan, graph)) == list(run_plan(generic, graph))
+
+    def test_clear_plan_cache_invalidates_capability_resolution(self, monkeypatch):
+        from repro.engine import KERNELS
+
+        storage = TemporalGraph([(0, 1, 1.0)], backend="numpy").storage
+        assert compile_plan(3, PARITY_CONSTRAINTS, None, storage).kernel_name == "numpy"
+        monkeypatch.delitem(KERNELS, "numpy")
+        # Without invalidation both memo layers would happily serve the
+        # unregistered name forever.
+        clear_plan_cache()
+        assert compile_plan(3, PARITY_CONSTRAINTS, None, storage).kernel_name == "generic"
+
+    def test_numpy_tail_pending_fallback_is_counted_and_correct(self):
+        import repro.obs as obs
+
+        graph = TemporalGraph([(0, 1, 1.0), (1, 2, 2.0)], backend="numpy")
+        graph.append(Event(0, 2, 3.0))  # lands in the un-banded tail
+        plan = compile_plan(3, PARITY_CONSTRAINTS, None, graph.storage)
+        assert plan.kernel_name == "numpy"
+        key = "engine.kernel.demote{from=numpy,to=generic}"
+        registry = obs.enable()
+        # The block lane refuses while the banded arrays are pending.
+        assert run_plan_blocks(plan, graph) is None
+        assert registry.counters[key] == 1
+        numpy_rows = list(run_plan(plan, graph))
+        assert registry.counters[key] == 2  # once per run_plan call
+        census = run_census(graph, 3, PARITY_CONSTRAINTS, plan=plan)
+        assert registry.counters[key] >= 3
+        obs.disable()
+        generic_plan = compile_plan(3, PARITY_CONSTRAINTS, None, graph.storage, kernel="generic")
+        assert numpy_rows == list(run_plan(generic_plan, graph))
+        reference = run_census(graph, 3, PARITY_CONSTRAINTS, plan=generic_plan)
+        assert list(census.code_counts.items()) == list(reference.code_counts.items())
+        assert census.total == reference.total > 0
+
+    def test_resolve_kernel_name_walks_unknown_names_to_generic(self):
+        assert resolve_kernel_name("definitely-not-a-kernel") == "generic"
+        assert resolve_kernel_name("generic") == "generic"
 
 
 # ----------------------------------------------------------------------

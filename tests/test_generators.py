@@ -164,3 +164,20 @@ class TestMechanisms:
         model = ActivityModel(small_config(), seed=11)
         g = model.run()
         assert len(g) == 800
+
+    def test_named_graph_is_built_once(self, monkeypatch):
+        from repro.core.temporal_graph import TemporalGraph
+
+        unnamed = generate(small_config(), seed=12)
+        builds = []
+        build = TemporalGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(kwargs.get("name", ""))
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(TemporalGraph, "__init__", counted)
+        named = generate(small_config(), seed=12, name="sms")
+        assert builds == ["sms"]
+        assert named.name == "sms"
+        assert named.events == unnamed.events
