@@ -177,10 +177,6 @@ class GraphStorage(ABC):
         out.discard(node)
         return out
 
-    def get_nbrs(self, nodes: Iterable[int]) -> dict[int, list[int]]:
-        """Sorted static neighbor lists for each requested node."""
-        return {node: sorted(self.neighbors(node)) for node in nodes}
-
     def event_at(self, idx: int) -> Event:
         """The event at one index, in O(1) without snapshotting the stream.
 
@@ -251,10 +247,6 @@ class GraphStorage(ABC):
     @abstractmethod
     def events_in(self, t_lo: float, t_hi: float) -> list[int]:
         """Indices of all events with ``t_lo <= t <= t_hi``."""
-
-    def count_events_in(self, t_lo: float, t_hi: float) -> int:
-        """Number of events in the closed window."""
-        return len(self.events_in(t_lo, t_hi))
 
     @abstractmethod
     def node_events_between(self, node: int, t_lo: float, t_hi: float) -> list[int]:

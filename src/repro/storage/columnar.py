@@ -468,17 +468,6 @@ class ColumnarStorage(GraphStorage):
         thi = bisect.bisect_right(tail_times, t_hi)
         return list(range(lo, hi)) + list(range(m + tlo, m + thi))
 
-    def count_events_in(self, t_lo: float, t_hi: float) -> int:
-        n = bisect.bisect_right(self._col_t, t_hi) - bisect.bisect_left(
-            self._col_t, t_lo
-        )
-        if self._tail:
-            tail_times = [ev.t for ev in self._tail]
-            n += bisect.bisect_right(tail_times, t_hi) - bisect.bisect_left(
-                tail_times, t_lo
-            )
-        return n
-
     def node_events_between(self, node: int, t_lo: float, t_hi: float) -> list[int]:
         lo, hi = self._node_range(node)
         a = bisect.bisect_right(self._node_t, t_lo, lo, hi)

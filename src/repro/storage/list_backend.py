@@ -137,11 +137,6 @@ class ListStorage(GraphStorage):
         hi = bisect.bisect_right(self._times, t_hi)
         return list(range(lo, hi))
 
-    def count_events_in(self, t_lo: float, t_hi: float) -> int:
-        return bisect.bisect_right(self._times, t_hi) - bisect.bisect_left(
-            self._times, t_lo
-        )
-
     def node_events_between(self, node: int, t_lo: float, t_hi: float) -> list[int]:
         times = self._node_times.get(node)
         if not times:

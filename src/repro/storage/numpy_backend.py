@@ -487,23 +487,6 @@ class NumpyStorage(GraphStorage):
         out.discard(node)
         return out
 
-    def get_nbrs(self, nodes: Iterable[int]) -> dict[int, list[int]]:
-        """Sorted static neighbor lists, one array gather per node."""
-        out: dict[int, list[int]] = {}
-        for node in nodes:
-            others = np.unique(self._other_endpoints(node))
-            nbrs = others[others != node].tolist()
-            if self._tail and node in self._tail_node_events:
-                merged = set(nbrs)
-                m = self._m
-                for i in self._tail_node_events[node]:
-                    ev = self._tail[i - m]
-                    merged.add(ev.v if ev.u == node else ev.u)
-                merged.discard(node)
-                nbrs = sorted(merged)
-            out[node] = nbrs
-        return out
-
     def _other_endpoints(self, node: int):
         """For each main-column event touching ``node``, the other endpoint."""
         segment = self._node_segment(node)
@@ -596,16 +579,6 @@ class NumpyStorage(GraphStorage):
         tlo = bisect.bisect_left(tail_times, t_lo)
         thi = bisect.bisect_right(tail_times, t_hi)
         return list(range(lo, hi)) + list(range(m + tlo, m + thi))
-
-    def count_events_in(self, t_lo: float, t_hi: float) -> int:
-        lo, hi = self._closed_range(t_lo, t_hi)
-        n = hi - lo
-        if self._tail:
-            tail_times = [ev.t for ev in self._tail]
-            n += bisect.bisect_right(tail_times, t_hi) - bisect.bisect_left(
-                tail_times, t_lo
-            )
-        return n
 
     def node_events_between(self, node: int, t_lo: float, t_hi: float) -> list[int]:
         a, b = self._node_window(node, t_lo, t_hi, "right")

@@ -622,9 +622,6 @@ class PartitionedStorage(GraphStorage):
         hi = self.bisect_time_right(t_hi)
         return list(range(lo, hi))
 
-    def count_events_in(self, t_lo: float, t_hi: float) -> int:
-        return self.bisect_time_right(t_hi) - self.bisect_time_left(t_lo)
-
     def node_events_between(self, node: int, t_lo: float, t_hi: float) -> list[int]:
         # The closed-window partition range is a superset of the
         # half-open one; out-of-window partitions contribute nothing.

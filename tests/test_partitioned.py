@@ -230,7 +230,6 @@ def test_windowed_query_parity(parity_pair):
     edges = list(oracle.edge_events)[:6]
     for lo, hi in windows:
         assert storage.events_in(lo, hi) == oracle.events_in(lo, hi)
-        assert storage.count_events_in(lo, hi) == oracle.count_events_in(lo, hi)
         assert storage.bisect_time_left(lo) == oracle.bisect_time_left(lo)
         assert storage.bisect_time_right(hi) == oracle.bisect_time_right(hi)
         for node in nodes:

@@ -13,7 +13,13 @@ suite covers the two pure-Python backends and skips the rest.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.algorithms.counting import run_census
 from repro.algorithms.enumeration import enumerate_instances
@@ -120,6 +126,33 @@ class TestRegistry:
         else:
             assert "numpy" not in available_backends()
 
+    def test_numpy_less_interpreter_runs_pure_python(self):
+        """With NumPy unimportable the package imports, registers only the
+        pure-Python backends and still counts motifs."""
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro import TemporalGraph, TimingConstraints, run_census\n"
+            "from repro.storage import available_backends\n"
+            "names = available_backends()\n"
+            "assert names == ('columnar', 'list'), names\n"
+            "g = TemporalGraph.from_tuples([(0, 1, 10), (1, 2, 20), (0, 2, 25)])\n"
+            "c = run_census(g, n_events=3, constraints=TimingConstraints.only_w(60))\n"
+            "print(dict(c.code_counts))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert out.stdout.strip() == "{'011202': 1}"
+
 
 class TestContract:
     """Backend-agnostic contract checks, run against each backend."""
@@ -157,7 +190,6 @@ class TestContract:
         assert storage.edge_events_in((1, 2), 20, 40) == [1, 3]
         assert storage.count_edge_events_in((9, 9), 0, 100) == 0
         assert storage.events_in(20, 40) == [1, 2, 3, 4]
-        assert storage.count_events_in(20, 40) == 4
 
     def test_node_events_between_is_half_open(self, storage):
         assert storage.node_events_between(0, 10, 40) == [2, 4]
@@ -168,7 +200,6 @@ class TestContract:
         assert storage.node_event_indices(2) == [1, 3, 4]
         assert storage.edge_event_indices((0, 1)) == [0, 2]
         assert storage.neighbors(0) == {1, 2}
-        assert storage.get_nbrs([0, 1]) == {0: [1, 2], 1: [0, 2]}
 
     def test_iter_uvt(self, storage):
         assert [tuple(x) for x in storage.iter_uvt()] == [
@@ -301,7 +332,6 @@ class TestBackendParity:
         for lo in cuts:
             for hi in cuts:
                 assert ref.events_in(lo, hi) == col.events_in(lo, hi)
-                assert ref.count_events_in(lo, hi) == col.count_events_in(lo, hi)
                 for node in nodes:
                     assert ref.node_events_in(node, lo, hi) == col.node_events_in(
                         node, lo, hi
@@ -336,8 +366,6 @@ class TestBackendParity:
         ref, col = pair
         for node in ref.nodes:
             assert ref.neighbors(node) == col.neighbors(node)
-        nodes = sorted(ref.nodes)
-        assert ref.get_nbrs(nodes) == col.get_nbrs(nodes)
 
     def test_batched_queries_identical(self, pair):
         ref, col = pair
