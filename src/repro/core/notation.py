@@ -28,8 +28,8 @@ from typing import Iterable, Sequence
 #: Maximum nodes representable with single-digit notation.
 MAX_NOTATION_NODES = 10
 
-#: Digit lookup for the encoder's hot path (cheaper than ``str(int)``).
-_DIGIT_CHARS = "0123456789"
+#: The digit of each node label, indexed by label (cheaper than ``str(int)``).
+DIGITS = "0123456789"
 
 
 def canonical_code(node_pairs: Sequence[tuple[int, int]]) -> str:
@@ -62,8 +62,8 @@ def canonical_code(node_pairs: Sequence[tuple[int, int]]) -> str:
             if dv >= MAX_NOTATION_NODES:
                 raise ValueError("motif has too many nodes for digit notation")
             mapping[v] = dv
-        append(_DIGIT_CHARS[du])
-        append(_DIGIT_CHARS[dv])
+        append(DIGITS[du])
+        append(DIGITS[dv])
     return "".join(digits)
 
 

@@ -7,16 +7,18 @@ produce over the trailing window ``[now - W, now]``:
 * **Arrival.**  Events within one motif instance have strictly increasing
   timestamps, so a new arrival can only ever be the chronologically *last*
   event of an instance — every instance it completes is new, and every
-  previously counted instance is untouched.  The engine keeps a
-  :class:`_PrefixStore` of live *prefixes* (connected-growth sequences of
-  fewer than ``n_events`` events that still satisfy the timing bounds),
-  bucketed by node: an arrival extends exactly the prefixes sharing one
-  of its endpoints whose chained deadline it meets — completing the
+  previously counted instance is untouched.  The shared core
+  (:mod:`repro.online.multiview`, which also holds the prefix store)
+  keeps live *prefixes* (connected-growth sequences of fewer than
+  ``n_events`` events that still satisfy the timing bounds), bucketed by
+  node: an arrival extends exactly the prefixes sharing one of its
+  endpoints whose chained deadline it meets — completing the
   ``n_events - 1``-long ones into counted instances and storing the
   shorter extensions as new prefixes.  Each prefix is built once, when
-  its own last event arrives, so per-event cost is proportional to the
-  arrival's local activity, never to history and never to a window
-  rescan.
+  its own last event arrives, and carries its motif code, grown one
+  digit pair per event, so a completion never re-derives it.  Per-event
+  cost is proportional to the arrival's local activity, never to
+  history and never to a window rescan.
 * **Expiry.**  A batch census of ``slice_time(t - W, t)`` keeps exactly
   the instances whose *anchor* (first event) has ``t_anchor >= t - W``
   — the anchor is the instance's earliest timestamp, so anchor-in-window
@@ -31,7 +33,8 @@ produce over the trailing window ``[now - W, now]``:
   nor re-enter the window, so :meth:`prune` (or the ``prune_every``
   auto-trigger) drops them and rebases the internal graph, bounding
   memory by window activity on an unbounded stream.  Prefixes carry
-  their own timestamps and edges, so pruning never invalidates them.
+  their own timestamps, nodes and codes, so pruning never invalidates
+  them.
 
 The storage contract stays the substrate: every arrival lands through the
 backends' :meth:`~repro.storage.base.GraphStorage.append` tail path, and
@@ -53,7 +56,6 @@ floating-point never loses an instance at a boundary.
 
 from __future__ import annotations
 
-import bisect
 import math
 import time
 from collections import Counter
@@ -65,132 +67,9 @@ from repro.algorithms.enumeration import Instance
 from repro.core.constraints import TimingConstraints
 from repro.core.events import Event
 from repro.core.temporal_graph import TemporalGraph
-from repro.online.multiview import MultiViewCensus
+from repro.online.multiview import MultiViewCensus, _PrefixStore
 
 Predicate = Callable[[TemporalGraph, Instance], bool]
-
-#: Ulp multiplier for conservative window widening (mirrors
-#: :mod:`repro.parallel.shards`: extra candidates are harmless, the exact
-#: per-extension timing checks reject them; missing candidates would lose
-#: instances).
-_ULP_SLACK = 32.0
-
-#: Pruning uses a much wider slack than the live prefilters so the
-#: retained tail always covers everything a live prefix references, even
-#: across float binade edges.
-_PRUNE_SLACK = 1024.0
-
-
-def _widen_down(bound: float) -> float:
-    """Lower a window start by a few ulps (conservative prefilter bound)."""
-    if not math.isfinite(bound):
-        return bound
-    return bound - _ULP_SLACK * math.ulp(abs(bound) + 1.0)
-
-
-class _Prefix:
-    """One live connected-growth prefix (fewer than ``n_events`` events).
-
-    Self-contained — global event indices, edges, node set, first/last
-    timestamps — so extending, counting and pruning never have to resolve
-    anything against the graph.
-    """
-
-    __slots__ = ("seq", "edges", "nodes", "t_root", "t_last")
-
-    def __init__(self, seq, edges, nodes, t_root, t_last) -> None:
-        self.seq = seq
-        self.edges = edges
-        self.nodes = nodes
-        self.t_root = t_root
-        self.t_last = t_last
-
-
-class _PrefixStore:
-    """Live prefixes bucketed by node, scanned from the recent tail only.
-
-    Within a bucket, prefixes are appended in arrival order, so the
-    parallel ``t_last`` list is non-decreasing and one bisect finds the
-    tail of prefixes an arrival could still extend (any extensible prefix
-    has ``t_last`` within ``gap_bound`` — the tightest of ΔC, ΔW and W —
-    of the arrival).  Gap-dead prefixes are reclaimed by a sweep whenever
-    the stream clock outruns the previous sweep by more than
-    ``gap_bound``, which bounds memory to the prefixes of roughly two
-    windows without ever touching a still-extensible one.
-    """
-
-    __slots__ = ("gap_bound", "entries", "_buckets", "_sweep_clock")
-
-    def __init__(self, gap_bound: float) -> None:
-        self.gap_bound = gap_bound
-        #: Total bucketed references (one per (prefix, node)), maintained
-        #: incrementally — the O(1) memory gauge behind the observability
-        #: layer's ``online.prefix_store.entries``, unlike ``__len__``,
-        #: which dedups to distinct prefixes and walks every bucket.
-        self.entries = 0
-        self._buckets: dict[int, tuple[list[float], list[_Prefix]]] = {}
-        self._sweep_clock: float | None = None
-
-    def __len__(self) -> int:
-        seen: set[int] = set()
-        for _times, prefixes in self._buckets.values():
-            seen.update(map(id, prefixes))
-        return len(seen)
-
-    def add(self, prefix: _Prefix) -> None:
-        for node in prefix.nodes:
-            bucket = self._buckets.get(node)
-            if bucket is None:
-                bucket = ([], [])
-                self._buckets[node] = bucket
-            bucket[0].append(prefix.t_last)
-            bucket[1].append(prefix)
-        self.entries += len(prefix.nodes)
-
-    def candidates(self, u: int, v: int, now: float) -> list[_Prefix]:
-        """Every prefix touching ``u`` or ``v`` still within the gap bound.
-
-        Each prefix appears once (one touching both endpoints sits in
-        both buckets).  The tail bound is conservative — exact timing is
-        re-checked per extension — and the list is materialized up front
-        so callers may grow the store while walking it.
-        """
-        t_lo = _widen_down(now - self.gap_bound)
-        out: list[_Prefix] = []
-        for node in (u, v):
-            bucket = self._buckets.get(node)
-            if bucket is None:
-                continue
-            times, prefixes = bucket
-            start = bisect.bisect_left(times, t_lo)
-            if not out:
-                out.extend(prefixes[start:])
-            else:
-                seen = set(map(id, out))
-                out.extend(
-                    p for p in prefixes[start:] if id(p) not in seen
-                )
-        return out
-
-    def maybe_sweep(self, now: float) -> None:
-        """Reclaim gap-dead prefixes once per ``gap_bound`` of stream time."""
-        if self._sweep_clock is None:
-            self._sweep_clock = now
-            return
-        if now - self._sweep_clock <= self.gap_bound:
-            return
-        self._sweep_clock = now
-        keep_from = _widen_down(now - self.gap_bound)
-        for node in list(self._buckets):
-            times, prefixes = self._buckets[node]
-            start = bisect.bisect_left(times, keep_from)
-            if start == 0:
-                continue
-            self.entries -= start
-            if start >= len(prefixes):
-                del self._buckets[node]
-            else:
-                self._buckets[node] = (times[start:], prefixes[start:])
 
 
 class OnlineCensus:
@@ -431,7 +310,7 @@ class OnlineCensus:
         bound).  The cutoff is widened by a slack much larger than the
         live prefilters', so pruning can never race discovery at a
         floating-point edge.  Counted instances and live prefixes are
-        unaffected (both store timestamps, codes and edges, not graph
+        unaffected (both store timestamps, codes and nodes, not graph
         references), and global event indices stay stable via the rebase
         offset.
         """

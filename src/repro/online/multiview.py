@@ -7,7 +7,10 @@ shared by every view:
 
 * the retained **graph tail** (storage-backend append path + prune
   rebase, exactly as in the single-view engine),
-* the node-bucketed **prefix store** of live partial instances,
+* the node-bucketed **prefix store** of live partial instances
+  (:class:`_PrefixStore`, defined here; each prefix carries its motif
+  code, grown one digit pair per event, so a completion's code is
+  already known when it is counted),
 * the compiled **plan/kernel** pair from :mod:`repro.engine`, and
 * the **ledger** — a retention-bounded min-heap of every discovered
   instance (anchor time, canonical code, node set) that lets a view
@@ -17,7 +20,8 @@ Per-view state is deliberately thin: one code counter (pair counters
 are derived from it on read), an anchor-time expiry heap of
 *references* into the shared ledger entries, and a scheduled wake
 time.  One ``push(event)`` therefore runs discovery once
-and fans each completed instance out to the views that accept it:
+and fans each completed instance out to the views that accept it, in
+one fold call per instance (not per view):
 
 * **plain window views** differ only in their window length ``W``; they
   are kept sorted by ``W`` descending so the fan-out loop stops at the
@@ -58,6 +62,7 @@ is exactly one implementation of the push/expire/prune arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import time
@@ -70,13 +75,149 @@ from repro.algorithms.counting import MotifCensus
 from repro.algorithms.enumeration import Instance, enumerate_instances
 from repro.core.constraints import TimingConstraints
 from repro.core.events import Event
-from repro.core.notation import canonical_code
+from repro.core.notation import DIGITS, MAX_NOTATION_NODES, canonical_code
 from repro.core.temporal_graph import TemporalGraph
 from repro.engine import compile_plan
 
 Predicate = Callable[[TemporalGraph, Instance], bool]
 
 __all__ = ["MultiViewCensus"]
+
+#: Ulp multiplier for conservative window widening (mirrors
+#: :mod:`repro.parallel.shards`: extra candidates are harmless, the exact
+#: per-extension timing checks reject them; missing candidates would lose
+#: instances).
+_ULP_SLACK = 32.0
+
+#: Pruning uses a much wider slack than the live prefilters so the
+#: retained tail always covers everything a live prefix references, even
+#: across float binade edges.
+_PRUNE_SLACK = 1024.0
+
+
+def _widen_down(bound: float) -> float:
+    """Lower a window start by a few ulps (conservative prefilter bound)."""
+    if not math.isfinite(bound):
+        return bound
+    return bound - _ULP_SLACK * math.ulp(abs(bound) + 1.0)
+
+
+class _Prefix:
+    """One live connected-growth prefix (fewer than ``n_events`` events).
+
+    Self-contained — global event indices, motif code, node set (in
+    first-appearance order), first/last timestamps — so extending,
+    counting and pruning never have to resolve anything against the
+    graph.  ``code`` is the prefix's canonical 2n-digit code, grown one
+    digit pair per extension; it is ``None`` once the prefix holds more
+    than ten nodes, which digit notation cannot write.
+    """
+
+    __slots__ = ("seq", "code", "nodes", "t_root", "t_last")
+
+    def __init__(self, seq, code, nodes, t_root, t_last) -> None:
+        self.seq = seq
+        self.code = code
+        self.nodes = nodes
+        self.t_root = t_root
+        self.t_last = t_last
+
+
+class _PrefixStore:
+    """Live prefixes bucketed by node, scanned from the recent tail only.
+
+    Within a bucket, prefixes are appended in arrival order, so the
+    parallel ``t_last`` list is non-decreasing and one bisect finds the
+    tail of prefixes an arrival could still extend (any extensible prefix
+    has ``t_last`` within ``gap_bound`` — the tightest of ΔC, ΔW and W —
+    of the arrival).  Gap-dead prefixes are reclaimed by a sweep whenever
+    the stream clock outruns the previous sweep by more than
+    ``gap_bound``, which bounds memory to the prefixes of roughly two
+    windows without ever touching a still-extensible one.
+    """
+
+    __slots__ = ("gap_bound", "entries", "_size", "_buckets", "_sweep_clock")
+
+    def __init__(self, gap_bound: float) -> None:
+        self.gap_bound = gap_bound
+        #: Total bucketed references (one per (prefix, node)), maintained
+        #: incrementally — the O(1) memory gauge behind the observability
+        #: layer's ``online.prefix_store.entries``.  ``len()`` counts
+        #: distinct prefixes instead.
+        self.entries = 0
+        self._size = 0
+        self._buckets: dict[int, tuple[list[float], list[_Prefix]]] = {}
+        self._sweep_clock: float | None = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def add(self, prefix: _Prefix) -> None:
+        buckets = self._buckets
+        t_last = prefix.t_last
+        for node in prefix.nodes:
+            bucket = buckets.get(node)
+            if bucket is None:
+                buckets[node] = ([t_last], [prefix])
+            else:
+                bucket[0].append(t_last)
+                bucket[1].append(prefix)
+        self.entries += len(prefix.nodes)
+        self._size += 1
+
+    def candidates(self, u: int, v: int, now: float) -> list[_Prefix]:
+        """Every prefix touching ``u`` or ``v`` still within the gap bound.
+
+        Each prefix appears once: one holding both endpoints sits in both
+        tails (all its references share ``t_last``), so ``v``'s tail
+        skips the prefixes that hold ``u``.  The tail bound is
+        conservative — exact timing is re-checked per extension — and
+        the list is materialized up front so callers may grow the store
+        while walking it.
+        """
+        t_lo = _widen_down(now - self.gap_bound)
+        buckets = self._buckets
+        out: list[_Prefix] = []
+        bucket = buckets.get(u)
+        if bucket is not None:
+            times, prefixes = bucket
+            out = prefixes[bisect.bisect_left(times, t_lo) :]
+        bucket = buckets.get(v)
+        if bucket is not None:
+            times, prefixes = bucket
+            start = bisect.bisect_left(times, t_lo)
+            if out:
+                out.extend([p for p in prefixes[start:] if u not in p.nodes])
+            else:
+                out = prefixes[start:]
+        return out
+
+    def maybe_sweep(self, now: float) -> None:
+        """Reclaim gap-dead prefixes once per ``gap_bound`` of stream time."""
+        if self._sweep_clock is None:
+            self._sweep_clock = now
+            return
+        if now - self._sweep_clock <= self.gap_bound:
+            return
+        self._sweep_clock = now
+        keep_from = _widen_down(now - self.gap_bound)
+        buckets = self._buckets
+        for node in list(buckets):
+            times, prefixes = buckets[node]
+            start = bisect.bisect_left(times, keep_from)
+            if start == 0:
+                continue
+            self.entries -= start
+            # Every reference of a prefix shares its t_last, so a sweep
+            # drops all of them at once: count each in its first node's
+            # bucket only.
+            for i in range(start):
+                if prefixes[i].nodes[0] == node:
+                    self._size -= 1
+            if start >= len(prefixes):
+                del buckets[node]
+            else:
+                buckets[node] = (times[start:], prefixes[start:])
 
 
 class _LedgerEntry:
@@ -194,11 +335,6 @@ class MultiViewCensus:
         prune_every: int | None = None,
         registry=None,
     ) -> None:
-        # Local import: census.py imports this module's class for the
-        # facade, so the store helpers are pulled lazily to keep the
-        # module import order a plain DAG at call time.
-        from repro.online.census import _PrefixStore
-
         if n_events < 1:
             raise ValueError("n_events must be >= 1")
         if not (retention > 0) or math.isnan(retention):
@@ -458,14 +594,16 @@ class MultiViewCensus:
         """
         window = view.window
         nodes = view.nodes
-        for _t, _s, entry in sorted(self._ledger, key=lambda item: item[1]):
+        target = (view,)
+        for item in sorted(self._ledger, key=lambda item: item[1]):
+            entry = item[2]
             if nodes is not None and not nodes.issuperset(entry.nodes):
                 continue
             horizon = entry.t_last - window
             self._expire_view(view, horizon)
             if entry.anchor_t < horizon:
                 continue
-            self._fold(view, entry)
+            self._fold(item, target)
         if self._now is not None:
             self._expire_view(view, self._now - window)
         if view.heap:
@@ -516,40 +654,45 @@ class MultiViewCensus:
 
         out: list[Instance] = []
         k = self._n_events
-        core_horizon = t_a - self._retention
-        completions: list[tuple[Instance, tuple, float, tuple]] = []
+        u, v = ev.u, ev.v
+        # Completions are (seq, code, anchor time, node tuple).  A code
+        # grows one digit pair per event: the kernel's node tuples are in
+        # first-appearance order, so an endpoint's digit is its position.
+        completions: list[tuple[Instance, str | None, float, tuple]] = []
         if k == 1:
-            completions.append(((gidx,), (ev.edge,), t_a, (ev.u, ev.v)))
+            completions.append(((gidx,), "01", t_a, (u, v)))
         else:
-            u, v = ev.u, ev.v
-            from repro.online.census import _Prefix
-
-            candidates = self._prefixes.candidates(u, v, t_a)
+            core_horizon = t_a - self._retention
+            prefixes = self._prefixes
+            add = prefixes.add
+            candidates = prefixes.candidates(u, v, t_a)
             for pos, _idx, new_nodes in self._kernel.extend_frontier(
                 candidates, local, local + 1
             ):
                 prefix = candidates[pos]
-                if prefix.t_root < core_horizon:
+                t_root = prefix.t_root
+                if t_root < core_horizon:
                     # Anchored before every window any view may hold:
                     # nothing grown from this prefix can ever be counted.
                     continue
                 seq = prefix.seq + (gidx,)
-                edges = prefix.edges + (ev.edge,)
+                code = prefix.code
+                if code is not None:
+                    if len(new_nodes) > MAX_NOTATION_NODES:
+                        code = None
+                    else:
+                        code = code + DIGITS[new_nodes.index(u)] + DIGITS[new_nodes.index(v)]
                 if len(seq) == k:
-                    completions.append((seq, edges, prefix.t_root, new_nodes))
+                    completions.append((seq, code, t_root, new_nodes))
                 else:
-                    self._prefixes.add(
-                        _Prefix(seq, edges, new_nodes, prefix.t_root, t_a)
-                    )
-            completions.sort(key=lambda item: item[0])
+                    add(_Prefix(seq, code, new_nodes, t_root, t_a))
+            # Discovery order is event-index order.  The index tuples are
+            # distinct, so the plain tuple sort never compares past them.
+            completions.sort()
         if completions:
             self._count_completions(completions, t_a, out)
         if k > 1:
-            from repro.online.census import _Prefix
-
-            self._prefixes.add(
-                _Prefix((gidx,), (ev.edge,), (ev.u, ev.v), t_a, t_a)
-            )
+            self._prefixes.add(_Prefix((gidx,), "01", (u, v), t_a, t_a))
             self._prefixes.maybe_sweep(t_a)
 
         self._since_prune += 1
@@ -563,58 +706,72 @@ class MultiViewCensus:
         # One horizon per plain view, computed once per completing push
         # with the same ``now - W`` subtraction the expiry path uses.
         horizons = [t_a - view.window for view in flat]
+        n_flat = len(flat)
         node_index = self._node_index
         ledger = self._ledger
-        for seq, edges, t_root, nodes in completions:
-            entry = _LedgerEntry(t_root, self._seq, canonical_code(edges), nodes, t_a, seq)
+        fold = self._fold
+        for seq, code, t_root, nodes in completions:
+            if code is None:
+                # Past ten nodes digit notation has no code: canonical_code
+                # raises its "too many nodes" error for these events.
+                event_at = self._graph.storage.event_at
+                offset = self._offset
+                code = canonical_code([event_at(i - offset).edge for i in seq])
+            entry = _LedgerEntry(t_root, self._seq, code, nodes, t_a, seq)
+            item = (t_root, self._seq, entry)
             self._seq += 1
             self._discovered += 1
-            heapq.heappush(ledger, (t_root, entry.seq, entry))
+            heapq.heappush(ledger, item)
             out.append(seq)
-            for i, view in enumerate(flat):
-                if t_root < horizons[i]:
-                    # Views are sorted by window descending, so every
-                    # remaining window is shorter and rejects too.
-                    break
-                self._fold(view, entry)
-            if node_index:
-                routed = self._route_sliced(nodes)
-                for view in routed:
-                    if t_root < t_a - view.window:
-                        continue
-                    self._fold(view, entry)
+            # Views are sorted by window descending, so the views whose
+            # window reaches the anchor are a prefix of the list.
+            n = 0
+            while n < n_flat and t_root >= horizons[n]:
+                n += 1
+            if n:
+                fold(item, flat if n == n_flat else flat[:n])
+            # Sliced views are indexed by node: the instance's first node
+            # finds every view that could hold its whole node set.
+            sliced = node_index.get(nodes[0]) if node_index else None
+            if sliced:
+                routed = [
+                    view
+                    for view in sliced
+                    if t_root >= t_a - view.window and view.nodes.issuperset(nodes)
+                ]
+                if routed:
+                    fold(item, routed)
 
-    def _route_sliced(self, nodes: tuple) -> list[_ViewState]:
-        """Sliced views whose node set covers every node of the instance."""
-        index = self._node_index
-        candidates = index.get(nodes[0])
-        if not candidates:
-            return ()
-        if len(nodes) == 1:
-            return candidates
-        out = [
-            view
-            for view in candidates
-            if view.nodes.issuperset(nodes)
-        ]
-        return out
+    def _fold(self, item: _HeapItem, views) -> None:
+        """Count one ledger entry into every view whose window accepts it.
 
-    def _fold(self, view: _ViewState, entry: _LedgerEntry) -> None:
-        """Count one accepted instance into one view."""
-        if view.predicate is not None:
-            offset = self._offset
-            local_inst = tuple(i - offset for i in entry.events)
-            if not view.predicate(self._graph, local_inst):
-                return
-        view.code_counts[entry.code] += 1
-        view.total += 1
-        view.discovered += 1
-        item = (entry.anchor_t, entry.seq, entry)
-        heapq.heappush(view.heap, item)
-        if view.heap[0] is item or view.wake_t is None:
-            self._schedule_wake(view)
-        if view.collect:
-            view.just_counted.append(entry.events)
+        The one fold: a restricted view runs its predicate first and a
+        collecting view records the instance, then every accepting view
+        takes the same counter, heap and wake update.  Every view heap
+        shares the entry's ledger heap item.
+        """
+        entry = item[2]
+        code = entry.code
+        local_inst = None
+        heappush = heapq.heappush
+        for view in views:
+            predicate = view.predicate
+            if predicate is not None:
+                if local_inst is None:
+                    offset = self._offset
+                    local_inst = tuple(i - offset for i in entry.events)
+                if not predicate(self._graph, local_inst):
+                    continue
+            if view.collect:
+                view.just_counted.append(entry.events)
+            counts = view.code_counts
+            counts[code] = counts.get(code, 0) + 1
+            view.total += 1
+            view.discovered += 1
+            heap = view.heap
+            heappush(heap, item)
+            if heap[0] is item or view.wake_t is None:
+                self._schedule_wake(view)
 
     def advance_to(self, now: float) -> int:
         """Move the stream clock forward without an event; expire views.
@@ -626,10 +783,8 @@ class MultiViewCensus:
                 f"cannot advance backward: clock is at t={self._now}, got t={now}"
             )
         self._now = now
-        before = sum(view.expired for view in self._views.values())
         self._retire_ledger(now - self._retention)
-        self._run_wakes(now)
-        return sum(view.expired for view in self._views.values()) - before
+        return self._run_wakes(now)
 
     def drain(
         self, events: Iterable[Event | tuple]
@@ -650,47 +805,60 @@ class MultiViewCensus:
         re-check), never late — lateness would reorder the per-view
         insert/expire sequence against a single-view engine.
         """
-        from repro.online.census import _widen_down
-
         wake = _widen_down(view.heap[0][0] + view.window)
         if view.wake_t is not None and view.wake_t <= wake:
             return
         view.wake_t = wake
         heapq.heappush(self._wake, (wake, view.vseq, view))
 
-    def _run_wakes(self, now: float) -> None:
-        """Expire every view whose scheduled wake has come due."""
+    def _run_wakes(self, now: float) -> int:
+        """Expire every view whose scheduled wake has come due.
+
+        Returns the number of instances retired across those views.
+        """
         wake_heap = self._wake
         if not wake_heap or wake_heap[0][0] > now:
-            return
+            return 0
+        retired = 0
         resched: list[_ViewState] = []
         while wake_heap and wake_heap[0][0] <= now:
             wake, _vseq, view = heapq.heappop(wake_heap)
             if view.dropped or view.wake_t != wake:
                 continue
             view.wake_t = None
-            self._expire_view(view, now - view.window)
+            retired += self._expire_view(view, now - view.window)
             if view.heap:
                 resched.append(view)
         for view in resched:
             if not view.dropped and view.heap:
                 self._schedule_wake(view)
+        return retired
 
-    def _expire_view(self, view: _ViewState, horizon: float) -> None:
-        """Retire the view's instances anchored strictly below ``horizon``."""
+    def _expire_view(self, view: _ViewState, horizon: float) -> int:
+        """Retire the view's instances anchored strictly below ``horizon``.
+
+        Returns how many it retired.  A code whose count reaches zero
+        leaves the counter, so it re-enters at the end of the key order.
+        """
         heap = view.heap
+        if not heap or heap[0][0] >= horizon:
+            return 0
+        heappop = heapq.heappop
+        counts = view.code_counts
         retired = 0
-        code_counts = view.code_counts
         while heap and heap[0][0] < horizon:
-            entry = heapq.heappop(heap)[2]
+            code = heappop(heap)[2].code
+            left = counts[code] - 1
+            if left:
+                counts[code] = left
+            else:
+                del counts[code]
             retired += 1
-            code_counts[entry.code] -= 1
-            if not code_counts[entry.code]:
-                del code_counts[entry.code]
-            view.total -= 1
-            view.expired += 1
-        if retired and self._obs is not None:
+        view.total -= retired
+        view.expired += retired
+        if self._obs is not None:
             self._obs.inc("online.expire.retired", retired)
+        return retired
 
     def _retire_ledger(self, horizon: float) -> None:
         """Drop ledger entries anchored below the retention horizon.
@@ -888,8 +1056,6 @@ class MultiViewCensus:
         return dropped
 
     def _prune(self) -> int:
-        from repro.online.census import _PRUNE_SLACK
-
         if self._now is None:
             return 0
         # Exact views only need the timing bound δ of tail (completed
@@ -923,8 +1089,6 @@ class MultiViewCensus:
 
     def _rebuild_prefixes(self) -> None:
         """Regrow the prefix store from the retained tail (restore path)."""
-        from repro.online.census import _Prefix
-
         if self._n_events == 1 or self._now is None:
             return
         graph = self._graph
@@ -943,17 +1107,21 @@ class MultiViewCensus:
                     continue
                 if now > self._constraints.next_event_deadline(first.t, last.t):
                     continue
-                edges = tuple(event_at(i).edge for i in inst)
                 nodes: tuple[int, ...] = ()
                 for idx in inst:
                     ev = event_at(idx)
                     for n in (ev.u, ev.v):
                         if n not in nodes:
                             nodes = nodes + (n,)
+                code = (
+                    canonical_code([event_at(i).edge for i in inst])
+                    if len(nodes) <= MAX_NOTATION_NODES
+                    else None
+                )
                 rebuilt.append(
                     _Prefix(
                         tuple(i + offset for i in inst),
-                        edges,
+                        code,
                         nodes,
                         first.t,
                         last.t,

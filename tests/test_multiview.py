@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+import tempfile
 import warnings
 
 import pytest
@@ -34,6 +35,7 @@ from repro.algorithms.restrictions import (
 )
 from repro.core.constraints import TimingConstraints
 from repro.core.events import Event
+from repro.core.notation import canonical_code
 from repro.online import MultiViewCensus, OnlineCensus
 from repro.storage import available_backends
 from tests.test_online import event_streams, tie_free_streams
@@ -489,3 +491,163 @@ def test_many_views_spot_check():
             else:
                 oracle.advance_to(ev.t)
         assert _ordered(engine.counts(name)) == _ordered(oracle.counts()), name
+
+
+# ----------------------------------------------------------------------
+# carried motif codes: a prefix grows its code one digit pair per event
+# ----------------------------------------------------------------------
+CODE_BACKENDS = tuple(b for b in ("list", "numpy") if b in available_backends())
+
+
+def _live_prefixes(store) -> list:
+    """Every distinct prefix in the store, deduplicated across buckets."""
+    seen: dict[int, object] = {}
+    for _times, prefixes in store._buckets.values():
+        for prefix in prefixes:
+            seen.setdefault(id(prefix), prefix)
+    return list(seen.values())
+
+
+def _code_of(graph, offset: int, seq) -> str:
+    """canonical_code of global event indices, resolved against the tail."""
+    event_at = graph.storage.event_at
+    return canonical_code([event_at(i - offset).edge for i in seq])
+
+
+@pytest.mark.parametrize("backend", CODE_BACKENDS)
+@given(
+    events=event_streams(max_events=16),
+    n_events=st.integers(1, 4),
+    max_nodes=st.sampled_from([None, 2, 3]),
+)
+@settings(max_examples=25, deadline=None)
+def test_carried_codes_match_canonical_code(backend, events, n_events, max_nodes):
+    """After every push, each live prefix and ledger entry carries the
+    canonical code of its events, and the store's O(1) size matches a
+    deduplicating walk over its buckets."""
+    engine = MultiViewCensus(n_events, CONSTRAINTS, 15.0, max_nodes=max_nodes, backend=backend)
+    engine.add_view("all", 15.0)
+    engine.add_view("short", 3.0)
+    engine.add_view("slice", 7.0, nodes=range(3))
+    for ev in events:
+        engine.push(ev)
+        graph, offset = engine.graph, engine._offset
+        live = _live_prefixes(engine._prefixes)
+        assert len(engine._prefixes) == len(live) == engine.live_prefixes
+        for prefix in live:
+            assert prefix.code == _code_of(graph, offset, prefix.seq)
+        for _t, _s, entry in engine._ledger:
+            assert entry.code == _code_of(graph, offset, entry.events)
+
+
+@pytest.mark.skipif(
+    "numpy" not in available_backends(), reason="checkpoints use the numpy page format"
+)
+@pytest.mark.parametrize("backend", CODE_BACKENDS)
+@given(
+    events=event_streams(max_events=16),
+    n_events=st.integers(2, 4),
+    max_nodes=st.sampled_from([None, 2, 3]),
+    cut=st.integers(1, 16),
+)
+@settings(max_examples=15, deadline=None)
+def test_restored_prefixes_carry_the_uninterrupted_codes(backend, events, n_events, max_nodes, cut):
+    """Prefixes regrown on restore carry the codes the live engine grew."""
+    engine = OnlineCensus(n_events, CONSTRAINTS, 7.0, max_nodes=max_nodes, backend=backend)
+    for ev in events[:cut]:
+        engine.push(ev)
+    with tempfile.TemporaryDirectory() as tmp:
+        engine.snapshot(tmp)
+        resumed = OnlineCensus.restore(tmp, backend=backend)
+    uninterrupted = {p.seq: p.code for p in _live_prefixes(engine._prefixes)}
+    regrown = _live_prefixes(resumed._prefixes)
+    assert len(resumed._prefixes) == len(regrown)
+    for prefix in regrown:
+        assert prefix.code == uninterrupted[prefix.seq]
+        assert prefix.code == _code_of(resumed.graph, resumed._offset, prefix.seq)
+
+
+def _chain(n_edges: int) -> list[Event]:
+    """A path 0 -> 1 -> ... -> n_edges, one event per time unit."""
+    return [Event(i, i + 1, float(i)) for i in range(n_edges)]
+
+
+CHAIN_CONSTRAINTS = TimingConstraints(delta_c=2.0, delta_w=100.0)
+
+
+class TestCarriedCodeErrorPaths:
+    """The error paths the carried code relies on instead of branching."""
+
+    @pytest.mark.parametrize("engine_kind", ["online", "multiview"])
+    def test_self_loop_rejected_before_any_prefix(self, engine_kind):
+        if engine_kind == "online":
+            engine = OnlineCensus(3, CONSTRAINTS, 10.0)
+            core = engine._mv
+        else:
+            engine = core = MultiViewCensus(3, CONSTRAINTS, 10.0)
+            core.add_view("a", 10.0)
+        with pytest.raises(ValueError, match="is a self-loop"):
+            engine.push(Event(1, 1, 0.0))
+        assert core.live_prefixes == 0 and core.ledger_depth == 0
+        engine.push(Event(0, 1, 1.0))
+        engine.push(Event(1, 2, 2.0))
+        prefixes = core.live_prefixes
+        with pytest.raises(ValueError, match="is a self-loop"):
+            engine.push(Event(2, 2, 3.0))
+        assert core.live_prefixes == prefixes and core.ledger_depth == 0
+        assert core.pushed == 2
+
+    @pytest.mark.parametrize("n_events", [10, 11])
+    def test_eleven_node_instance_raises_at_its_completion(self, n_events):
+        """A prefix past ten nodes has no code; the completing push raises
+        canonical_code's error, and every earlier push succeeds."""
+        engine = MultiViewCensus(n_events, CHAIN_CONSTRAINTS, 200.0)
+        engine.add_view("a", 200.0)
+        chain = _chain(n_events)
+        for ev in chain[:-1]:
+            engine.push(ev)
+        assert engine.ledger_depth == 0
+        with pytest.raises(ValueError, match="too many nodes for digit notation"):
+            engine.push(chain[-1])
+
+    @pytest.mark.skipif(
+        "numpy" not in available_backends(),
+        reason="checkpoints use the numpy page format",
+    )
+    def test_restored_overflow_prefix_still_raises(self, tmp_path):
+        engine = OnlineCensus(11, CHAIN_CONSTRAINTS, 200.0)
+        chain = _chain(11)
+        for ev in chain[:-1]:
+            engine.push(ev)
+        engine.snapshot(tmp_path / "ckpt")
+        resumed = OnlineCensus.restore(tmp_path / "ckpt")
+        full = [p for p in _live_prefixes(resumed._prefixes) if len(p.seq) == 10]
+        assert len(full) == 1 and full[0].code is None
+        with pytest.raises(ValueError, match="too many nodes for digit notation"):
+            resumed.push(chain[-1])
+
+
+def test_advance_to_returns_the_views_expired_delta():
+    """advance_to reports exactly what the views' expired counters gained."""
+    rng = random.Random(7)
+    t = 0.0
+    engine = MultiViewCensus(3, CONSTRAINTS, 15.0, max_nodes=3)
+    engine.add_view("long", 15.0)
+    engine.add_view("short", 3.0)
+    engine.add_view("slice", 7.0, nodes=range(4))
+
+    def expired() -> int:
+        return sum(view.expired for view in engine._views.values())
+
+    retired = 0
+    for _ in range(12):
+        for _ in range(25):
+            t += rng.choice([0.0, 0.5, 1.0])
+            u, v = rng.sample(range(6), 2)
+            engine.push(Event(u, v, t))
+        before = expired()
+        t += rng.choice([0.5, 2.0, 5.0])
+        got = engine.advance_to(t)
+        assert got == expired() - before
+        retired += got
+    assert retired > 0
