@@ -36,6 +36,10 @@ The ``--json`` record is the standard BENCH shape; CI gates the
 (worker-scaling rows depend on the host's core count, as in
 ``bench_parallel``).  Peak-RSS numbers ride along in the top-level
 ``rss`` block — informational in the JSON, enforced by this script.
+A ``partitions`` block beside it records what one more, untimed
+``jobs=1`` census run with ``repro.obs`` enabled counted: partition
+opens and evictions, and how many times a storage mapped its index
+pages.  It is informational only.
 """
 
 from __future__ import annotations
@@ -117,6 +121,29 @@ def _child(args) -> int:
         )
         out["seconds"] = time.perf_counter() - started
         out["digest"] = _digest(census)
+    elif args.child == "counters":
+        import repro.obs as obs
+        from repro.algorithms.counting import run_census
+        from repro.core.temporal_graph import TemporalGraph
+
+        registry = obs.enable(obs.MetricsRegistry())
+        try:
+            run_census(
+                TemporalGraph.load(args.path),
+                N_MOTIF_EVENTS,
+                _constraints(),
+                jobs=args.jobs[0],
+            )
+        finally:
+            obs.disable()
+        out["counters"] = {
+            key: registry.counters.get(key, 0)
+            for key in (
+                "storage.partition.opens",
+                "storage.partition.evictions",
+                "storage.pages.index_opens",
+            )
+        }
     elif args.child == "inmemory":
         from repro.algorithms.counting import run_census
         from repro.core.events import Event
@@ -229,6 +256,7 @@ def run(args) -> int:
         for jobs in args.jobs:
             runs.append(("partitioned", jobs, _run_child("census", args, jobs=jobs)))
         runs.append(("inmemory", 1, _run_child("inmemory", args)))
+        counters = _run_child("counters", args)["counters"]
 
     failures = 0
     reference = runs[-1][2]["digest"]
@@ -252,6 +280,10 @@ def run(args) -> int:
     print(
         f"\ntotal instances: {reference['total']}"
         + ("  [out-of-core: pages exceed the budget]" if outofcore else "")
+    )
+    print(
+        "partitioned jobs=1 census (untimed, traced): "
+        + ", ".join(f"{key} {n}" for key, n in counters.items())
     )
 
     if args.json:
@@ -285,6 +317,8 @@ def run(args) -> int:
                     for mode, jobs, result in runs
                 },
             },
+            # Informational: what an untimed jobs=1 census opened.
+            "partitions": {"jobs": 1, **counters},
         }
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)
@@ -322,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         "that pages exceed 144 MiB)",
     )
     parser.add_argument("--json", metavar="PATH", default=None)
-    parser.add_argument("--child", choices=("floor", "census", "inmemory"))
+    parser.add_argument("--child", choices=("floor", "census", "counters", "inmemory"))
     parser.add_argument("--path", default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:

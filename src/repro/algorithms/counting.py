@@ -53,16 +53,20 @@ def _route_sharded(graph: TemporalGraph, jobs: int | None, roots_sorted: bool) -
     return graph.storage.prefers_sharded_execution
 
 
-def _normalize_roots(roots: Iterable[int] | None) -> tuple[list[int] | None, bool]:
+def _normalize_roots(roots: Iterable[int] | None) -> tuple[Sequence[int] | None, bool]:
     """Materialize a roots iterable; report whether it is non-decreasing.
 
     The sharded parallel path merges per-shard results in ascending
     anchor order, so it reproduces the serial pass bit-for-bit only when
     the requested roots are already sorted (the sampling estimators'
-    shape).  Unsorted roots simply stay on the serial path.
+    shape).  Unsorted roots simply stay on the serial path.  A step-1
+    ``range`` (a shard's owned anchors) is sorted by construction and
+    passes through unchanged, so the block lane slices it as arrays.
     """
     if roots is None:
         return None, True
+    if isinstance(roots, range) and roots.step == 1:
+        return roots, True
     root_list = list(roots)
     return root_list, all(a <= b for a, b in zip(root_list, root_list[1:]))
 

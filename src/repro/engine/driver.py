@@ -66,16 +66,19 @@ def _root_blocks(root_iter: Iterable[int]) -> Iterator[list[int]]:
 def _block_roots(roots: Iterable[int] | None, m: int) -> Iterator:
     """The block lane's root blocks, on :func:`_root_blocks`' schedule.
 
-    A full scan (``roots is None``) slices ``arange`` blocks straight
-    off the index range instead of collecting them root by root.
+    A full scan (``roots is None``, i.e. ``range(m)``) or any other
+    step-1 ``range`` slices ``arange`` blocks straight off the index
+    range instead of collecting them root by root.
     """
-    if roots is not None:
+    if roots is None:
+        roots = range(m)
+    if not (isinstance(roots, range) and roots.step == 1):
         yield from _root_blocks(roots)
         return
-    start = 0
+    start, end = roots.start, roots.stop
     block_cap = FIRST_BLOCK
-    while start < m:
-        stop = min(m, start + block_cap)
+    while start < end:
+        stop = min(end, start + block_cap)
         yield np.arange(start, stop, dtype=np.int64)
         start = stop
         block_cap = min(2 * block_cap, ROOT_BLOCK)

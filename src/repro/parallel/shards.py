@@ -110,7 +110,8 @@ def plan_shards(graph: TemporalGraph, delta: float, n_shards: int) -> list[Shard
     # The δ-overlap rule runs against the storage's time-index seams
     # (time_at / bisect_time_*): in-memory backends answer from their
     # cached timestamp list exactly as before, while the partitioned
-    # backend answers at manifest resolution without ever materializing
+    # backend bisects its manifest and then opens the one partition
+    # holding each boundary (its column pages only), never materializing
     # the stream — the same rule plans both layouts.
     storage = graph.storage
     shards: list[Shard] = []

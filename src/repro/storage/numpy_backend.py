@@ -34,12 +34,14 @@ Persistence
 :meth:`save` writes an ``.npz``-style *page directory*: one ``.npy`` file
 per column and per CSR page plus a ``meta.json`` manifest.
 :meth:`load` (and the :meth:`TemporalGraph.load
-<repro.core.temporal_graph.TemporalGraph.load>` facade) reopens every page
-with ``np.load(..., mmap_mode="r")`` by default, so a multi-million-event
-stream is queryable without materializing anything beyond the touched
-pages.  Appends after a load land in a small tail delta (the columns —
-possibly read-only maps — are never written); compaction folds the tail
-into fresh in-memory arrays.
+<repro.core.temporal_graph.TemporalGraph.load>` facade) reopens the pages
+with ``np.load(..., mmap_mode="r")`` by default: the three column pages at
+load, the index pages on first index use, so a multi-million-event stream
+is queryable without materializing anything beyond the touched pages, and
+a slice or a time bisect never maps the index at all.  Appends after a
+load land in a small tail delta (the columns — possibly read-only maps —
+are never written); compaction folds the tail into fresh in-memory arrays
+and forgets the index pages, which no longer describe them.
 
 Node ids must fit in int64; anything wider raises at construction (use the
 ``"list"`` backend for exotic ids).
@@ -136,6 +138,9 @@ class NumpyStorage(GraphStorage):
         self._v = v
         self._t = t
         self._m = len(t)
+        # Page directory whose index pages describe these columns, mapped
+        # on first index use (see load_pages); new columns forget it.
+        self._index_dir: str | None = None
         # Lazy CSR indices: (slot dict, offsets, flat indices).
         self._node_csr: tuple | None = None
         self._edge_csr: tuple | None = None
@@ -169,6 +174,53 @@ class NumpyStorage(GraphStorage):
     # ------------------------------------------------------------------
     # lazy CSR indices
     # ------------------------------------------------------------------
+    def _map_index_pages(self) -> bool:
+        """Map the saved index pages this storage was loaded beside.
+
+        True when the pages were installed; False when there is no
+        pending directory or a page is missing, and the caller builds
+        the index from the columns.  The directory is consumed either way.
+        """
+        path, self._index_dir = self._index_dir, None
+        return path is not None and self._read_index_pages(path, "r")
+
+    def _read_index_pages(self, path: str, mode: str | None) -> bool:
+        """Install a page directory's CSR index pages.
+
+        Returns False, installing nothing, when any index page is
+        missing: index pages are optional, and the lazy CSR build
+        recreates them.
+        """
+        try:
+            node_keys = _page(path, "node_keys", mode)
+            node_slots = _page(path, "node_slots", mode)
+            node_off = _page(path, "node_off", mode)
+            node_idx = _page(path, "node_idx", mode)
+            node_t = _page(path, "node_t", mode)
+            edge_keys = _page(path, "edge_keys", mode)
+            edge_slots = _page(path, "edge_slots", mode)
+            edge_off = _page(path, "edge_off", mode)
+            edge_idx = _page(path, "edge_idx", mode)
+            edge_t = _page(path, "edge_t", mode)
+        except FileNotFoundError:
+            return False
+        rec = _obs.ACTIVE
+        if rec is not None:
+            rec.inc("storage.pages.index_opens")
+        self._node_csr = (
+            dict(zip(node_keys.tolist(), node_slots.tolist())),
+            node_off,
+            node_idx,
+        )
+        self._node_t = node_t
+        self._edge_csr = (
+            dict(zip(map(tuple, edge_keys.tolist()), edge_slots.tolist())),
+            edge_off,
+            edge_idx,
+        )
+        self._edge_t = edge_t
+        return True
+
     def _node_index(self) -> tuple:
         """``(slot, off, idx)`` of the per-node CSR index.
 
@@ -177,7 +229,7 @@ class NumpyStorage(GraphStorage):
         ``idx[off[s]:off[s+1]]`` is the node's strictly increasing event
         indices.
         """
-        if self._node_csr is None:
+        if self._node_csr is None and not self._map_index_pages():
             m = self._m
             if m == 0:
                 empty = np.empty(0, dtype=np.int64)
@@ -238,21 +290,21 @@ class NumpyStorage(GraphStorage):
 
     def _node_times_flat(self):
         """Timestamps parallel to the node CSR index array (lazy gather)."""
-        if self._node_t is None:
+        if self._node_t is None and not self._map_index_pages():
             idx = self._node_index()[2]
             self._node_t = np.ascontiguousarray(self._t[idx])
         return self._node_t
 
     def _edge_times_flat(self):
         """Timestamps parallel to the edge CSR index array (lazy gather)."""
-        if self._edge_t is None:
+        if self._edge_t is None and not self._map_index_pages():
             idx = self._edge_index()[2]
             self._edge_t = np.ascontiguousarray(self._t[idx])
         return self._edge_t
 
     def _edge_index(self) -> tuple:
         """``(slot, off, idx)`` of the per-edge CSR index."""
-        if self._edge_csr is None:
+        if self._edge_csr is None and not self._map_index_pages():
             m = self._m
             if m == 0:
                 self._edge_csr = (
@@ -905,51 +957,38 @@ def load_pages(
 ) -> tuple[NumpyStorage, dict]:
     """Open a page directory; return the storage and its manifest.
 
-    With ``mmap=True`` every page is an ``np.load(..., mmap_mode="r")``
-    read-only map: opening a multi-million-event stream touches only the
-    manifest and the page headers, and queries fault in just the pages
-    they probe.  Appends remain possible — they land in the in-memory
-    tail, never in the backing files.
+    With ``mmap=True`` only the three column pages open here, each an
+    ``np.load(..., mmap_mode="r")`` read-only map; the ten index pages
+    map on the storage's first index use (a windowed query, the
+    extension arrays, ``nodes``), so slicing and time bisects never
+    touch them.  Opening a multi-million-event stream touches only the
+    manifest and the column page headers, and queries fault in just the
+    pages they probe.  With ``mmap=False`` every page is read into
+    memory now: the storage is a snapshot that outlives later writes to
+    the directory.  Either way a missing index page falls back to
+    building the index from the columns.  Appends remain possible —
+    they land in the in-memory tail, never in the backing files.
     """
     if np is None:  # pragma: no cover
         raise RuntimeError("loading numpy-page graphs requires NumPy")
     meta = page_meta(path)
     path = os.fspath(path)
     mode = "r" if mmap else None
-
-    def page(stem: str):
-        return np.load(os.path.join(path, f"{stem}.npy"), mmap_mode=mode)
-
-    storage = NumpyStorage.from_arrays(page("u"), page("v"), page("t"))
+    storage = NumpyStorage.from_arrays(
+        _page(path, "u", mode), _page(path, "v", mode), _page(path, "t", mode)
+    )
     if len(storage) != meta["n_events"]:
         raise ValueError(
             f"{path!r}: column pages hold {len(storage)} events but the "
             f"manifest records {meta['n_events']}"
         )
-    try:
-        node_keys = page("node_keys")
-        node_slots = page("node_slots")
-        node_off = page("node_off")
-        node_idx = page("node_idx")
-        node_t = page("node_t")
-        edge_keys = page("edge_keys")
-        edge_slots = page("edge_slots")
-        edge_off = page("edge_off")
-        edge_idx = page("edge_idx")
-        edge_t = page("edge_t")
-    except FileNotFoundError:
-        # Index pages are optional: the lazy CSR build recreates them.
-        return storage, meta
-    storage._node_csr = (
-        dict(zip(node_keys.tolist(), node_slots.tolist())),
-        node_off,
-        node_idx,
-    )
-    storage._node_t = node_t
-    storage._edge_csr = (
-        dict(zip(map(tuple, edge_keys.tolist()), edge_slots.tolist())),
-        edge_off,
-        edge_idx,
-    )
-    storage._edge_t = edge_t
+    if mmap:
+        storage._index_dir = path
+    else:
+        storage._read_index_pages(path, None)
     return storage, meta
+
+
+def _page(path: str, stem: str, mode: str | None):
+    return np.load(os.path.join(path, f"{stem}.npy"), mmap_mode=mode)
+

@@ -493,6 +493,50 @@ class TestNumpyBlockLane:
         assert histograms("numpy", blocks=True) == reference
 
 
+class TestRangeRoots:
+    """A step-1 ``range`` of roots (a shard's owned anchors) stays a range."""
+
+    def test_normalize_keeps_step_one_ranges(self):
+        from repro.algorithms.counting import _normalize_roots
+
+        owned = range(3, 900)
+        assert _normalize_roots(owned) == (owned, True)
+        assert _normalize_roots(range(0, 9, 2)) == ([0, 2, 4, 6, 8], True)
+        assert _normalize_roots(range(5, 0, -1)) == ([5, 4, 3, 2, 1], False)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 5000), (7, 7), (70, 4321)])
+    def test_range_blocks_follow_the_list_schedule(self, lo, hi):
+        from repro.engine.driver import _block_roots, _root_blocks
+
+        blocks = list(_block_roots(range(lo, hi), hi))
+        expected = list(_root_blocks(list(range(lo, hi))))
+        assert [b.tolist() for b in blocks] == expected
+        if lo == 0:
+            assert [b.tolist() for b in _block_roots(None, hi)] == expected
+
+    @requires_numpy_backend
+    @pytest.mark.parametrize("predicate", [None, satisfies_cdg])
+    def test_range_roots_census_matches_list_roots(self, predicate):
+        import random
+
+        rng = random.Random(11)
+        t, events = 0.0, []
+        for _ in range(700):
+            t += rng.choice([0.0, 0.5, 1.0, 2.0])
+            u, v = rng.sample(range(15), 2)
+            events.append((u, v, t))
+        graph = TemporalGraph(events, backend="numpy")
+        constraints = _constraints(2.0, 4.0)
+        roots = range(40, 650)
+
+        def census(r):
+            return run_census(graph, 3, constraints, predicate=predicate, roots=r)
+
+        by_range, by_list = census(roots), census(list(roots))
+        assert by_range.total > 0
+        assert list(by_range.code_counts.items()) == list(by_list.code_counts.items())
+
+
 # ----------------------------------------------------------------------
 # predicated block lane: restriction row forms filter whole blocks
 # ----------------------------------------------------------------------

@@ -217,6 +217,101 @@ class TestPagePersistence:
             NumpyStorage.load(pages)
 
 
+INDEX_PAGES = tuple(
+    f"{kind}_{name}" for kind in ("node", "edge") for name in ("keys", "slots", "off", "idx", "t")
+)
+
+
+def _answers(storage, reference) -> list:
+    """Every index-backed query over a spread of nodes, edges and windows."""
+    t0, t1 = reference.start_time, reference.end_time
+    mid = (t0 + t1) / 2
+    nodes = sorted(reference.nodes)[:8] + [10**9]
+    edges = list(reference.edge_events)[:8] + [(10**9, 0)]
+    out = [sorted(storage.nodes), storage.num_edges]
+    for node in nodes:
+        out.append(storage.node_events_in(node, t0, mid))
+        out.append(storage.count_node_events_in(node, mid, t1))
+        out.append(storage.node_events_between(node, t0, mid))
+    for edge in edges:
+        out.append(storage.edge_events_in(edge, t0, t1))
+        out.append(storage.count_edge_events_in(edge, mid, t1))
+    out.append(storage.count_node_events_in_batch(nodes, [t0] * 9, [mid] * 9))
+    out.append(storage.adjacent_events_between(nodes[:3], t0, mid))
+    return out
+
+
+def _index_opens(run) -> int:
+    import repro.obs as obs
+
+    registry = obs.enable(obs.MetricsRegistry())
+    try:
+        run()
+    finally:
+        obs.disable()
+    return registry.counters.get("storage.pages.index_opens", 0)
+
+
+class TestLazyIndexPages:
+    """``mmap=True`` loads map the index pages on first index use only."""
+
+    def test_column_seams_leave_the_index_unopened(self, pages, storage):
+        def column_seams():
+            loaded = NumpyStorage.load(pages)
+            assert len(loaded) == len(storage)
+            assert loaded.time_at(7) == storage.time_at(7)
+            mid = storage.time_at(len(storage) // 2)
+            assert loaded.bisect_time_left(mid) == storage.bisect_time_left(mid)
+            assert loaded.bisect_time_right(mid) == storage.bisect_time_right(mid)
+            assert loaded.slice_range(5, 60).to_events() == storage.events[5:60]
+
+        assert _index_opens(column_seams) == 0
+
+    def test_first_query_maps_the_saved_pages(self, pages, storage, events):
+        loaded = NumpyStorage.load(pages)
+        node = storage.event_at(0).u
+        t0, t1 = storage.start_time, storage.end_time
+        assert _index_opens(lambda: loaded.node_events_in(node, t0, t1)) == 1
+        # Reused, not rebuilt: the CSR arrays are the saved page maps.
+        for index in (loaded._node_index(), loaded._edge_index()):
+            assert isinstance(index[1], np.memmap)
+            assert isinstance(index[2], np.memmap)
+        oracle = NumpyStorage.from_events(events, presorted=True)
+        assert _index_opens(lambda: _answers(loaded, oracle)) == 0
+        assert _answers(loaded, oracle) == _answers(oracle, oracle)
+
+    def test_eager_load_survives_the_directory_being_overwritten(self, pages, storage, events):
+        loaded = NumpyStorage.load(pages, mmap=False)
+        other = NumpyStorage.from_events(
+            [Event(ev.v, ev.u, ev.t + 1.5) for ev in events[::3]]
+        )
+        other.save(pages)
+        assert NumpyStorage.load(pages).to_events() == other.to_events()
+        assert loaded.to_events() == storage.to_events()
+        assert _answers(loaded, storage) == _answers(storage, storage)
+
+    def test_deleted_index_pages_rebuild_from_the_columns(self, pages, storage):
+        loaded = NumpyStorage.load(pages)
+        for stem in INDEX_PAGES:
+            os.remove(os.path.join(pages, f"{stem}.npy"))
+        assert _index_opens(lambda: _answers(loaded, storage)) == 0
+        assert not isinstance(loaded._node_index()[2], np.memmap)
+        assert _answers(loaded, storage) == _answers(storage, storage)
+
+    def test_compaction_forgets_the_index_pages(self, pages, storage):
+        loaded = NumpyStorage.load(pages)
+        t1 = loaded.end_time
+        fresh = [Event(1, 2, t1 + 1), Event(2, 3, t1 + 1), Event(3, 1, t1 + 4)]
+        loaded.update(fresh)
+        loaded.compact()
+        oracle = NumpyStorage.from_events(storage.to_events() + tuple(fresh))
+        assert _index_opens(lambda: _answers(loaded, oracle)) == 0
+        assert _answers(loaded, oracle) == _answers(oracle, oracle)
+        reference = ListStorage.from_events(oracle.to_events())
+        assert loaded.node_events == reference.node_events
+        assert loaded.edge_events == reference.edge_events
+
+
 class TestShardPayload:
     def test_payload_pickles_column_slices(self, storage):
         payload = storage.shard_payload(3, 40)

@@ -374,6 +374,35 @@ def test_whole_stream_materialization_is_loud(tmp_path):
     assert materializations(serial, warns=0) == 0
 
 
+@pytest.mark.parametrize("restriction", ("consecutive", "cdg"))
+def test_predicated_census_never_maps_index_pages(tmp_path, restriction):
+    import repro.obs as obs
+    from repro.algorithms.restrictions import (
+        satisfies_cdg,
+        satisfies_consecutive_events,
+    )
+
+    predicate = {
+        "consecutive": satisfies_consecutive_events,
+        "cdg": satisfies_cdg,
+    }[restriction]
+    events = _stream(150, tick=4)
+    write_partitioned(events, tmp_path, partition_events=16)
+    graph = TemporalGraph.load(tmp_path)
+    constraints = TimingConstraints(delta_c=2.0, delta_w=4.0)
+    registry = obs.enable(obs.MetricsRegistry())
+    try:
+        census = run_census(graph, 3, constraints, predicate=predicate, jobs=1)
+    finally:
+        obs.disable()
+    # Planning and shard slicing read only the column pages.
+    assert registry.counters["storage.partition.opens"] > 0
+    assert registry.counters.get("storage.pages.index_opens", 0) == 0
+    reference = run_census(TemporalGraph(events), 3, constraints, predicate=predicate, jobs=1)
+    assert census.total > 0
+    assert list(census.code_counts.items()) == list(reference.code_counts.items())
+
+
 def test_census_bit_identity(tmp_path):
     events = _stream(150, tick=4)
     write_partitioned(events, tmp_path, partition_events=16, name="census")
