@@ -32,6 +32,7 @@ Committed baselines for the CI perf-regression gate live in
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import time
 from dataclasses import replace
@@ -67,11 +68,17 @@ def _replay(events, backend: str) -> OnlineCensus:
 
 
 def _recount_checkpoints(graph: TemporalGraph) -> list[float]:
-    """Seconds per batch recount at evenly spaced stream positions."""
+    """Seconds per batch recount at evenly spaced stream positions.
+
+    Each recount is one ~10 ms call timed right after the replay, so a
+    full collector pass landing inside it would decide its time; each
+    timed call starts from a fresh ``gc.collect()`` instead.
+    """
     times = graph.times
     out = []
     for k in range(1, RECOUNT_POINTS + 1):
         now = times[(len(times) * k) // RECOUNT_POINTS - 1]
+        gc.collect()
         started = time.perf_counter()
         run_census(graph.slice(now - WINDOW, now), 3, CONSTRAINTS, max_nodes=3)
         out.append(time.perf_counter() - started)

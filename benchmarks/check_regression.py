@@ -42,9 +42,9 @@ import json
 import statistics
 
 #: Measurement fields: everything else in a result row identifies the kernel.
-#: ``warmup`` (bench_engine's per-kernel first-call cost: lazy indices +
-#: JIT compilation) is a measurement, not an identity field — the gate
-#: compares steady-state seconds only.
+#: ``warmup`` (bench_engine's per-kernel first-call cost: the lazy index
+#: build) is a measurement, not an identity field — the gate compares
+#: steady-state seconds only.
 MEASUREMENTS = ("seconds", "speedup", "warmup")
 
 

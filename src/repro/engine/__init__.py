@@ -2,11 +2,15 @@
 
 One compiled :class:`ExecutionPlan` (:func:`compile_plan`) resolves the
 chained-deadline schedule, restriction shard-safety and the backend's
-kernel capability once per run; per-backend
-:class:`~repro.engine.kernels.ExtensionKernel` implementations answer
-the single primitive every counting path shares —
-``extend_frontier(partials, lo, hi)`` — and :func:`run_plan` drives it
-in the serial DFS yield order.
+kernel capability once per run.  A bound
+:class:`~repro.engine.kernels.ExtensionKernel` answers the single
+primitive every counting path shares — which events extend which
+partial instances — in two shapes: ``extend_frontier(partials, lo, hi)``
+over Partial-like records (the online engine's per-push shape), and the
+numpy kernel's array-native block lane (``grow_block(roots)``), which
+grows whole root blocks with their motif codes.  :func:`run_plan` drives
+either in the serial DFS yield order; :func:`run_plan_blocks` hands the
+lane's blocks to array consumers.
 
 Consumers:
 

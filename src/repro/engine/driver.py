@@ -1,9 +1,19 @@
 """The frontier driver: plans + kernels -> instances, in serial DFS order.
 
-:func:`run_plan` walks roots in blocks and grows each block's frontier
-level-synchronously, one :meth:`ExtensionKernel.extend_frontier` call
-per level — so a vectorized kernel amortizes whole-frontier batches
-while the generic kernel degenerates to the familiar per-partial loop.
+:func:`run_plan` walks roots in blocks on one geometric schedule
+(:func:`_root_blocks`) and grows each block level-synchronously on one
+of two lanes:
+
+* the **block lane** (the numpy kernel, banded arrays ready):
+  ``grow_block`` keeps the whole block in arrays and hands back its
+  completed instances in yield order, with their motif codes, which
+  :func:`run_plan_blocks` passes on to array consumers as they are;
+* the **Partial path** (every other run): one
+  :meth:`ExtensionKernel.next_frontier` call per non-final level and
+  one :meth:`ExtensionKernel.extend_frontier` call at the last.
+
+Either way a scalar predicate filters the instance stream in one place,
+and ``max_instances`` cuts it in one place.
 
 Yield order is **bit-identical to the historical recursive DFS**, which
 the library's counter key order, capped sample lists and seeded
@@ -21,6 +31,7 @@ ascending event order — the DFS sequence, without the DFS.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import repro.obs as _obs
@@ -89,7 +100,7 @@ def _observe_levels(stats, level_partials, level_ext) -> None:
 
     Matches the Partial-object path's cadence: the root level is always
     observed; a deeper level only if its frontier was non-empty (the
-    level loop returns before observing an empty frontier).
+    level loop stops before observing an empty frontier).
     """
     rec, partials_metric, ext_metric = stats
     for d in range(len(level_partials)):
@@ -97,6 +108,87 @@ def _observe_levels(stats, level_partials, level_ext) -> None:
             break
         rec.observe(partials_metric, int(level_partials[d]))
         rec.observe(ext_metric, int(level_ext[d]))
+
+
+def _bind_stats(plan: "ExecutionPlan"):
+    """The run's observability triple, or ``None`` while obs is disabled.
+
+    ``(registry, partials_metric, extensions_metric)``, bound once per
+    run: the labeled metric names are built here, never per block or per
+    level, and ``stats is None`` is the entire disabled-path cost of a
+    block.  Counts the run in ``engine.run_plan.calls``.
+    """
+    rec = _obs.ACTIVE
+    if rec is None:
+        return None
+    name = plan.kernel_name
+    rec.inc(labeled("engine.run_plan.calls", kernel=name))
+    return (
+        rec,
+        labeled("engine.frontier.partials", kernel=name),
+        labeled("engine.frontier.extensions", kernel=name),
+    )
+
+
+def _lane_ready(kernel) -> bool:
+    """Whether the kernel's block lane can serve this run.
+
+    ``False`` for a kernel without one, and while tail appends are
+    pending (``block_ready`` counts that demotion).
+    """
+    return hasattr(kernel, "grow_block") and kernel.block_ready()
+
+
+def _lane_blocks(plan, kernel, graph, roots, stats):
+    """The block lane: ``(rows, codes)`` per root block, in yield order.
+
+    A restriction predicate with a row form (``predicate.rows``, see
+    :mod:`repro.algorithms.restrictions`) filters each block with one
+    mask; any other predicate is the caller's to apply per row.
+    """
+    row_filter = getattr(plan.predicate, "rows", None)
+    for block_roots in _block_roots(roots, len(graph.storage)):
+        rows, codes, level_partials, level_ext = kernel.grow_block(block_roots)
+        if stats is not None:
+            _observe_levels(stats, level_partials, level_ext)
+        if row_filter is not None:
+            keep = row_filter(graph, rows)
+            rows = rows[keep]
+            if codes is not None:
+                codes = codes[keep]
+        yield rows, codes
+
+
+def _partial_instances(plan, kernel, roots, stats) -> Iterator[Instance]:
+    """The Partial-object path: each root block grown one kernel call per level."""
+    storage = kernel.storage
+    m = len(storage)
+    times = storage.times
+    event_at = storage.event_at
+    for block in _root_blocks(range(m) if roots is None else roots):
+        frontier = []
+        for root in block:
+            ev = event_at(root)
+            frontier.append(Partial((root,), (ev.u, ev.v), ev.t, ev.t))
+        for _depth in range(1, plan.n_events - 1):
+            if stats is not None:
+                stats[0].observe(stats[1], len(frontier))
+            # Next frontier in DFS pop order: parents keep their order,
+            # each parent's children flip to descending (the LIFO
+            # reversal).
+            frontier = kernel.next_frontier(frontier, 0, m, times)
+            if stats is not None:
+                stats[0].observe(stats[2], len(frontier))
+            if not frontier:
+                break
+        else:
+            if stats is not None:
+                stats[0].observe(stats[1], len(frontier))
+            extensions = kernel.extend_frontier(frontier, 0, m, need_nodes=False)
+            if stats is not None:
+                stats[0].observe(stats[2], len(extensions))
+            for pos, idx, _nodes in extensions:
+                yield frontier[pos].seq + (idx,)
 
 
 def run_plan(
@@ -114,127 +206,23 @@ def run_plan(
     """
     predicate = plan.predicate
     storage = graph.storage
-    m = len(storage)
-    root_iter: Iterable[int] = range(m) if roots is None else roots
-    yielded = 0
-
     if plan.n_events == 1:
-        for root in root_iter:
-            inst = (root,)
-            if predicate is None or predicate(graph, inst):
-                yield inst
-                yielded += 1
-                if max_instances is not None and yielded >= max_instances:
-                    return
-        return
-
-    kernel = plan.bind(storage)
-    times = storage.times
-    event_at = storage.event_at
-    # Observability binds once per run: the labeled metric names are built
-    # here, never per block or per level, and ``stats is None`` is the
-    # entire disabled-path cost inside ``_expand_block``.
-    rec = _obs.ACTIVE
-    stats = None
-    if rec is not None:
-        stats = (
-            rec,
-            labeled("engine.frontier.partials", kernel=plan.kernel_name),
-            labeled("engine.frontier.extensions", kernel=plan.kernel_name),
-        )
-        rec.inc(labeled("engine.run_plan.calls", kernel=plan.kernel_name))
-
-    # Whole-block lane (numpy kernel): the kernel grows each root block
-    # to completion over arrays and hands back the completed instances
-    # as an array in the exact DFS yield order — no Partial objects, no
-    # intermediate triples.  A predicate with a row form filters each
-    # block with one mask; any other predicate filters per row
-    # (counted, so the scalar fallback shows in ``stats``).
-    # Unavailable (tail appends pending; counted as a demotion) routes
-    # to the Partial path below, unchanged.
-    expand = getattr(kernel, "expand_block", None)
-    if expand is not None and kernel.block_ready():
-        row_filter = getattr(predicate, "rows", None)
-        scalar = predicate if row_filter is None else None
-        if scalar is not None and rec is not None:
-            rec.inc("engine.predicate.scalar")
-        for block_roots in _block_roots(roots, m):
-            rows, level_partials, level_ext = expand(block_roots)
-            if stats is not None:
-                _observe_levels(stats, level_partials, level_ext)
-            if row_filter is not None:
-                rows = rows[row_filter(graph, rows)]
-            for row in rows.tolist():
-                inst = tuple(row)
-                if scalar is not None and not scalar(graph, inst):
-                    continue
-                yield inst
-                yielded += 1
-                if max_instances is not None and yielded >= max_instances:
-                    return
-        return
-
-    block_cap = FIRST_BLOCK
-    block: list[Partial] = []
-    for root in root_iter:
-        ev = event_at(root)
-        block.append(Partial((root,), (ev.u, ev.v), ev.t, ev.t))
-        if len(block) >= block_cap:
-            if max_instances is None:
-                yield from _expand_block(plan, graph, kernel, block, times, m, stats)
-            else:
-                for inst in _expand_block(plan, graph, kernel, block, times, m, stats):
-                    yield inst
-                    yielded += 1
-                    if yielded >= max_instances:
-                        return
-            block = []
-            if block_cap < ROOT_BLOCK:
-                block_cap *= 2
-    if block:
-        if max_instances is None:
-            yield from _expand_block(plan, graph, kernel, block, times, m, stats)
+        found = ((root,) for root in (range(len(storage)) if roots is None else roots))
+    else:
+        kernel = plan.bind(storage)
+        stats = _bind_stats(plan)
+        if _lane_ready(kernel):
+            if getattr(predicate, "rows", None) is not None:
+                predicate = None  # applied per block by the lane
+            elif predicate is not None and stats is not None:
+                stats[0].inc("engine.predicate.scalar")
+            blocks = _lane_blocks(plan, kernel, graph, roots, stats)
+            found = map(tuple, chain.from_iterable(rows.tolist() for rows, _codes in blocks))
         else:
-            for inst in _expand_block(plan, graph, kernel, block, times, m, stats):
-                yield inst
-                yielded += 1
-                if yielded >= max_instances:
-                    return
-
-
-def _expand_block(plan, graph, kernel, frontier, times, m, stats=None) -> Iterator[Instance]:
-    """Grow one root block to completion, one kernel call per level.
-
-    ``stats`` is the driver's pre-bound observability triple
-    ``(registry, partials_metric, extensions_metric)`` — or ``None``
-    (the default, and the disabled path's only per-level cost).
-    """
-    n = plan.n_events
-    predicate = plan.predicate
-    for depth in range(1, n):
-        if stats is not None:
-            stats[0].observe(stats[1], len(frontier))
-        if depth == n - 1:
-            extensions = kernel.extend_frontier(frontier, 0, m, need_nodes=False)
-            if stats is not None:
-                stats[0].observe(stats[2], len(extensions))
-            if predicate is None:
-                for pos, idx, _nodes in extensions:
-                    yield frontier[pos].seq + (idx,)
-            else:
-                for pos, idx, _nodes in extensions:
-                    inst = frontier[pos].seq + (idx,)
-                    if predicate(graph, inst):
-                        yield inst
-            return
-        # Next frontier in DFS pop order: parents keep their order, each
-        # parent's children flip to descending (the LIFO reversal) —
-        # fused with admission inside the kernel.
-        frontier = kernel.next_frontier(frontier, 0, m, times)
-        if stats is not None:
-            stats[0].observe(stats[2], len(frontier))
-        if not frontier:
-            return
+            found = _partial_instances(plan, kernel, roots, stats)
+    if predicate is not None:
+        found = (inst for inst in found if predicate(graph, inst))
+    yield from islice(found, max_instances)
 
 
 def run_plan_blocks(
@@ -260,35 +248,11 @@ def run_plan_blocks(
     row form, a kernel without a block path, or a storage whose banded
     arrays are pending — and the caller takes the tuple path.
     """
-    row_filter = getattr(plan.predicate, "rows", None)
     if not 2 <= plan.n_events <= MAX_CODE_EVENTS:
         return None
-    if plan.predicate is not None and row_filter is None:
+    if plan.predicate is not None and getattr(plan.predicate, "rows", None) is None:
         return None
-    storage = graph.storage
-    kernel = plan.bind(storage)
-    grow = getattr(kernel, "grow_block", None)
-    if grow is None or not kernel.block_ready():
+    kernel = plan.bind(graph.storage)
+    if not _lane_ready(kernel):
         return None
-    rec = _obs.ACTIVE
-    stats = None
-    if rec is not None:
-        stats = (
-            rec,
-            labeled("engine.frontier.partials", kernel=plan.kernel_name),
-            labeled("engine.frontier.extensions", kernel=plan.kernel_name),
-        )
-        rec.inc(labeled("engine.run_plan.calls", kernel=plan.kernel_name))
-
-    def _blocks():
-        for block_roots in _block_roots(roots, len(storage)):
-            rows, codes, level_partials, level_ext = grow(block_roots)
-            if stats is not None:
-                _observe_levels(stats, level_partials, level_ext)
-            if row_filter is not None:
-                keep = row_filter(graph, rows)
-                rows = rows[keep]
-                codes = codes[keep]
-            yield rows, codes
-
-    return _blocks()
+    return _lane_blocks(plan, kernel, graph, roots, _bind_stats(plan))

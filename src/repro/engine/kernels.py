@@ -25,26 +25,22 @@ input order, event indices ascending within a partial, each admissible
 ``(partial, event)`` pair exactly once.  The driver relies on this to
 reproduce the serial DFS yield order bit-for-bit.
 
-Two kernels implement the contract:
+Two kernels are registered:
 
 * :class:`GenericExtensionKernel` — one
   :meth:`~repro.storage.base.GraphStorage.adjacent_events_between`
   bisection per partial; correct on every backend.
-* :class:`NumpyExtensionKernel` — extends whole *batches* of partials
-  with a constant number of vectorized ``searchsorted`` probes over the
-  banded CSR machinery of
-  :class:`~repro.storage.numpy_backend.NumpyStorage`
+* :class:`NumpyExtensionKernel` — inherits the contract above and adds
+  the **block lane** (``block_ready()`` / ``grow_block(roots)``): a
+  whole root block grows level by level, a constant number of
+  vectorized ``searchsorted`` probes per level over the banded CSR
+  machinery of :class:`~repro.storage.numpy_backend.NumpyStorage`
   (:meth:`~repro.storage.numpy_backend.NumpyStorage.extension_arrays`),
-  falling back to the generic path while tail appends are pending.
-  Its admission is one array core over a table of dense node slots and
-  per-partial global index windows, with two front ends: an adapter
-  from Partial-like records for the contract above, which resolves
-  nodes and deadlines per call, and the **block lane**
-  (``block_ready()`` / ``grow_block(roots)``), which reads them from
-  per-event tables built once per run and grows a whole root block to
-  an ``(n, n_events)`` instance array plus each row's motif code,
+  to an ``(n, n_events)`` instance array plus each row's motif code,
   without building Partial objects (see
-  :func:`repro.engine.driver.run_plan_blocks`).
+  :func:`repro.engine.driver.run_plan`).  While tail appends are
+  pending the banded arrays are unavailable and the driver takes the
+  Partial-object path on the inherited code.
 
 Backends advertise their kernel via the
 :attr:`~repro.storage.base.GraphStorage.extension_kernel` class
@@ -54,7 +50,6 @@ advertised kernel is unavailable.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 import repro.obs as _obs
@@ -99,10 +94,10 @@ class Partial:
 class ExtensionKernel:
     """Base kernel: the scalar admission arithmetic, both traversals.
 
-    Subclasses may override :meth:`_extend_partialwise` with a
-    vectorized equivalent; the event-major path (single arriving event,
-    the online engine's per-push shape) is shared by every kernel so the
-    admission comparisons exist exactly once per traversal direction.
+    Both the partial-major path (the driver's Partial-object levels) and
+    the event-major path (single arriving event, the online engine's
+    per-push shape) are shared by every kernel, so the scalar admission
+    comparisons exist exactly once per traversal direction.
     """
 
     kernel_name = "generic"
@@ -148,9 +143,7 @@ class ExtensionKernel:
         Semantically ``extend_frontier`` folded into new :class:`Partial`
         records — parents keep their order, each parent's children flip
         to descending event order (the LIFO reversal of the historical
-        DFS; see :mod:`repro.engine.driver`).  Kernels may override this
-        to fuse admission and construction into one pass; the result
-        must stay element-for-element identical to this reference.
+        DFS; see :mod:`repro.engine.driver`).
         """
         nxt: list[Partial] = []
         group: list[Partial] = []
@@ -278,100 +271,32 @@ class NumpyExtensionKernel(ExtensionKernel):
     ops.  That sweep, :meth:`_admit_arrays`, is the kernel's one
     admission implementation.  It works on dense node *slots* (a node's
     position in the storage's ascending node-id array) and per-partial
-    global index windows, with two front ends: the Partial-object entry
-    points resolve nodes to slots and times to windows per call (only
-    the triple or :class:`Partial` materialization is per-extension
-    Python), and the block lane (:meth:`block_ready` /
-    :meth:`expand_block`) reads both from per-event tables built once
-    per run and keeps a whole root block in arrays from its roots to
-    its completed instances and their motif codes.
+    global index windows, and has one front end, the block lane
+    (:meth:`block_ready` / :meth:`grow_block`): it reads both from
+    per-event tables built once per run and keeps a whole root block in
+    arrays from its roots to its completed instances and their motif
+    codes.  The per-partial contract (``extend_frontier`` /
+    ``next_frontier``) is the inherited scalar code: the online engine
+    calls it one arriving event at a time, and the driver only while
+    tail appends keep the block lane unavailable.
     """
 
     kernel_name = "numpy"
+
+    # The inherited reference, bound here by name: the benchmark's span
+    # tracer (perfbench/spans.py) patches this class's own
+    # ``next_frontier`` entry and fails on a missing one.
+    next_frontier = ExtensionKernel.next_frontier
 
     def __init__(self, plan: "ExecutionPlan", storage: "GraphStorage") -> None:
         super().__init__(plan, storage)
         self._block: dict | None = None
 
-    def _extend_partialwise(
-        self, partials: Sequence, lo: int, hi: int, need_nodes: bool
-    ) -> list[Extension]:
-        vec = self._vector_candidates(partials, lo, hi)
-        if vec is None:
-            return super()._extend_partialwise(partials, lo, hi, need_nodes)
-        if not vec:
-            return []
-        cand, cand_part, cu, cv, u_in, v_in = vec
-        positions = cand_part.tolist()
-        indices = cand.tolist()
-        if not need_nodes:
-            return list(zip(positions, indices, repeat(None)))
-        out: list[Extension] = []
-        for pos, idx, ui, vi, uu, vv in zip(
-            positions, indices, u_in.tolist(), v_in.tolist(), cu.tolist(), cv.tolist()
-        ):
-            nodes = partials[pos].nodes
-            if ui:
-                new_nodes = nodes if vi else nodes + (vv,)
-            elif vi:
-                new_nodes = nodes + (uu,)
-            else:
-                new_nodes = nodes + (uu, vv)
-            out.append((pos, idx, new_nodes))
-        return out
-
-    def next_frontier(
-        self,
-        partials: Sequence[Partial],
-        lo: int,
-        hi: int,
-        times: Sequence[float],
-    ) -> list[Partial]:
-        """Fused vectorized admission + partial construction (one pass)."""
-        vec = self._vector_candidates(partials, lo, hi)
-        if vec is None:
-            return super().next_frontier(partials, lo, hi, times)
-        if not vec:
-            return []
-        cand, cand_part, cu, cv, u_in, v_in = vec
-        nxt: list[Partial] = []
-        group: list[Partial] = []
-        current = -1
-        for pos, idx, ui, vi, uu, vv in zip(
-            cand_part.tolist(),
-            cand.tolist(),
-            u_in.tolist(),
-            v_in.tolist(),
-            cu.tolist(),
-            cv.tolist(),
-        ):
-            if pos != current:
-                if group:
-                    group.reverse()
-                    nxt.extend(group)
-                    group = []
-                current = pos
-                parent = partials[pos]
-                seq = parent.seq
-                nodes = parent.nodes
-                t_root = parent.t_root
-            if ui:
-                new_nodes = nodes if vi else nodes + (vv,)
-            elif vi:
-                new_nodes = nodes + (uu,)
-            else:
-                new_nodes = nodes + (uu, vv)
-            group.append(Partial(seq + (idx,), new_nodes, t_root, times[idx]))
-        if group:
-            group.reverse()
-            nxt.extend(group)
-        return nxt
-
     # ------------------------------------------------------------------
     # block lane: a whole root block in arrays, no Partial objects
     # ------------------------------------------------------------------
     def block_ready(self) -> bool:
-        """Whether :meth:`expand_block` can serve this storage right now.
+        """Whether :meth:`grow_block` can serve this storage right now.
 
         Builds the run's per-event tables on the kernel (never on the
         storage, so they live exactly as long as the run): each event's
@@ -384,8 +309,8 @@ class NumpyExtensionKernel(ExtensionKernel):
         exactly ``[lo[last], min(hi_c[last], hi_w[root]))``.
 
         ``False`` (tail appends pending) routes the driver to the
-        Partial-object path, whose per-call fallback is the generic
-        kernel; that demotion is counted here, once per call.
+        Partial-object path, which runs the generic kernel's scalar
+        code; that demotion is counted here, once per call.
         """
         arrays = getattr(self._storage, "extension_arrays", lambda: None)()
         if arrays is None:
@@ -393,7 +318,9 @@ class NumpyExtensionKernel(ExtensionKernel):
             count_kernel_demotion(self.kernel_name, "generic")
             return False
         t = arrays["t"]
-        su, sv = _slot_columns(arrays)
+        keys = arrays["keys"]
+        su = keys.searchsorted(arrays["u"])
+        sv = keys.searchsorted(arrays["v"])
         plan = self._plan
         self._block = {
             "arrays": arrays,
@@ -405,14 +332,6 @@ class NumpyExtensionKernel(ExtensionKernel):
             "hi_w": t.searchsorted(t + plan.delta_w, side="right"),
         }
         return True
-
-    def expand_block(self, roots):
-        """One root block to completion: ``(rows, level_partials, level_ext)``.
-
-        :meth:`grow_block` without the code column.
-        """
-        rows, _codes, level_partials, level_ext = self.grow_block(roots)
-        return rows, level_partials, level_ext
 
     def grow_block(self, roots):
         """One root block to completion: ``(rows, codes, level_partials, level_ext)``.
@@ -462,7 +381,7 @@ class NumpyExtensionKernel(ExtensionKernel):
         level_ext = np.zeros(n - 1, dtype=np.int64)
         for depth in range(1, n):
             level_partials[depth - 1] = len(seqs)
-            vec = self._admit_arrays(arrays, su, sv, win_lo, win_hi, padded, sizes, 0, arrays["m"])
+            vec = self._admit_arrays(arrays, su, sv, win_lo, win_hi, padded, sizes)
             if not vec:
                 break
             cand, cand_part, pos_u, pos_v = vec
@@ -507,50 +426,7 @@ class NumpyExtensionKernel(ExtensionKernel):
     # ------------------------------------------------------------------
     # the admission sweep
     # ------------------------------------------------------------------
-    def _vector_candidates(self, partials: Sequence, lo: int, hi: int):
-        """Adapt ``Partial``-like records to :meth:`_admit_arrays`.
-
-        Resolves the records' nodes to slots (a node the storage does
-        not hold becomes ``-1``, which queries nothing and matches no
-        candidate) and their deadlines to global index windows.  Returns
-        ``None`` when the storage cannot serve the banded arrays
-        (pending tail appends) — callers fall back to the generic path
-        — else ``()`` or ``(cand, cand_part, cu, cv, u_in, v_in)``: the
-        core's result with the candidate endpoint ids and their
-        membership masks against the partial's nodes.
-        """
-        arrays = getattr(self._storage, "extension_arrays", lambda: None)()
-        n_p = len(partials)
-        if arrays is None or n_p == 0:
-            return None if arrays is None else ()
-        t_col = arrays["t"]
-        keys = arrays["keys"]
-        if not len(keys):
-            return ()
-        t_last = np.fromiter((p.t_last for p in partials), np.float64, n_p)
-        t_root = np.fromiter((p.t_root for p in partials), np.float64, n_p)
-        sizes = np.fromiter((len(p.nodes) for p in partials), np.int64, n_p)
-        flat_nodes = np.fromiter(
-            (node for p in partials for node in p.nodes), np.int64, int(sizes.sum())
-        )
-        slots = np.minimum(keys.searchsorted(flat_nodes), len(keys) - 1)
-        slots[keys[slots] != flat_nodes] = -1
-        padded = np.full((n_p, int(sizes.max())), -1, dtype=np.int64)
-        padded[np.arange(padded.shape[1]) < sizes[:, None]] = slots
-        # The plan's chained-deadline arithmetic, broadcast:
-        # min(t_last + ΔC, t_root + ΔW), closed on the right.
-        plan = self._plan
-        deadline = np.minimum(t_last + plan.delta_c, t_root + plan.delta_w)
-        win_lo = t_col.searchsorted(t_last, side="right")
-        win_hi = t_col.searchsorted(deadline, side="right")
-        su, sv = _slot_columns(arrays)
-        vec = self._admit_arrays(arrays, su, sv, win_lo, win_hi, padded, sizes, lo, hi)
-        if not vec:
-            return vec
-        cand, cand_part, pos_u, pos_v = vec
-        return cand, cand_part, arrays["u"][cand], arrays["v"][cand], pos_u >= 0, pos_v >= 0
-
-    def _admit_arrays(self, arrays, su, sv, win_lo, win_hi, padded, sizes, lo, hi):
+    def _admit_arrays(self, arrays, su, sv, win_lo, win_hi, padded, sizes):
         """Every admissible extension of an array-shaped frontier.
 
         ``padded`` is the ``(n_p, width)`` node-slot table: row ``i``
@@ -558,13 +434,12 @@ class NumpyExtensionKernel(ExtensionKernel):
         first-appearance order, then ``-1``.  ``su``/``sv`` are the
         per-event endpoint slot columns; ``[win_lo[i], win_hi[i])`` is
         partial ``i``'s window of global event indices (strictly after
-        its last event, at or before its deadline); ``[lo, hi)`` bounds
-        the candidate event indices.  Returns ``()`` when no extension
-        is admissible, else ``(cand, cand_part, pos_u, pos_v)``: the
-        admitted event indices, their partial positions (grouped in
-        input order, events ascending within a partial), and each
-        candidate endpoint's position in its partial's node row, ``-1``
-        when the endpoint is new.
+        its last event, at or before its deadline).  Returns ``()`` when
+        no extension is admissible, else ``(cand, cand_part, pos_u,
+        pos_v)``: the admitted event indices, their partial positions
+        (grouped in input order, events ascending within a partial), and
+        each candidate endpoint's position in its partial's node row,
+        ``-1`` when the endpoint is new.
         """
         m = arrays["m"]
         n_p = len(sizes)
@@ -574,8 +449,7 @@ class NumpyExtensionKernel(ExtensionKernel):
         # One window query per (partial, node), mapped into the node's
         # band of the flat CSR index (strictly increasing per band,
         # globally sorted after the + slot*m shift).  Empty or
-        # past-deadline windows fall out as empty index ranges, and so
-        # does slot -1, whose band lies below every real one.
+        # past-deadline windows fall out as empty index ranges.
         flat_slots = padded[np.arange(padded.shape[1]) < sizes[:, None]]
         q_part = np.repeat(np.arange(n_p, dtype=np.int64), sizes)
         base = flat_slots * np.int64(m)
@@ -626,13 +500,6 @@ class NumpyExtensionKernel(ExtensionKernel):
                     keep = ~dup
                     cand = cand[keep]
                     cand_part = cand_part[keep]
-        if lo > 0 or hi < m:
-            in_range = (cand >= lo) & (cand < hi)
-            if not in_range.all():
-                cand = cand[in_range]
-                cand_part = cand_part[in_range]
-        if not len(cand):
-            return ()
 
         # Each endpoint's position in its partial's node row, one column
         # at a time (a row holds distinct slots, so at most one column
@@ -659,12 +526,6 @@ class NumpyExtensionKernel(ExtensionKernel):
             if not len(cand):
                 return ()
         return cand, cand_part, pos_u, pos_v
-
-
-def _slot_columns(arrays):
-    """Per-event endpoint slots: positions in the ascending node-id array."""
-    keys = arrays["keys"]
-    return keys.searchsorted(arrays["u"]), keys.searchsorted(arrays["v"])
 
 
 #: Registry of kernel capability names (the values backends may put in

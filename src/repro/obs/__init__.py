@@ -46,7 +46,7 @@ Spans
 :func:`span` is the tracing primitive — a wall-clock timer whose
 histogram doubles as the call counter::
 
-    with obs.span("engine.expand_block"):
+    with obs.span("online.prune.seconds"):
         ...
 
 When disabled it returns a shared no-op context manager (no allocation,

@@ -409,7 +409,7 @@ class TestNumpyBlockLane:
         k = data.draw(st.integers(1, m))
         for roots in (list(range(m)), sorted(order[:k]), list(order[:k])):
             expected = list(run_plan(generic, graph, roots=roots))
-            rows, level_partials, level_ext = kernel.expand_block(roots)
+            rows, _codes, level_partials, level_ext = kernel.grow_block(roots)
             assert rows.shape == (len(expected), n_events)
             assert str(rows.dtype) == "int64"
             assert [tuple(row) for row in rows.tolist()] == expected
@@ -435,7 +435,7 @@ class TestNumpyBlockLane:
         plan = compile_plan(4, constraints, None, graph.storage, kernel="numpy")
         kernel = plan.bind(graph.storage)
         assert kernel.block_ready()
-        rows, level_partials, level_ext = kernel.expand_block([0, 1, 2, 3])
+        rows, _codes, level_partials, level_ext = kernel.grow_block([0, 1, 2, 3])
         assert rows.shape == (0, 4)
         assert level_partials.tolist() == [4, 2, 0]
         assert level_ext.tolist() == [2, 0, 0]
@@ -488,7 +488,8 @@ class TestNumpyBlockLane:
             raise AssertionError("the block lane fell back to Partial objects")
 
         # The numpy kernel must take the block lane on both entry points.
-        monkeypatch.setattr(NumpyExtensionKernel, "_vector_candidates", partial_path)
+        monkeypatch.setattr(NumpyExtensionKernel, "next_frontier", partial_path)
+        monkeypatch.setattr(NumpyExtensionKernel, "extend_frontier", partial_path)
         assert histograms("numpy") == reference
         assert histograms("numpy", blocks=True) == reference
 
@@ -535,6 +536,61 @@ class TestRangeRoots:
         by_range, by_list = census(roots), census(list(roots))
         assert by_range.total > 0
         assert list(by_range.code_counts.items()) == list(by_list.code_counts.items())
+
+
+@requires_numpy_backend
+class TestEarlyTermination:
+    """An early-stopping consumer grows one ``FIRST_BLOCK`` of roots, no more."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        import random
+
+        rng = random.Random(5)
+        t, events = 0.0, []
+        for _ in range(6000):
+            t += rng.choice([0.0, 0.5, 1.0, 2.0])
+            u, v = rng.sample(range(20), 2)
+            events.append((u, v, t))
+        return TemporalGraph(events, backend="numpy")
+
+    @pytest.mark.parametrize("kernel", ["numpy", "generic"])
+    @pytest.mark.parametrize("stop", ["next", "max_instances"])
+    def test_first_instance_grows_one_first_block(self, monkeypatch, graph, kernel, stop):
+        from repro.engine import NumpyExtensionKernel
+        from repro.engine.driver import FIRST_BLOCK
+
+        plan = compile_plan(3, _constraints(2.0, 4.0), None, graph.storage, kernel=kernel)
+        grown: list[int] = []
+        if kernel == "numpy":
+            grow_block = NumpyExtensionKernel.grow_block
+
+            def counted(self, roots):
+                grown.append(len(roots))
+                return grow_block(self, roots)
+
+            monkeypatch.setattr(NumpyExtensionKernel, "grow_block", counted)
+        else:
+            # The Partial path's first kernel call per block takes the
+            # block's root partials.
+            next_frontier = GenericExtensionKernel.next_frontier
+
+            def counted(self, partials, lo, hi, times):
+                if all(len(p.seq) == 1 for p in partials):
+                    grown.append(len(partials))
+                return next_frontier(self, partials, lo, hi, times)
+
+            monkeypatch.setattr(GenericExtensionKernel, "next_frontier", counted)
+
+        if stop == "next":
+            first = [next(run_plan(plan, graph))]
+        else:
+            first = list(run_plan(plan, graph, max_instances=1))
+        assert len(graph) >= 5000
+        assert grown == [FIRST_BLOCK]
+        monkeypatch.undo()
+        assert first == list(run_plan(plan, graph, max_instances=1))
+        assert first[0] == next(iter(run_plan(plan, graph)))
 
 
 # ----------------------------------------------------------------------
