@@ -24,8 +24,9 @@ each event arrives instead of re-running
   :class:`OnlineCensus` is its single-view facade.
 * :mod:`~repro.online.checkpoint` — page-directory checkpoints
   (:meth:`OnlineCensus.snapshot` / :meth:`OnlineCensus.restore`) built on
-  the ``"numpy"`` backend's mmap persistence; restore regrows the prefix
-  store by running the batch enumerator — and its
+  the ``"numpy"`` backend's mmap persistence.  They read and write the
+  facade's shared core and its solo view directly; restore regrows the
+  prefix store by running the batch enumerator — and its
   :meth:`~repro.storage.base.GraphStorage.adjacent_events_between`
   candidate seam — over the retained tail.
 

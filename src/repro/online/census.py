@@ -38,7 +38,8 @@ produce over the trailing window ``[now - W, now]``:
 
 The storage contract stays the substrate: every arrival lands through the
 backends' :meth:`~repro.storage.base.GraphStorage.append` tail path, and
-checkpoint restore (:mod:`repro.online.checkpoint`) rebuilds the prefix
+checkpoint restore (:mod:`repro.online.checkpoint`, which reads and
+writes the shared core and the facade's solo view) rebuilds the prefix
 store by running the batch enumerator — and therefore its
 :meth:`~repro.storage.base.GraphStorage.adjacent_events_between`
 candidate seam — over the retained tail.
@@ -67,9 +68,12 @@ from repro.algorithms.enumeration import Instance
 from repro.core.constraints import TimingConstraints
 from repro.core.events import Event
 from repro.core.temporal_graph import TemporalGraph
-from repro.online.multiview import MultiViewCensus, _PrefixStore
+from repro.online.multiview import MultiViewCensus
 
 Predicate = Callable[[TemporalGraph, Instance], bool]
+
+#: The facade's one registered view on its core.
+_SOLO_VIEW = "__solo__"
 
 
 class OnlineCensus:
@@ -121,11 +125,14 @@ class OnlineCensus:
     restored history).  Resolve them against :attr:`graph` only before
     the next prune.
 
-    Since the multi-view refactor (PR 9) this class is a facade over a
-    single-view :class:`repro.online.multiview.MultiViewCensus` with
-    ``retention == window`` — there is exactly one implementation of
-    the push/expire/prune arithmetic, and the facade's counters are the
-    solo view's counters.
+    This class is a facade over a single-view
+    :class:`repro.online.multiview.MultiViewCensus` with ``retention ==
+    window`` — there is exactly one implementation of the
+    push/expire/prune arithmetic.  The core holds the configuration and
+    the stream state, the solo view holds the window, the predicate and
+    the counters, and the facade keeps no copy of either: checkpoints
+    (:mod:`repro.online.checkpoint`) read and write the core and the
+    solo view directly.
     """
 
     def __init__(
@@ -139,31 +146,17 @@ class OnlineCensus:
         backend: str | None = None,
         prune_every: int | None = None,
     ) -> None:
-        if n_events < 1:
-            raise ValueError("n_events must be >= 1")
         if not (window > 0 and math.isfinite(window)):
             raise ValueError("window must be positive and finite")
-        self._n_events = n_events
-        self._constraints = constraints
-        self._window = float(window)
-        self._max_nodes = max_nodes
-        self._predicate = predicate
-        self._prune_every = prune_every
         self._mv = MultiViewCensus(
             n_events,
             constraints,
-            self._window,
+            window,
             max_nodes=max_nodes,
             backend=backend,
             prune_every=prune_every,
         )
-        self._view = self._mv.add_view(
-            "__solo__", self._window, predicate=predicate, backfill=False
-        )
-        # The facade's push returns the solo view's accepted instances,
-        # so the view collects them per arrival.
-        self._view.collect = True
-        self._mv._collecting.append(self._view)
+        self._view = self._mv.add_view(_SOLO_VIEW, window, predicate=predicate, backfill=False)
         # The observability recorder binds at construction (the null-
         # recorder contract): enable repro.obs before building the engine
         # you want to watch.  Disabled cost: one ``is None`` per push.
@@ -175,29 +168,29 @@ class OnlineCensus:
     @property
     def graph(self) -> TemporalGraph:
         """The internal live graph (the *retained tail* after pruning)."""
-        return self._mv._graph
+        return self._mv.graph
 
     @property
     def n_events(self) -> int:
-        return self._n_events
+        return self._mv.n_events
 
     @property
     def constraints(self) -> TimingConstraints:
-        return self._constraints
+        return self._mv.constraints
 
     @property
     def window(self) -> float:
-        return self._window
+        return self._view.window
 
     @property
     def now(self) -> float | None:
         """The stream clock: the latest pushed (or advanced-to) time."""
-        return self._mv._now
+        return self._mv.now
 
     @property
     def pushed(self) -> int:
         """Total events pushed over the engine's lifetime."""
-        return self._mv._pushed
+        return self._mv.pushed
 
     @property
     def discovered(self) -> int:
@@ -217,7 +210,7 @@ class OnlineCensus:
     @property
     def live_prefixes(self) -> int:
         """Prefixes the store currently retains (a memory gauge)."""
-        return len(self._mv._prefixes)
+        return self._mv.live_prefixes
 
     # ------------------------------------------------------------------
     # the stream interface
@@ -234,6 +227,8 @@ class OnlineCensus:
         rec = self._obs
         mv = self._mv
         view = self._view
+        # The solo view collects the instances it accepts on this push.
+        view.just_counted = []
         if rec is None:
             mv._push(event)
             return view.just_counted
@@ -273,7 +268,7 @@ class OnlineCensus:
     # ------------------------------------------------------------------
     def counts(self) -> Counter:
         """Per-code instance counts for the current window (a copy)."""
-        return Counter(self._view.code_counts)
+        return self._mv.counts(_SOLO_VIEW)
 
     def census(self) -> MotifCensus:
         """The window's counters as a :class:`MotifCensus` snapshot.
@@ -285,13 +280,7 @@ class OnlineCensus:
         sample lists (timespans, intermediate positions) are batch-only
         — their caps depend on enumeration order — and stay empty here.
         """
-        view = self._view
-        return MotifCensus(
-            n_events=self._n_events,
-            constraints=self._constraints,
-            code_counts=Counter(view.code_counts),
-            total=view.total,
-        )
+        return self._mv.census(_SOLO_VIEW)
 
     def proportions(self) -> dict[str, float]:
         """Each code's share of the current window's instance count."""
@@ -351,105 +340,9 @@ class OnlineCensus:
             path, backend=backend, predicate=predicate, prune_every=prune_every
         )
 
-    # ------------------------------------------------------------------
-    # internals delegated to the shared core (checkpoint + observability
-    # helpers reach these; keep their shapes stable)
-    # ------------------------------------------------------------------
-    @property
-    def _graph(self) -> TemporalGraph:
-        return self._mv._graph
-
-    @_graph.setter
-    def _graph(self, graph: TemporalGraph) -> None:
-        self._mv._graph = graph
-
-    @property
-    def _prefixes(self) -> _PrefixStore:
-        return self._mv._prefixes
-
-    @property
-    def _heap(self) -> list:
-        return self._view.heap
-
-    @_heap.setter
-    def _heap(self, heap: list) -> None:
-        view = self._view
-        view.heap = heap
-        view.wake_t = None
-        if heap:
-            self._mv._schedule_wake(view)
-
-    @property
-    def _offset(self) -> int:
-        return self._mv._offset
-
-    @_offset.setter
-    def _offset(self, value: int) -> None:
-        self._mv._offset = value
-
-    @property
-    def _now(self) -> float | None:
-        return self._mv._now
-
-    @_now.setter
-    def _now(self, value: float | None) -> None:
-        self._mv._now = value
-        self._mv._last_event_t = value
-
-    @property
-    def _pushed(self) -> int:
-        return self._mv._pushed
-
-    @_pushed.setter
-    def _pushed(self, value: int) -> None:
-        self._mv._pushed = value
-
-    @property
-    def _discovered(self) -> int:
-        return self._view.discovered
-
-    @_discovered.setter
-    def _discovered(self, value: int) -> None:
-        self._view.discovered = value
-        self._mv._discovered = value
-
-    @property
-    def _expired(self) -> int:
-        return self._view.expired
-
-    @_expired.setter
-    def _expired(self, value: int) -> None:
-        self._view.expired = value
-
-    @property
-    def _total(self) -> int:
-        return self._view.total
-
-    @_total.setter
-    def _total(self, value: int) -> None:
-        self._view.total = value
-
-    @property
-    def _seq(self) -> int:
-        return self._mv._seq
-
-    @_seq.setter
-    def _seq(self, value: int) -> None:
-        self._mv._seq = value
-
-    @property
-    def _code_counts(self) -> Counter:
-        return self._view.code_counts
-
-    def _bind_kernel(self) -> None:
-        self._mv._bind_kernel()
-
-    def _rebuild_prefixes(self) -> None:
-        self._mv._rebuild_prefixes()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<OnlineCensus {self._n_events}-event "
-            f"{self._constraints.describe()} W={self._window:g}: "
-            f"{self._view.total} live instances, {self._mv._pushed} events pushed>"
+            f"<OnlineCensus {self.n_events}-event "
+            f"{self.constraints.describe()} W={self.window:g}: "
+            f"{self.live_instances} live instances, {self.pushed} events pushed>"
         )

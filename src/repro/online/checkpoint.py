@@ -22,6 +22,13 @@ cleanly under ``"list"`` or ``"columnar"``.
 Predicates are code, not data — the manifest only records that one was
 in use, and :func:`load_checkpoint` refuses to resume until the caller
 re-supplies it (pass ``predicate=...``).
+
+Both functions read and write the facade's two parts directly: the
+shared :class:`~repro.online.multiview.MultiViewCensus` core (graph
+tail, clock, offset, push and discovery totals, prefix store) and its
+solo view (window, predicate, counters, expiry heap).  Restore sets the
+core's last event time to the clock, so a resumed push at the snapshot
+time counts as a timestamp tie, and re-arms the view's expiry wake.
 """
 
 from __future__ import annotations
@@ -53,32 +60,33 @@ def save_checkpoint(census: OnlineCensus, path: str | os.PathLike) -> None:
     converts other backends on the way out).
     """
     census.prune()
+    mv, view = census._mv, census._view
     path = os.fspath(path)
     os.makedirs(path, exist_ok=True)
-    census._graph.save(os.path.join(path, GRAPH_DIR))
+    mv.graph.save(os.path.join(path, GRAPH_DIR))
     ledger = [
         [
             anchor_t,
             entry.code,
             _pair_column(entry.code),
         ]
-        for anchor_t, _seq, entry in sorted(census._heap)
+        for anchor_t, _seq, entry in sorted(view.heap)
     ]
     state = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "n_events": census._n_events,
-        "delta_c": census._constraints.delta_c,
-        "delta_w": census._constraints.delta_w,
-        "window": census._window,
-        "max_nodes": census._max_nodes,
-        "has_predicate": census._predicate is not None,
-        "now": census._now,
-        "offset": census._offset,
-        "pushed": census._pushed,
-        "discovered": census._discovered,
-        "expired": census._expired,
-        "total": census._total,
+        "n_events": mv.n_events,
+        "delta_c": mv.constraints.delta_c,
+        "delta_w": mv.constraints.delta_w,
+        "window": view.window,
+        "max_nodes": mv._max_nodes,
+        "has_predicate": view.predicate is not None,
+        "now": mv.now,
+        "offset": mv._offset,
+        "pushed": mv.pushed,
+        "discovered": view.discovered,
+        "expired": view.expired,
+        "total": view.total,
         "ledger": ledger,
     }
     with open(os.path.join(path, STATE_FILE), "w") as fh:
@@ -146,21 +154,23 @@ def load_checkpoint(
     # re-indexes it under the target backend without re-validation — and
     # when the target is the page format's own backend, the loaded
     # storage is used as-is (no event-tuple round-trip).
+    mv, view = census._mv, census._view
     loaded = TemporalGraph.load(os.path.join(path, GRAPH_DIR), mmap=False)
-    storage_cls = type(census._graph.storage)
-    if isinstance(loaded.storage, storage_cls):
-        census._graph = loaded
-    else:
-        census._graph = TemporalGraph._from_storage(
+    storage_cls = type(mv.graph.storage)
+    if not isinstance(loaded.storage, storage_cls):
+        loaded = TemporalGraph._from_storage(
             storage_cls.from_events(loaded.to_events(), presorted=True),
             name=loaded.name,
         )
-    census._bind_kernel()
-    census._offset = state["offset"]
-    census._now = state["now"]
-    census._pushed = state["pushed"]
-    census._discovered = state["discovered"]
-    census._expired = state["expired"]
+    mv._graph = loaded
+    mv._bind_kernel()
+    mv._offset = state["offset"]
+    # The last event's time is the clock at the snapshot: a resumed push
+    # at that same time is a timestamp tie.
+    mv._now = mv._last_event_t = state["now"]
+    mv._pushed = state["pushed"]
+    mv._discovered = view.discovered = state["discovered"]
+    view.expired = state["expired"]
     heap: list[tuple[float, int, _LedgerEntry]] = []
     for seq_no, (anchor_t, code, pair_values) in enumerate(state["ledger"]):
         if pair_values != _pair_column(code):
@@ -174,15 +184,16 @@ def load_checkpoint(
         # never re-folds these entries, so they stay empty.
         entry = _LedgerEntry(anchor_t, seq_no, code, (), anchor_t, ())
         heap.append((anchor_t, seq_no, entry))
-        census._code_counts[code] += 1
+        view.code_counts[code] += 1
     heapq.heapify(heap)
-    census._heap = heap
-    census._seq = len(heap)
-    census._total = len(heap)
-    if census._total != state["total"]:
+    view.heap = heap
+    if heap:
+        mv._schedule_wake(view)
+    mv._seq = view.total = len(heap)
+    if view.total != state["total"]:
         raise ValueError(
-            f"{path!r}: ledger holds {census._total} live instances but the "
+            f"{path!r}: ledger holds {view.total} live instances but the "
             f"manifest records {state['total']} (corrupt checkpoint?)"
         )
-    census._rebuild_prefixes()
+    mv._rebuild_prefixes()
     return census

@@ -264,7 +264,6 @@ class _ViewState:
         "heap",
         "wake_t",
         "dropped",
-        "collect",
         "just_counted",
     )
 
@@ -284,8 +283,9 @@ class _ViewState:
         self.heap: list[_HeapItem] = []
         self.wake_t: float | None = None
         self.dropped = False
-        self.collect = False
-        self.just_counted: list[Instance] = []
+        # A list collects the instances the view accepts (the single-
+        # view facade resets it per push); None collects nothing.
+        self.just_counted: list[Instance] | None = None
 
 
 class MultiViewCensus:
@@ -368,7 +368,6 @@ class MultiViewCensus:
         self._since_prune = 0
         self._seq = 0
         self._ledger: list[_HeapItem] = []
-        self._retired = 0
         self._unwarned_sensitive: list[_ViewState] = []
         # View registries: every view by name, the plain (unsliced)
         # exact views sorted by window descending for the early-exit
@@ -376,7 +375,6 @@ class MultiViewCensus:
         self._views: dict[str, _ViewState] = {}
         self._flat: list[_ViewState] = []
         self._node_index: dict[int, list[_ViewState]] = {}
-        self._collecting: list[_ViewState] = []
         self._vseq = 0
         # The global wake heap: (wake_t, view.vseq, view) — one live
         # entry per view with instances, plus harmless stale entries
@@ -523,8 +521,6 @@ class MultiViewCensus:
             return False
         view.dropped = True
         self._unroute(view)
-        if view in self._collecting:
-            self._collecting.remove(view)
         rec = self._obs
         if rec is not None:
             rec.inc("online.view.dropped")
@@ -649,8 +645,6 @@ class MultiViewCensus:
         self._pushed += 1
         self._retire_ledger(t_a - self._retention)
         self._run_wakes(t_a)
-        for view in self._collecting:
-            view.just_counted = []
 
         out: list[Instance] = []
         k = self._n_events
@@ -762,7 +756,7 @@ class MultiViewCensus:
                     local_inst = tuple(i - offset for i in entry.events)
                 if not predicate(self._graph, local_inst):
                     continue
-            if view.collect:
+            if view.just_counted is not None:
                 view.just_counted.append(entry.events)
             counts = view.code_counts
             counts[code] = counts.get(code, 0) + 1
@@ -868,11 +862,8 @@ class MultiViewCensus:
         the ledger only serves :meth:`add_view` backfill.
         """
         ledger = self._ledger
-        retired = 0
         while ledger and ledger[0][0] < horizon:
             heapq.heappop(ledger)
-            retired += 1
-        self._retired += retired
 
     # ------------------------------------------------------------------
     # tick-boundary-sensitive restrictions

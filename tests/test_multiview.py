@@ -559,12 +559,12 @@ def test_restored_prefixes_carry_the_uninterrupted_codes(backend, events, n_even
     with tempfile.TemporaryDirectory() as tmp:
         engine.snapshot(tmp)
         resumed = OnlineCensus.restore(tmp, backend=backend)
-    uninterrupted = {p.seq: p.code for p in _live_prefixes(engine._prefixes)}
-    regrown = _live_prefixes(resumed._prefixes)
-    assert len(resumed._prefixes) == len(regrown)
+    uninterrupted = {p.seq: p.code for p in _live_prefixes(engine._mv._prefixes)}
+    regrown = _live_prefixes(resumed._mv._prefixes)
+    assert len(resumed._mv._prefixes) == len(regrown)
     for prefix in regrown:
         assert prefix.code == uninterrupted[prefix.seq]
-        assert prefix.code == _code_of(resumed.graph, resumed._offset, prefix.seq)
+        assert prefix.code == _code_of(resumed.graph, resumed._mv._offset, prefix.seq)
 
 
 def _chain(n_edges: int) -> list[Event]:
@@ -621,7 +621,7 @@ class TestCarriedCodeErrorPaths:
             engine.push(ev)
         engine.snapshot(tmp_path / "ckpt")
         resumed = OnlineCensus.restore(tmp_path / "ckpt")
-        full = [p for p in _live_prefixes(resumed._prefixes) if len(p.seq) == 10]
+        full = [p for p in _live_prefixes(resumed._mv._prefixes) if len(p.seq) == 10]
         assert len(full) == 1 and full[0].code is None
         with pytest.raises(ValueError, match="too many nodes for digit notation"):
             resumed.push(chain[-1])

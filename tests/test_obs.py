@@ -313,11 +313,11 @@ class TestInstrumentedLayers:
         assert snap["counters"]["online.prune.dropped"] > 0
         assert snap["histograms"]["online.prune.seconds"]["count"] >= 1
         # The incremental entries gauge matches a from-scratch recount.
-        store = engine._prefixes
+        store = engine._mv._prefixes
         recount = sum(len(prefixes) for _t, prefixes in store._buckets.values())
         assert store.entries == recount
         assert snap["gauges"]["online.prefix_store.entries"] == store.entries
-        assert snap["gauges"]["online.expiry_heap.depth"] == len(engine._heap)
+        assert snap["gauges"]["online.expiry_heap.depth"] == len(engine._view.heap)
         summary = summarize_histogram(push)
         assert summary["count"] == engine.pushed
         assert summary["p50"] <= summary["p99"] <= summary["max"]

@@ -10,6 +10,7 @@ storage backend.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -396,6 +397,27 @@ def test_snapshot_restore_roundtrip_parity(tmp_path, backend):
     )
     assert resumed.census().code_counts == ref.code_counts
     assert resumed.census().total == ref.total
+    _assert_advance_parity(resumed, engine, events, window)
+
+    # The same advance-only tail straight after a restore, with no push
+    # in between, against an engine that never stopped.
+    idle = OnlineCensus.restore(tmp_path / "ckpt", backend=backend)
+    uninterrupted = OnlineCensus(3, constraints, window, prune_every=64)
+    for ev in events[:160]:
+        uninterrupted.push(ev)
+    _assert_advance_parity(idle, uninterrupted, events[:160], window)
+
+
+def _assert_advance_parity(resumed, engine, events, window):
+    """Step both clocks onto and just past every live anchor's exit time."""
+    exits = sorted({ev.t + window for ev in events if ev.t >= events[-1].t - window})
+    for exit_t in exits:
+        for now in (exit_t, math.nextafter(exit_t, math.inf)):
+            assert resumed.advance_to(now) == engine.advance_to(now)
+            assert resumed.expired == engine.expired
+            assert resumed.live_instances == engine.live_instances
+            assert resumed.counts() == engine.counts()
+    assert resumed.live_instances == 0
 
 
 class TestCheckpointValidation:
@@ -498,3 +520,7 @@ class TestCheckpointValidation:
             OnlineCensus.restore(path)
         resumed = OnlineCensus.restore(path, predicate=satisfies_consecutive_events)
         assert resumed.pushed == 1
+        # The restored clock is the last event's time, so a push at the
+        # snapshot's time is a tie the tick-sensitive predicate warns on.
+        with pytest.warns(RuntimeWarning, match="tick-boundary-sensitive"):
+            resumed.push(Event(1, 2, 1.0))
