@@ -31,6 +31,7 @@ ascending event order — the DFS sequence, without the DFS.
 
 from __future__ import annotations
 
+import time
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -102,7 +103,7 @@ def _observe_levels(stats, level_partials, level_ext) -> None:
     observed; a deeper level only if its frontier was non-empty (the
     level loop stops before observing an empty frontier).
     """
-    rec, partials_metric, ext_metric = stats
+    rec, partials_metric, ext_metric, _grow_metric = stats
     for d in range(len(level_partials)):
         if d > 0 and level_partials[d] == 0:
             break
@@ -111,12 +112,14 @@ def _observe_levels(stats, level_partials, level_ext) -> None:
 
 
 def _bind_stats(plan: "ExecutionPlan"):
-    """The run's observability triple, or ``None`` while obs is disabled.
+    """The run's observability tuple, or ``None`` while obs is disabled.
 
-    ``(registry, partials_metric, extensions_metric)``, bound once per
-    run: the labeled metric names are built here, never per block or per
-    level, and ``stats is None`` is the entire disabled-path cost of a
-    block.  Counts the run in ``engine.run_plan.calls``.
+    ``(registry, partials_metric, extensions_metric, grow_metric)``,
+    bound once per run: the labeled metric names are built here, never
+    per block or per level, and ``stats is None`` is the entire
+    disabled-path cost of a block.  ``grow_metric`` is the histogram of
+    seconds per ``grow_block`` call (the block lane's kernel time).
+    Counts the run in ``engine.run_plan.calls``.
     """
     rec = _obs.ACTIVE
     if rec is None:
@@ -127,6 +130,7 @@ def _bind_stats(plan: "ExecutionPlan"):
         rec,
         labeled("engine.frontier.partials", kernel=name),
         labeled("engine.frontier.extensions", kernel=name),
+        labeled("engine.grow.seconds", kernel=name),
     )
 
 
@@ -148,8 +152,12 @@ def _lane_blocks(plan, kernel, graph, roots, stats):
     """
     row_filter = getattr(plan.predicate, "rows", None)
     for block_roots in _block_roots(roots, len(graph.storage)):
-        rows, codes, level_partials, level_ext = kernel.grow_block(block_roots)
-        if stats is not None:
+        if stats is None:
+            rows, codes, level_partials, level_ext = kernel.grow_block(block_roots)
+        else:
+            start = time.perf_counter()
+            rows, codes, level_partials, level_ext = kernel.grow_block(block_roots)
+            stats[0].observe(stats[3], time.perf_counter() - start)
             _observe_levels(stats, level_partials, level_ext)
         if row_filter is not None:
             keep = row_filter(graph, rows)

@@ -5,9 +5,9 @@ A checkpoint is a directory with two parts:
 * ``graph/`` — the engine's retained event tail as a ``"numpy"`` page
   directory (PR 3's mmap-loadable ``repro-numpy-pages`` layout, written
   through :meth:`TemporalGraph.save`), and
-* ``state.json`` — the engine configuration, the stream clock, and the
-  live-instance ledger (anchor timestamp, motif code, pair sequence per
-  counted instance).
+* ``state.json`` — the engine configuration, the stream clock, whether
+  the stream has met a timestamp tie, and the live-instance ledger
+  (anchor timestamp, motif code, pair sequence per counted instance).
 
 The counters are *not* stored: they are a pure fold over the ledger, so
 :func:`load_checkpoint` rebuilds them and cross-checks the recorded
@@ -84,6 +84,7 @@ def save_checkpoint(census: OnlineCensus, path: str | os.PathLike) -> None:
         "now": mv.now,
         "offset": mv._offset,
         "pushed": mv.pushed,
+        "saw_tie": mv._saw_tie,
         "discovered": view.discovered,
         "expired": view.expired,
         "total": view.total,
@@ -169,6 +170,12 @@ def load_checkpoint(
     # at that same time is a timestamp tie.
     mv._now = mv._last_event_t = state["now"]
     mv._pushed = state["pushed"]
+    # A stream that already met a timestamp tie warned its tick-sensitive
+    # view then; the restored view must not warn a second time.  Older
+    # checkpoints lack the key and read as tie-free.
+    if state.get("saw_tie", False):
+        mv._saw_tie = True
+        mv._unwarned_sensitive = [v for v in mv._unwarned_sensitive if v is not view]
     mv._discovered = view.discovered = state["discovered"]
     view.expired = state["expired"]
     heap: list[tuple[float, int, _LedgerEntry]] = []

@@ -493,6 +493,35 @@ class TestNumpyBlockLane:
         assert histograms("numpy") == reference
         assert histograms("numpy", blocks=True) == reference
 
+    def test_grow_seconds_histogram_times_each_root_block(self):
+        import random
+        import time
+
+        import repro.obs as obs
+        from repro.engine.driver import _block_roots
+
+        rng = random.Random(11)
+        t = 0.0
+        events = []
+        for _ in range(3000):
+            t += rng.choice([0.0, 1.0, 2.0, 5.0])
+            u, v = rng.sample(range(40), 2)
+            events.append((u, v, t))
+        graph = TemporalGraph(events, backend="numpy")
+        n_blocks = len(list(_block_roots(None, len(graph))))
+        assert n_blocks > 3
+        registry = obs.enable(obs.MetricsRegistry())
+        try:
+            start = time.perf_counter()
+            census = run_census(graph, 3, TimingConstraints(delta_c=4.0, delta_w=8.0))
+            wall = time.perf_counter() - start
+        finally:
+            obs.disable()
+        assert census.total > 0
+        grow = registry.snapshot()["histograms"]["engine.grow.seconds{kernel=numpy}"]
+        assert grow["count"] == n_blocks
+        assert 0 < grow["total"] <= wall
+
 
 class TestRangeRoots:
     """A step-1 ``range`` of roots (a shard's owned anchors) stays a range."""

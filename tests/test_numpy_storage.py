@@ -15,6 +15,8 @@ import os
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
@@ -101,6 +103,38 @@ class TestBatchedKernels:
             ref.count_node_events_in(n, lo, hi)
             for n, lo, hi in zip(nodes, t_los, t_his)
         ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 7), st.integers(1, 7), st.integers(0, 12)),
+            min_size=1,
+            max_size=40,
+        ),
+        st.lists(
+            st.tuples(st.integers(-2, 10), st.integers(-1, 14), st.integers(0, 6)),
+            min_size=1,
+            max_size=30,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_batch_counts_match_list_in_any_query_order(self, raw, raw_queries, rng):
+        # Small integer times give ties; ids -2, -1, 8, 9, 10 are unknown
+        # nodes.  The band probes run in key order, so the counts must
+        # scatter back into this shuffled order, repeats included.
+        events = [Event(u, (u + d) % 8, t) for u, d, t in raw]
+        queries = raw_queries + raw_queries[: len(raw_queries) // 2]
+        rng.shuffle(queries)
+        nodes = [node for node, _lo, _width in queries]
+        t_los = [float(lo) for _node, lo, _width in queries]
+        t_his = [float(lo + width) for _node, lo, width in queries]
+        got = NumpyStorage.from_events(events).count_node_events_in_batch(
+            nodes, t_los, t_his
+        )
+        ref = ListStorage.from_events(events).count_node_events_in_batch(
+            nodes, t_los, t_his
+        )
+        assert got == ref
 
     def test_batch_counts_through_tail(self, storage):
         t1 = storage.end_time

@@ -524,3 +524,52 @@ class TestCheckpointValidation:
         # snapshot's time is a tie the tick-sensitive predicate warns on.
         with pytest.warns(RuntimeWarning, match="tick-boundary-sensitive"):
             resumed.push(Event(1, 2, 1.0))
+
+    @staticmethod
+    def _tie_warnings(tmp_path, edit_state=None):
+        """Tick-sensitive warnings over a tie, snapshot, restore, another tie."""
+        import json
+        import warnings
+
+        pytest.importorskip("numpy", reason="checkpoints use the numpy page format")
+        path = tmp_path / "ckpt"
+        with warnings.catch_warnings(record=True) as caught:
+            # "always": the default filter would hide a repeat warning
+            # raised from the same line.
+            warnings.simplefilter("always")
+            engine = OnlineCensus(
+                2,
+                TimingConstraints(delta_w=5.0),
+                10.0,
+                predicate=satisfies_consecutive_events,
+            )
+            engine.push(Event(0, 1, 1.0))
+            engine.push(Event(1, 2, 1.0))
+            engine.snapshot(path)
+            if edit_state is not None:
+                state_path = path / "state.json"
+                state = json.loads(state_path.read_text())
+                edit_state(state)
+                state_path.write_text(json.dumps(state))
+            resumed = OnlineCensus.restore(path, predicate=satisfies_consecutive_events)
+            resumed.push(Event(2, 3, 1.0))
+            resumed.push(Event(3, 0, 2.0))
+            resumed.push(Event(0, 2, 2.0))
+        assert resumed.pushed == 5
+        return [
+            w
+            for w in caught
+            if issubclass(w.category, RuntimeWarning)
+            and "tick-boundary-sensitive" in str(w.message)
+        ]
+
+    def test_restored_view_warns_once_per_lifetime(self, tmp_path):
+        assert len(self._tie_warnings(tmp_path)) == 1
+
+    def test_checkpoint_without_tie_flag_restores_as_tie_free(self, tmp_path):
+        # A checkpoint written before the flag existed lacks the key: it
+        # still restores, and the resumed stream warns on its own tie.
+        def drop_flag(state):
+            assert state.pop("saw_tie") is True
+
+        assert len(self._tie_warnings(tmp_path, drop_flag)) == 2
