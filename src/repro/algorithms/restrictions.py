@@ -81,10 +81,9 @@ def satisfies_consecutive_events(graph: TemporalGraph, instance: Instance) -> bo
     """
     per_node: dict[int, list[float]] = defaultdict(list)
     for idx in instance:
-        ev = graph.events[idx]
-        t = graph.times[idx]
-        per_node[ev.u].append(t)
-        per_node[ev.v].append(t)
+        ev = graph.event_at(idx)
+        per_node[ev.u].append(ev.t)
+        per_node[ev.v].append(ev.t)
     for node, stamps in per_node.items():
         t_lo = min(stamps)
         t_hi = max(stamps)
@@ -127,7 +126,7 @@ def _consecutive_events_rows(graph: TemporalGraph, rows):
     row, nodes, t_los, t_his, sizes = (np.concatenate(col) for col in zip(*queries))
     counts = graph.storage.count_node_events_in_batch(nodes, t_los, t_his)
     mask = np.ones(n, dtype=bool)
-    mask[row[np.asarray(counts) != sizes]] = False
+    mask[row[counts != sizes]] = False
     return mask
 
 
@@ -153,13 +152,11 @@ def satisfies_cdg(graph: TemporalGraph, instance: Instance) -> bool:
     in Section 4.1 ("where u1,v1 ≠ u2,v2").
     """
     for a, b in zip(instance, instance[1:]):
-        ev_a = graph.events[a]
-        ev_b = graph.events[b]
+        ev_a = graph.event_at(a)
+        ev_b = graph.event_at(b)
         if ev_a.edge == ev_b.edge:
             continue
-        t_a = graph.times[a]
-        t_b = graph.times[b]
-        if graph.count_edge_events_in(ev_b.edge, t_a, t_b) != 1:
+        if graph.count_edge_events_in(ev_b.edge, ev_a.t, ev_b.t) != 1:
             return False
     return True
 
@@ -219,20 +216,21 @@ def is_static_induced(
     """
     if scope not in ("window", "global"):
         raise ValueError(f"unknown inducedness scope {scope!r}")
+    events = graph.events
     nodes: set[int] = set()
     motif_edges: set[tuple[int, int]] = set()
     for idx in instance:
-        ev = graph.events[idx]
+        ev = events[idx]
         nodes.add(ev.u)
         nodes.add(ev.v)
         motif_edges.add(ev.edge)
     if scope == "global":
         return graph.induced_static_edges(nodes) <= motif_edges
-    t_lo = graph.times[instance[0]]
-    t_hi = graph.times[instance[-1]]
+    t_lo = events[instance[0]].t
+    t_hi = events[instance[-1]].t
     for node in nodes:
         for idx in graph.node_events_in(node, t_lo, t_hi):
-            ev = graph.events[idx]
+            ev = events[idx]
             if ev.u in nodes and ev.v in nodes and ev.edge not in motif_edges:
                 return False
     return True

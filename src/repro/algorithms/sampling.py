@@ -61,7 +61,7 @@ def estimate_counts_root_sampling(
     if not 0 < q <= 1:
         raise ValueError("q must be in (0, 1]")
     rng = rng if rng is not None else np.random.default_rng()
-    m = len(graph.events)
+    m = len(graph)
     if m == 0:
         return {}
     mask = rng.random(m) < q

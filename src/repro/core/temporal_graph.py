@@ -210,8 +210,17 @@ class TemporalGraph:
         return self._storage.count_node_events_in(node, t_lo, t_hi)
 
     def edge_events_in(self, edge: tuple[int, int], t_lo: float, t_hi: float) -> list[int]:
-        """Indices of events on directed ``edge`` with ``t_lo <= t <= t_hi``."""
-        return self._storage.edge_events_in(edge, t_lo, t_hi)
+        """Indices of events on directed ``edge`` with ``t_lo <= t <= t_hi``.
+
+        Every event on a directed edge touches its source node, so this
+        filters the source's closed window; the result stays ascending.
+        """
+        storage = self._storage
+        return [
+            idx
+            for idx in storage.node_events_in(edge[0], t_lo, t_hi)
+            if storage.event_at(idx).edge == edge
+        ]
 
     def count_edge_events_in(self, edge: tuple[int, int], t_lo: float, t_hi: float) -> int:
         """Number of events on directed ``edge`` in the closed window."""
@@ -219,7 +228,8 @@ class TemporalGraph:
 
     def events_in(self, t_lo: float, t_hi: float) -> list[int]:
         """Indices of all events with ``t_lo <= t <= t_hi``."""
-        return self._storage.events_in(t_lo, t_hi)
+        storage = self._storage
+        return list(range(storage.bisect_time_left(t_lo), storage.bisect_time_right(t_hi)))
 
     def event_at(self, idx: int) -> Event:
         """The event at one index in O(1).

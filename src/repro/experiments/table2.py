@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.analysis.textplot import table
-from repro.datasets.registry import DATASETS, dataset_names
+from repro.datasets.registry import DATASETS
 from repro.datasets.statistics import compute_stats
 from repro.experiments.base import ExperimentResult, fmt_count, load_graphs
 
@@ -73,7 +73,3 @@ def run(
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, text=text, data=data
     )
-
-
-def default_datasets() -> tuple[str, ...]:
-    return dataset_names()

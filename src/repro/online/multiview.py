@@ -983,13 +983,7 @@ class MultiViewCensus:
 
         window_graph = self._graph.slice(self._now - view.window, self._now)
         if view.nodes is not None:
-            nodes = view.nodes
-            kept = tuple(
-                ev
-                for ev in window_graph.events
-                if ev.u in nodes and ev.v in nodes
-            )
-            window_graph = TemporalGraph(kept)
+            window_graph = window_graph.slice_nodes(view.nodes)
         q = view.q or 0.25
         estimates = estimate_counts_root_sampling(
             window_graph,

@@ -163,10 +163,6 @@ class GraphStorage(ABC):
     def node_event_indices(self, node: int) -> list[int]:
         """All event indices touching ``node`` (empty list if unknown)."""
 
-    @abstractmethod
-    def edge_event_indices(self, edge: tuple[int, int]) -> list[int]:
-        """All event indices on directed ``edge`` (empty list if unknown)."""
-
     def neighbors(self, node: int) -> set[int]:
         """Nodes adjacent to ``node`` in the directed static projection."""
         events = self.events
@@ -233,20 +229,10 @@ class GraphStorage(ABC):
         """Number of events touching ``node`` in the closed window."""
 
     @abstractmethod
-    def edge_events_in(
-        self, edge: tuple[int, int], t_lo: float, t_hi: float
-    ) -> list[int]:
-        """Indices of events on directed ``edge`` with ``t_lo <= t <= t_hi``."""
-
-    @abstractmethod
     def count_edge_events_in(
         self, edge: tuple[int, int], t_lo: float, t_hi: float
     ) -> int:
         """Number of events on directed ``edge`` in the closed window."""
-
-    @abstractmethod
-    def events_in(self, t_lo: float, t_hi: float) -> list[int]:
-        """Indices of all events with ``t_lo <= t <= t_hi``."""
 
     @abstractmethod
     def node_events_between(self, node: int, t_lo: float, t_hi: float) -> list[int]:
@@ -264,12 +250,14 @@ class GraphStorage(ABC):
         nodes: Sequence[int],
         t_los: Sequence[float],
         t_his: Sequence[float],
-    ) -> list[int]:
+    ) -> Sequence[int]:
         """Closed-window counts for many ``(node, t_lo, t_hi)`` queries.
 
-        The generic implementation loops the scalar query; array-backed
+        Returns a sequence of ints, one per query.  The generic
+        implementation loops the scalar query into a list; array-backed
         engines answer the whole batch with a constant number of
-        vectorized probes.  All three sequences must share one length.
+        vectorized probes and may return an integer array.  All three
+        sequences must share one length.
         """
         rec = _obs.ACTIVE
         if rec is not None:

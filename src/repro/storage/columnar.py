@@ -377,14 +377,6 @@ class ColumnarStorage(GraphStorage):
             out.extend(tail)
         return out
 
-    def edge_event_indices(self, edge: tuple[int, int]) -> list[int]:
-        lo, hi = self._edge_range(edge)
-        out = self._edge_idx[lo:hi].tolist()
-        tail = self._tail_edge_events.get(edge)
-        if tail:
-            out.extend(tail)
-        return out
-
     def neighbors(self, node: int) -> set[int]:
         out: set[int] = set()
         col_u, col_v = self._col_u, self._col_v
@@ -431,19 +423,6 @@ class ColumnarStorage(GraphStorage):
                 n += bisect.bisect_right(times, t_hi) - bisect.bisect_left(times, t_lo)
         return n
 
-    def edge_events_in(
-        self, edge: tuple[int, int], t_lo: float, t_hi: float
-    ) -> list[int]:
-        lo, hi = self._edge_range(edge)
-        a = bisect.bisect_left(self._edge_t, t_lo, lo, hi)
-        b = bisect.bisect_right(self._edge_t, t_hi, lo, hi)
-        out = self._edge_idx[a:b].tolist()
-        if self._tail:
-            out.extend(self._tail_window(self._tail_edge_times.get(edge),
-                                         self._tail_edge_events.get(edge),
-                                         t_lo, t_hi))
-        return out
-
     def count_edge_events_in(
         self, edge: tuple[int, int], t_lo: float, t_hi: float
     ) -> int:
@@ -456,17 +435,6 @@ class ColumnarStorage(GraphStorage):
             if times:
                 n += bisect.bisect_right(times, t_hi) - bisect.bisect_left(times, t_lo)
         return n
-
-    def events_in(self, t_lo: float, t_hi: float) -> list[int]:
-        lo = bisect.bisect_left(self._col_t, t_lo)
-        hi = bisect.bisect_right(self._col_t, t_hi)
-        if not self._tail:
-            return list(range(lo, hi))
-        m = self._m
-        tail_times = [ev.t for ev in self._tail]
-        tlo = bisect.bisect_left(tail_times, t_lo)
-        thi = bisect.bisect_right(tail_times, t_hi)
-        return list(range(lo, hi)) + list(range(m + tlo, m + thi))
 
     def node_events_between(self, node: int, t_lo: float, t_hi: float) -> list[int]:
         lo, hi = self._node_range(node)

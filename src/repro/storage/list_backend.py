@@ -94,9 +94,6 @@ class ListStorage(GraphStorage):
     def node_event_indices(self, node: int) -> list[int]:
         return self._node_events.get(node, [])
 
-    def edge_event_indices(self, edge: tuple[int, int]) -> list[int]:
-        return self._edge_events.get(edge, [])
-
     # ------------------------------------------------------------------
     # windowed queries
     # ------------------------------------------------------------------
@@ -114,16 +111,6 @@ class ListStorage(GraphStorage):
             return 0
         return bisect.bisect_right(times, t_hi) - bisect.bisect_left(times, t_lo)
 
-    def edge_events_in(
-        self, edge: tuple[int, int], t_lo: float, t_hi: float
-    ) -> list[int]:
-        times = self._edge_times.get(edge)
-        if times is None:
-            return []
-        lo = bisect.bisect_left(times, t_lo)
-        hi = bisect.bisect_right(times, t_hi)
-        return self._edge_events[edge][lo:hi]
-
     def count_edge_events_in(
         self, edge: tuple[int, int], t_lo: float, t_hi: float
     ) -> int:
@@ -131,11 +118,6 @@ class ListStorage(GraphStorage):
         if times is None:
             return 0
         return bisect.bisect_right(times, t_hi) - bisect.bisect_left(times, t_lo)
-
-    def events_in(self, t_lo: float, t_hi: float) -> list[int]:
-        lo = bisect.bisect_left(self._times, t_lo)
-        hi = bisect.bisect_right(self._times, t_hi)
-        return list(range(lo, hi))
 
     def node_events_between(self, node: int, t_lo: float, t_hi: float) -> list[int]:
         times = self._node_times.get(node)

@@ -356,13 +356,6 @@ class NumpyStorage(GraphStorage):
             return (0, 0)
         return int(off[s]), int(off[s + 1])
 
-    def _edge_segment(self, edge: tuple[int, int]):
-        slot, off, idx = self._edge_index()
-        s = slot.get(edge)
-        if s is None:
-            return idx[:0]
-        return idx[off[s] : off[s + 1]]
-
     # ------------------------------------------------------------------
     # global window -> index-range translation
     # ------------------------------------------------------------------
@@ -483,7 +476,7 @@ class NumpyStorage(GraphStorage):
             return self._tail[idx - self._m]
         if self._events_cache is not None:
             return self._events_cache[idx]
-        return Event(int(self._u[idx]), int(self._v[idx]), float(self._t[idx]))
+        return Event(self._u.item(idx), self._v.item(idx), self._t.item(idx))
 
     def iter_uvt(self) -> Iterator[tuple[int, int, float]]:
         yield from zip(self._u.tolist(), self._v.tolist(), self._t.tolist())
@@ -518,13 +511,6 @@ class NumpyStorage(GraphStorage):
     def node_event_indices(self, node: int) -> list[int]:
         out = self._node_segment(node).tolist()
         tail = self._tail_node_events.get(node)
-        if tail:
-            out.extend(tail)
-        return out
-
-    def edge_event_indices(self, edge: tuple[int, int]) -> list[int]:
-        out = self._edge_segment(edge).tolist()
-        tail = self._tail_edge_events.get(edge)
         if tail:
             out.extend(tail)
         return out
@@ -585,27 +571,6 @@ class NumpyStorage(GraphStorage):
                 n += bisect.bisect_right(times, t_hi) - bisect.bisect_left(times, t_lo)
         return n
 
-    def edge_events_in(
-        self, edge: tuple[int, int], t_lo: float, t_hi: float
-    ) -> list[int]:
-        lo_p, hi_p = self._edge_span(edge)
-        out = []
-        if lo_p != hi_p:
-            seg_t = self._edge_times_flat()[lo_p:hi_p]
-            a = lo_p + int(seg_t.searchsorted(t_lo, side="left"))
-            b = lo_p + int(seg_t.searchsorted(t_hi, side="right"))
-            out = self._edge_index()[2][a:b].tolist()
-        if self._tail:
-            out.extend(
-                self._tail_window(
-                    self._tail_edge_times.get(edge),
-                    self._tail_edge_events.get(edge),
-                    t_lo,
-                    t_hi,
-                )
-            )
-        return out
-
     def count_edge_events_in(
         self, edge: tuple[int, int], t_lo: float, t_hi: float
     ) -> int:
@@ -621,16 +586,6 @@ class NumpyStorage(GraphStorage):
             if times:
                 n += bisect.bisect_right(times, t_hi) - bisect.bisect_left(times, t_lo)
         return n
-
-    def events_in(self, t_lo: float, t_hi: float) -> list[int]:
-        lo, hi = self._closed_range(t_lo, t_hi)
-        if not self._tail:
-            return list(range(lo, hi))
-        m = self._m
-        tail_times = [ev.t for ev in self._tail]
-        tlo = bisect.bisect_left(tail_times, t_lo)
-        thi = bisect.bisect_right(tail_times, t_hi)
-        return list(range(lo, hi)) + list(range(m + tlo, m + thi))
 
     def node_events_between(self, node: int, t_lo: float, t_hi: float) -> list[int]:
         a, b = self._node_window(node, t_lo, t_hi, "right")
@@ -662,7 +617,7 @@ class NumpyStorage(GraphStorage):
         nodes: Sequence[int],
         t_los: Sequence[float],
         t_his: Sequence[float],
-    ) -> list[int]:
+    ) -> Sequence[int]:
         """Closed-window per-node counts, vectorized across all queries.
 
         The banded CSR array answers every query with five
@@ -672,7 +627,7 @@ class NumpyStorage(GraphStorage):
         search their keys in ascending order (one argsort; the caller's
         order jumps between bands at random and misses cache on nearly
         every search), and the counts scatter back into the caller's
-        query order.
+        query order, returned as an int64 array.
         """
         if self._tail or self._m == 0:
             # The tail path is rare and small; the generic loop is exact.
@@ -699,7 +654,7 @@ class NumpyStorage(GraphStorage):
         counts = np.empty_like(found)
         counts[order] = found
         counts[~known] = 0
-        return counts.tolist()
+        return counts
 
     def extension_arrays(self) -> dict[str, Any] | None:
         """Kernel hook: the flat arrays the vectorized extension kernel probes.

@@ -577,13 +577,6 @@ class PartitionedStorage(GraphStorage):
             out.extend(i + off for i in self.partition(p).node_event_indices(node))
         return out
 
-    def edge_event_indices(self, edge: tuple[int, int]) -> list[int]:
-        out: list[int] = []
-        for p in range(self.n_partitions):
-            off = self._ev_lo[p]
-            out.extend(i + off for i in self.partition(p).edge_event_indices(edge))
-        return out
-
     # ------------------------------------------------------------------
     # windowed queries (partition-pruned: only overlapping partitions open)
     # ------------------------------------------------------------------
@@ -600,15 +593,6 @@ class PartitionedStorage(GraphStorage):
             for p in self._parts_in(t_lo, t_hi)
         )
 
-    def edge_events_in(
-        self, edge: tuple[int, int], t_lo: float, t_hi: float
-    ) -> list[int]:
-        out: list[int] = []
-        for p in self._parts_in(t_lo, t_hi):
-            off = self._ev_lo[p]
-            out.extend(i + off for i in self.partition(p).edge_events_in(edge, t_lo, t_hi))
-        return out
-
     def count_edge_events_in(
         self, edge: tuple[int, int], t_lo: float, t_hi: float
     ) -> int:
@@ -616,11 +600,6 @@ class PartitionedStorage(GraphStorage):
             self.partition(p).count_edge_events_in(edge, t_lo, t_hi)
             for p in self._parts_in(t_lo, t_hi)
         )
-
-    def events_in(self, t_lo: float, t_hi: float) -> list[int]:
-        lo = self.bisect_time_left(t_lo)
-        hi = self.bisect_time_right(t_hi)
-        return list(range(lo, hi))
 
     def node_events_between(self, node: int, t_lo: float, t_hi: float) -> list[int]:
         # The closed-window partition range is a superset of the

@@ -353,9 +353,17 @@ class TestLifecycle:
         pytest.importorskip("numpy", reason="degraded views estimate via sampling")
         engine = MultiViewCensus(2, TimingConstraints(delta_w=5.0), 10.0)
         engine.add_view("a", 10.0)
+        engine.add_view("sliced", 10.0, nodes={0, 1, 2})
         engine.push(Event(0, 1, 1.0))
         engine.push(Event(1, 2, 2.0))
+        engine.push(Event(2, 3, 3.0))
+        engine.push(Event(0, 2, 4.0))
+        sliced_exact = dict(engine.counts("sliced"))
         engine.degrade_view("a", q=1.0, seed=7)
+        engine.degrade_view("sliced", q=1.0, seed=7)
+        # A node-sliced view estimates over the sliced window graph.
+        assert sliced_exact
+        assert engine.view_counts("sliced")["codes"] == sliced_exact
         with pytest.raises(ValueError, match="view_counts"):
             engine.counts("a")
         payload = engine.view_counts("a")
@@ -364,8 +372,8 @@ class TestLifecycle:
         assert set(payload["stderr"]) == set(payload["codes"])
         # q=1.0 samples every root: the estimate is exact.
         oracle = OnlineCensus(2, TimingConstraints(delta_w=5.0), 10.0)
-        oracle.push(Event(0, 1, 1.0))
-        oracle.push(Event(1, 2, 2.0))
+        for ev in (Event(0, 1, 1.0), Event(1, 2, 2.0), Event(2, 3, 3.0), Event(0, 2, 4.0)):
+            oracle.push(ev)
         assert payload["codes"] == dict(oracle.counts())
 
     def test_degraded_view_estimate_survives_prune(self):

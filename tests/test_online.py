@@ -178,6 +178,50 @@ def test_parity_with_shard_safe_predicate(events):
         assert engine.counts() == ref.code_counts
 
 
+def test_consecutive_events_view_never_rebuilds_times(monkeypatch):
+    """The predicate reads arrivals through ``event_at``: on a live numpy
+    graph every append drops the O(m) ``times`` view, so reading it per
+    completion would rebuild it per push."""
+    pytest.importorskip("numpy")
+    from repro.storage.numpy_backend import NumpyStorage
+
+    rebuilds = []
+    times = NumpyStorage.times.fget
+
+    def counted(storage):
+        rebuilds.append(len(storage))
+        return times(storage)
+
+    monkeypatch.setattr(NumpyStorage, "times", property(counted))
+    constraints = TimingConstraints(delta_c=3.0, delta_w=6.0)
+    engine = OnlineCensus(
+        3,
+        constraints,
+        6.0,
+        max_nodes=3,
+        predicate=satisfies_consecutive_events,
+        backend="numpy",
+        prune_every=64,
+    )
+    rng = random.Random(7)
+    events = []
+    for k in range(300):
+        u = rng.randrange(6)
+        events.append(Event(u, (u + 1 + rng.randrange(5)) % 6, float(k)))
+        engine.push(events[-1])
+    assert rebuilds == []
+    assert engine.counts()
+    monkeypatch.undo()
+    ref = run_census(
+        TemporalGraph(events).slice(299.0 - 6.0, 299.0),
+        3,
+        constraints,
+        max_nodes=3,
+        predicate=satisfies_consecutive_events,
+    )
+    assert engine.counts() == ref.code_counts
+
+
 # ----------------------------------------------------------------------
 # the long randomized stream (the acceptance-criterion shape)
 # ----------------------------------------------------------------------

@@ -228,8 +228,9 @@ def test_windowed_query_parity(parity_pair):
     ]
     nodes = sorted(oracle.nodes)
     edges = list(oracle.edge_events)[:6]
+    graph = TemporalGraph._from_storage(storage)
+    oracle_graph = TemporalGraph._from_storage(oracle)
     for lo, hi in windows:
-        assert storage.events_in(lo, hi) == oracle.events_in(lo, hi)
         assert storage.bisect_time_left(lo) == oracle.bisect_time_left(lo)
         assert storage.bisect_time_right(hi) == oracle.bisect_time_right(hi)
         for node in nodes:
@@ -243,7 +244,7 @@ def test_windowed_query_parity(parity_pair):
                 node, lo, hi
             ) == oracle.node_events_between(node, lo, hi)
         for edge in edges:
-            assert storage.edge_events_in(edge, lo, hi) == oracle.edge_events_in(
+            assert graph.edge_events_in(edge, lo, hi) == oracle_graph.edge_events_in(
                 edge, lo, hi
             )
         assert storage.adjacent_events_between(
@@ -372,6 +373,34 @@ def test_whole_stream_materialization_is_loud(tmp_path):
 
     assert materializations(serial, warns=1) >= 1
     assert materializations(serial, warns=0) == 0
+
+
+def test_root_sampling_stays_out_of_core(tmp_path):
+    import warnings
+
+    import numpy as np
+
+    import repro.obs as obs
+    from repro.algorithms.sampling import estimate_counts_root_sampling
+
+    events = _stream(150, tick=4)
+    write_partitioned(events, tmp_path, partition_events=16)
+    graph = TemporalGraph.load(tmp_path)
+    constraints = TimingConstraints(delta_c=2.0, delta_w=4.0)
+    registry = obs.enable(obs.MetricsRegistry())
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate = estimate_counts_root_sampling(
+                graph, 3, constraints, 0.5, rng=np.random.default_rng(11)
+            )
+    finally:
+        obs.disable()
+    assert registry.counters.get("storage.partition.materialize", 0) == 0
+    reference = estimate_counts_root_sampling(
+        TemporalGraph(events), 3, constraints, 0.5, rng=np.random.default_rng(11)
+    )
+    assert estimate and estimate == reference
 
 
 @pytest.mark.parametrize("restriction", ("consecutive", "cdg"))

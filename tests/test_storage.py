@@ -16,8 +16,11 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 
@@ -154,6 +157,30 @@ class TestRegistry:
         assert out.stdout.strip() == "{'011202': 1}"
 
 
+#: Every abstract member of the storage contract.  The windowed
+#: ``events_in``/``edge_events_in`` answers live on the facade, built on
+#: the bisection seams and ``node_events_in``.
+CONTRACT = {
+    "from_events",
+    "events",
+    "times",
+    "node_events",
+    "node_times",
+    "edge_events",
+    "edge_times",
+    "node_event_indices",
+    "node_events_in",
+    "count_node_events_in",
+    "count_edge_events_in",
+    "node_events_between",
+    "append",
+}
+
+
+def test_abstract_contract_is_thirteen_members():
+    assert GraphStorage.__abstractmethods__ == CONTRACT
+
+
 class TestContract:
     """Backend-agnostic contract checks, run against each backend."""
 
@@ -181,15 +208,16 @@ class TestContract:
         assert empty.start_time is None and empty.end_time is None
         assert empty.times == []
         assert empty.num_nodes == 0 and empty.num_edges == 0
-        assert empty.events_in(0, 1e9) == []
+        assert empty.bisect_time_right(1e9) - empty.bisect_time_left(0) == 0
         assert empty.node_events_in(0, 0, 1e9) == []
 
     def test_window_queries(self, storage):
         assert storage.node_events_in(0, 10, 30) == [0, 2]
         assert storage.count_node_events_in(1, 10, 40) == 4
-        assert storage.edge_events_in((1, 2), 20, 40) == [1, 3]
+        graph = TemporalGraph._from_storage(storage)
+        assert graph.edge_events_in((1, 2), 20, 40) == [1, 3]
         assert storage.count_edge_events_in((9, 9), 0, 100) == 0
-        assert storage.events_in(20, 40) == [1, 2, 3, 4]
+        assert graph.events_in(20, 40) == [1, 2, 3, 4]
 
     def test_node_events_between_is_half_open(self, storage):
         assert storage.node_events_between(0, 10, 40) == [2, 4]
@@ -198,7 +226,7 @@ class TestContract:
 
     def test_point_lookups(self, storage):
         assert storage.node_event_indices(2) == [1, 3, 4]
-        assert storage.edge_event_indices((0, 1)) == [0, 2]
+        assert storage.edge_events[(0, 1)] == [0, 2]
         assert storage.neighbors(0) == {1, 2}
 
     def test_iter_uvt(self, storage):
@@ -229,7 +257,7 @@ class TestContract:
         assert storage.node_events_in(3, 0, 100) == [5]
         assert storage.num_nodes == 4
         assert storage.update([Event(3, 0, 41), Event(0, 1, 50)]) == [6, 7]
-        assert storage.edge_event_indices((3, 0)) == [5, 6]
+        assert storage.edge_events[(3, 0)] == [5, 6]
         assert storage.end_time == 50
 
     def test_append_rejects_out_of_order(self, storage):
@@ -277,8 +305,7 @@ class TestColumnarInternals:
         assert slow._node_slot.keys() == fast._node_slot.keys()
         for node in fast._node_slot:
             assert slow.node_event_indices(node) == fast.node_event_indices(node)
-        for edge in fast._edge_slot:
-            assert slow.edge_event_indices(edge) == fast.edge_event_indices(edge)
+        assert slow.edge_events == fast.edge_events
         assert list(slow._col_u) == list(fast._col_u)
         assert list(slow._col_t) == list(fast._col_t)
 
@@ -329,9 +356,11 @@ class TestBackendParity:
         cuts = [t0 - 1, t0, t0 + span / 4, t0 + span / 2, t0 + 3 * span / 4, t1, t1 + 1]
         nodes = sorted(ref.nodes)[:12] + [10**6]
         edges = list(ref.edge_events)[:12] + [(10**6, 10**6 + 1)]
+        ref_graph = TemporalGraph._from_storage(ref)
+        col_graph = TemporalGraph._from_storage(col)
         for lo in cuts:
             for hi in cuts:
-                assert ref.events_in(lo, hi) == col.events_in(lo, hi)
+                assert ref_graph.events_in(lo, hi) == col_graph.events_in(lo, hi)
                 for node in nodes:
                     assert ref.node_events_in(node, lo, hi) == col.node_events_in(
                         node, lo, hi
@@ -343,8 +372,8 @@ class TestBackendParity:
                         node, lo, hi
                     ) == col.node_events_between(node, lo, hi)
                 for edge in edges:
-                    assert ref.edge_events_in(edge, lo, hi) == col.edge_events_in(
-                        edge, lo, hi
+                    assert ref_graph.edge_events_in(edge, lo, hi) == (
+                        col_graph.edge_events_in(edge, lo, hi)
                     )
                     assert ref.count_edge_events_in(
                         edge, lo, hi
@@ -374,8 +403,8 @@ class TestBackendParity:
         nodes = (sorted(ref.nodes)[:16] + [10**6]) * 2
         t_los = [t0 + (i % 7) * span / 7 - 1 for i in range(len(nodes))]
         t_his = [lo + span / 5 for lo in t_los]
-        assert col.count_node_events_in_batch(
-            nodes, t_los, t_his
+        assert list(
+            col.count_node_events_in_batch(nodes, t_los, t_his)
         ) == ref.count_node_events_in_batch(nodes, t_los, t_his)
         windows = [(t0, t1), (t0 + span / 3, t0 + 2 * span / 3), (t1, t0), (t1, t1)]
         for lo, hi in windows:
@@ -481,6 +510,53 @@ class TestTemporalGraphFacade:
         assert g.num_edges == 4
         assert g.extend([Event(2, 1, 50), Event(1, 0, 50)]) == [6, 7]
         assert g.edge_events_in((2, 1), 0, 100) == [5, 6]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(1, 5), st.integers(0, 20)),
+            min_size=1,
+            max_size=30,
+        ),
+        st.lists(
+            st.tuples(
+                st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                st.integers(-2, 22),
+                st.integers(-2, 22),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_window_facade_matches_brute_force(self, raw, queries):
+        # Ids 6 and 7 never occur, and (n, n) is never an edge, so some
+        # queried edges are unknown; lo > hi windows are empty.
+        events = sorted(
+            (Event(u, (u + d) % 6, float(t)) for u, d, t in raw),
+            key=lambda ev: (ev.t, ev.u, ev.v),
+        )
+        graphs = [TemporalGraph(events, backend=name) for name in BACKENDS]
+        # Live graphs: the later half arrives through the append tail.
+        half = len(events) // 2
+        for name in BACKENDS:
+            live = TemporalGraph(events[:half], backend=name)
+            live.extend(events[half:])
+            graphs.append(live)
+        with tempfile.TemporaryDirectory() as path:
+            if "numpy" in BACKENDS:
+                TemporalGraph(events).save(path, partition_events=4)
+                graphs.append(TemporalGraph.load(path))
+            for graph in graphs:
+                stream = list(graph.storage.iter_uvt())
+                for edge, lo, hi in queries:
+                    assert graph.events_in(lo, hi) == [
+                        i for i, (_u, _v, t) in enumerate(stream) if lo <= t <= hi
+                    ]
+                    assert graph.edge_events_in(edge, lo, hi) == [
+                        i
+                        for i, (u, v, t) in enumerate(stream)
+                        if (u, v) == edge and lo <= t <= hi
+                    ]
 
     def test_with_backend_preserves_content(self):
         g = TemporalGraph.from_tuples(EVENTS, name="g")
