@@ -30,8 +30,7 @@ engine's own generic kernel, which already ships the refactor's cheaper
 census fold).  Reproduce with ``--events 100000``; the committed CI
 baseline guards the 20k smoke sizes.
 
-Run under pytest-benchmark like the other kernels, or standalone for a
-comparison table and a BENCH-format JSON record::
+Run it for a comparison table and a BENCH-format JSON record::
 
     PYTHONPATH=src python benchmarks/bench_engine.py --events 20000 \
         --json bench_engine.json
@@ -47,8 +46,6 @@ import json
 import math
 import time
 from dataclasses import replace
-
-import pytest
 
 import repro.obs as obs
 from bench_storage import CONSTRAINTS, STREAM_CONFIG
@@ -79,25 +76,6 @@ def _census(graph: TemporalGraph, kernel: str | None):
             kernel=kernel,
         )
     return run_census(graph, N_EVENTS, CONSTRAINTS, max_nodes=MAX_NODES, plan=plan)
-
-
-@pytest.fixture(scope="module")
-def stream_events():
-    return generate(replace(STREAM_CONFIG, n_events=20_000), seed=42).events
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_census_engine_kernel(benchmark, stream_events, backend):
-    graph = TemporalGraph(stream_events, backend=backend)
-    census = benchmark(lambda: _census(graph, None))
-    assert census.total > 0
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_census_generic_kernel(benchmark, stream_events, backend):
-    graph = TemporalGraph(stream_events, backend=backend)
-    census = benchmark(lambda: _census(graph, "generic"))
-    assert census.total > 0
 
 
 def _census_key(census):

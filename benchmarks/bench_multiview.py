@@ -20,8 +20,7 @@ to an independent single-window :class:`~repro.online.OnlineCensus`
 replay, and a tenant view to an independent engine fed only its node
 slice of the stream.
 
-Run under pytest-benchmark like the other kernels, or standalone for a
-comparison table and a BENCH-format JSON record::
+Run it for a comparison table and a BENCH-format JSON record::
 
     PYTHONPATH=src python benchmarks/bench_multiview.py --events 20000 \
         --json bench_multiview.json
@@ -37,8 +36,6 @@ import json
 import random
 import time
 from dataclasses import replace
-
-import pytest
 
 import repro.obs as obs
 from bench_storage import CONSTRAINTS, STREAM_CONFIG
@@ -130,18 +127,6 @@ def _spot_check(engine: MultiViewCensus, events, specs: list[dict], seed: int) -
             f"single-window engine: {got[:3]}... != {want[:3]}..."
         )
     return len(sample)
-
-
-@pytest.fixture(scope="module")
-def stream_events():
-    return generate(replace(STREAM_CONFIG, n_events=20_000), seed=42).events
-
-
-@pytest.mark.parametrize("views", (1, 100))
-def test_multiview_replay(benchmark, stream_events, views):
-    specs = _view_specs(views, STREAM_CONFIG.n_nodes)
-    engine = benchmark(lambda: _replay(stream_events, specs))
-    assert engine.discovered > 0
 
 
 def compare(n_events: int = STREAM_CONFIG.n_events) -> dict[int, dict[str, float]]:

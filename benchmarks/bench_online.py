@@ -20,8 +20,7 @@ batch recount.  Standalone runs exit with status 1, naming the backend,
 when any backend misses it.  Parity is asserted on every timed replay —
 the online counters must equal the final batch recount bit-for-bit.
 
-Run under pytest-benchmark like the other kernels, or standalone for a
-comparison table and a BENCH-format JSON record::
+Run it for a comparison table and a BENCH-format JSON record::
 
     PYTHONPATH=src python benchmarks/bench_online.py --events 20000 \
         --json bench_online.json
@@ -38,8 +37,6 @@ import json
 import statistics
 import time
 from dataclasses import replace
-
-import pytest
 
 import repro.obs as obs
 from bench_storage import CONSTRAINTS, STREAM_CONFIG
@@ -95,27 +92,6 @@ def _recount_checkpoints(graph: TemporalGraph) -> list[float]:
             runs.append(time.perf_counter() - started)
         out.append(statistics.median(runs))
     return out
-
-
-@pytest.fixture(scope="module")
-def stream_events():
-    return generate(replace(STREAM_CONFIG, n_events=20_000), seed=42).events
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_online_replay(benchmark, stream_events, backend):
-    engine = benchmark(lambda: _replay(stream_events, backend))
-    assert engine.discovered > 0
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_recount_window(benchmark, stream_events, backend):
-    graph = TemporalGraph(stream_events, backend=backend)
-    now = graph.times[-1]
-    census = benchmark(
-        lambda: run_census(graph.slice(now - WINDOW, now), 3, CONSTRAINTS, max_nodes=3)
-    )
-    assert census.total >= 0
 
 
 def compare(n_events: int = STREAM_CONFIG.n_events) -> dict[str, dict[str, float]]:

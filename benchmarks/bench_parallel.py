@@ -6,8 +6,7 @@ reports wall-clock speedup relative to the serial run.  Parity is
 asserted on every timed run — a parallel census that returned different
 counts would be a correctness bug, not a speedup.
 
-Run under pytest-benchmark like the other kernels, or standalone for a
-comparison table and a BENCH-format JSON record::
+Run it for a comparison table and a BENCH-format JSON record::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py --events 20000 \
         --jobs 1 2 4 --json bench_parallel.json
@@ -23,8 +22,6 @@ import argparse
 import json
 from dataclasses import replace
 
-import pytest
-
 from bench_storage import CONSTRAINTS, STREAM_CONFIG, _best_of
 from repro.algorithms.counting import run_census
 from repro.core.temporal_graph import TemporalGraph
@@ -37,21 +34,6 @@ BACKENDS = tuple(b for b in available_backends() if b != "partitioned")
 
 #: Worker counts of the speedup curve (1 = the serial baseline).
 JOBS_CURVE = (1, 2, 4, 8)
-
-
-@pytest.fixture(scope="module")
-def small_stream_events():
-    return generate(replace(STREAM_CONFIG, n_events=10_000), seed=42).events
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("jobs", (1, 2))
-def test_census_sharded(benchmark, small_stream_events, backend, jobs):
-    graph = TemporalGraph(small_stream_events, backend=backend)
-    census = benchmark(
-        lambda: run_census(graph, 3, CONSTRAINTS, max_nodes=3, jobs=jobs),
-    )
-    assert census.total > 0
 
 
 def compare(

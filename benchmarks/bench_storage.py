@@ -15,8 +15,8 @@ designed around:
 * **census** — an end-to-end 3-event motif census through the enumeration
   engine, exercising the half-open candidate query.
 
-Run under pytest-benchmark like the other kernels, or standalone for a
-quick comparison table and an optional BENCH-format JSON record::
+Run it for a quick comparison table and an optional BENCH-format JSON
+record::
 
     PYTHONPATH=src python benchmarks/bench_storage.py --events 20000 \
         --json bench_storage.json
@@ -31,8 +31,6 @@ import argparse
 import json
 import time
 from dataclasses import replace
-
-import pytest
 
 from repro.algorithms.counting import run_census
 from repro.core.constraints import TimingConstraints
@@ -59,44 +57,6 @@ STREAM_CONFIG = ActivityConfig(
 CONSTRAINTS = TimingConstraints(delta_c=1500, delta_w=3000)
 
 
-@pytest.fixture(scope="module")
-def stream_events():
-    return generate(STREAM_CONFIG, seed=42).events
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_construction_100k(benchmark, stream_events, backend):
-    cls = get_backend(backend)
-    storage = benchmark(lambda: cls.from_events(stream_events, presorted=True))
-    assert len(storage) == len(stream_events)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_node_window_queries(benchmark, stream_events, backend):
-    storage = get_backend(backend).from_events(stream_events, presorted=True)
-    nodes = sorted(storage.nodes)[:2_000]
-    t0 = storage.start_time
-    span = storage.end_time - t0
-
-    def sweep() -> int:
-        total = 0
-        for i, node in enumerate(nodes):
-            lo = t0 + (i % 10) * span / 10
-            total += storage.count_node_events_in(node, lo, lo + span / 10)
-            total += len(storage.node_events_between(node, lo, lo + span / 20))
-        return total
-
-    assert benchmark(sweep) > 0
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_node_window_queries_batched(benchmark, stream_events, backend):
-    storage = get_backend(backend).from_events(stream_events, presorted=True)
-    nodes, t_los, t_his = _window_sweep_queries(storage)
-    counts = benchmark(lambda: storage.count_node_events_in_batch(nodes, t_los, t_his))
-    assert sum(counts) > 0
-
-
 def _window_sweep_queries(storage) -> tuple[list[int], list[float], list[float]]:
     """The window sweep as one batch: 2 000 nodes, 10 rotating windows."""
     nodes = sorted(storage.nodes)[:2_000]
@@ -105,15 +65,6 @@ def _window_sweep_queries(storage) -> tuple[list[int], list[float], list[float]]
     t_los = [t0 + (i % 10) * span / 10 for i in range(len(nodes))]
     t_his = [lo + span / 10 for lo in t_los]
     return nodes, t_los, t_his
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_census_small_sms(benchmark, backend):
-    graph = get_dataset("sms-copenhagen", scale=0.25).with_backend(backend)
-    census = benchmark(
-        lambda: run_census(graph, 3, CONSTRAINTS, max_nodes=3)
-    )
-    assert census.total > 0
 
 
 def _best_of(fn, rounds: int = 5) -> float:

@@ -99,14 +99,15 @@ def estimate_counts_window_sampling(
     if window <= 0:
         raise ValueError("window must be positive")
     rng = rng if rng is not None else np.random.default_rng()
-    if not graph.events:
+    if len(graph) == 0:
         return {}
-    t0 = graph.times[0]
-    n_windows = int(math.floor((graph.times[-1] - t0) / window)) + 1
+    storage = graph.storage
+    t0 = storage.start_time
+    n_windows = int(math.floor((storage.end_time - t0) / window)) + 1
     keep = rng.random(n_windows) < q
     roots = [
         i
-        for i, t in enumerate(graph.times)
+        for i, (_u, _v, t) in enumerate(storage.iter_uvt())
         if keep[int((t - t0) // window)]
     ]
     raw = count_motifs(
@@ -119,7 +120,7 @@ def relative_error(exact: dict[str, int], estimate: dict[str, float]) -> float:
     """Total-variation-style relative error between exact and estimated counts.
 
     ``sum(|exact - est|) / sum(exact)``; codes missing from either side
-    count as zero.  Used by tests and the sampling ablation bench.
+    count as zero.
     """
     total = sum(exact.values())
     if total == 0:

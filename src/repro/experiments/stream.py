@@ -84,7 +84,7 @@ def run(
             constraints,
             window,
             max_nodes=max_nodes,
-            backend=graph.backend,
+            backend=_live_backend(graph),
             prune_every=prune_every,
         )
         rec = _obs.ACTIVE
@@ -97,7 +97,7 @@ def run(
         rolling: list[str] = []
         started = time.perf_counter()
         peak_live = 0
-        for i, event in enumerate(graph.events, start=1):
+        for i, event in enumerate(graph.storage.iter_uvt(), start=1):
             engine.push(event)
             if engine.live_instances > peak_live:
                 peak_live = engine.live_instances
@@ -180,6 +180,11 @@ def run(
     )
 
 
+def _live_backend(graph) -> str:
+    """The source's backend if it takes appends (a page directory does not)."""
+    return graph.backend if graph.storage.supports_append else "numpy"
+
+
 def _parse_windows(windows: str | Iterable[float] | None) -> list[float] | None:
     """Normalize the ``--windows W1,W2,...`` option to a float list."""
     if windows is None:
@@ -221,7 +226,7 @@ def _run_multiview(
             constraints,
             max(windows),
             max_nodes=max_nodes,
-            backend=graph.backend,
+            backend=_live_backend(graph),
             prune_every=prune_every,
         )
         names = []
@@ -230,7 +235,7 @@ def _run_multiview(
             engine.add_view(name, w)
             names.append(name)
         started = time.perf_counter()
-        for event in graph.events:
+        for event in graph.storage.iter_uvt():
             engine.push(event)
         seconds = time.perf_counter() - started
         rate = len(graph) / seconds if seconds > 0 else float("inf")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.algorithms.counting import count_motifs
 from repro.core.constraints import TimingConstraints
@@ -74,17 +74,18 @@ class MotifModel(ABC):
             self.constraints(),
             max_nodes=max_nodes,
             node_counts=node_counts,
-            predicate=self._predicate,
+            predicate=self._restriction(),
         )
 
-    def _predicate(self, graph: TemporalGraph, instance: Sequence[int]) -> bool:
-        """Adapter so the enumerator can call the model as a filter.
+    @abstractmethod
+    def _restriction(self) -> Callable[[TemporalGraph, Sequence[int]], bool] | None:
+        """The filter :meth:`count` hands the enumerator; ``None`` adds none.
 
         The enumerator already guarantees ordering, growth, and the timing
-        constraints returned by :meth:`constraints`; subclasses override
-        this with only their *extra* restrictions to avoid re-checking.
+        constraints returned by :meth:`constraints`, so a model returns only
+        its *extra* restriction.  A library restriction goes as itself, so
+        the engine keeps its row form and shard marks.
         """
-        return self.is_valid_instance(graph, instance)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__}: {self.constraints().describe()}>"

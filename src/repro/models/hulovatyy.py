@@ -83,7 +83,7 @@ class HulovatyyModel(MotifModel):
             return False
         if not self._admits_timing(graph, instance):
             return False
-        return self._predicate(graph, instance)
+        return self._extra_rules(graph, instance)
 
     def _admits_timing(self, graph: TemporalGraph, instance: Sequence[int]) -> bool:
         """ΔC over consecutive gaps, duration-aware when durations are set."""
@@ -96,7 +96,11 @@ class HulovatyyModel(MotifModel):
                 return False
         return True
 
-    def _predicate(self, graph: TemporalGraph, instance: Sequence[int]) -> bool:
+    def _restriction(self):
+        return self._extra_rules
+
+    def _extra_rules(self, graph: TemporalGraph, instance: Sequence[int]) -> bool:
+        """Inducedness, the optional CDG rule and duration-aware gaps."""
         if not is_static_induced(graph, instance, scope=self.induced_scope):
             return False
         if self.constrained and not satisfies_cdg(graph, instance):

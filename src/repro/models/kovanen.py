@@ -72,8 +72,6 @@ class KovanenModel(MotifModel):
             return False
         return True
 
-    def _predicate(self, graph: TemporalGraph, instance: Sequence[int]) -> bool:
+    def _restriction(self):
         # Ordering, growth, and ΔC are already guaranteed by the enumerator.
-        if not self.enforce_consecutive:
-            return True
-        return satisfies_consecutive_events(graph, instance)
+        return satisfies_consecutive_events if self.enforce_consecutive else None

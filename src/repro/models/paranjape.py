@@ -73,9 +73,10 @@ class ParanjapeModel(MotifModel):
         times = [graph.times[i] for i in instance]
         if not self.constraints().admits(times):
             return False
-        return self._predicate(graph, instance)
+        return not self.induced or self._is_induced(graph, instance)
 
-    def _predicate(self, graph: TemporalGraph, instance: Sequence[int]) -> bool:
-        if not self.induced:
-            return True
+    def _restriction(self):
+        return self._is_induced if self.induced else None
+
+    def _is_induced(self, graph: TemporalGraph, instance: Sequence[int]) -> bool:
         return is_static_induced(graph, instance, scope=self.induced_scope)

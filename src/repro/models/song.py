@@ -63,14 +63,11 @@ class SongModel(MotifModel):
         times = [graph.times[i] for i in instance]
         if not self.constraints().admits(times):
             return False
-        if self.pattern is not None:
-            events = [graph.events[i] for i in instance]
-            if not self.pattern.matches_sequence(events):
-                return False
-        return True
+        return self.pattern is None or self._matches_pattern(graph, instance)
 
-    def _predicate(self, graph: TemporalGraph, instance: Sequence[int]) -> bool:
-        if self.pattern is None:
-            return True
+    def _restriction(self):
+        return None if self.pattern is None else self._matches_pattern
+
+    def _matches_pattern(self, graph: TemporalGraph, instance: Sequence[int]) -> bool:
         events = [graph.events[i] for i in instance]
         return self.pattern.matches_sequence(events)

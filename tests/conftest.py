@@ -14,6 +14,7 @@ CI matrix runs one backend per job instead of every backend in every job.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import pytest
@@ -114,6 +115,13 @@ def small_sms(storage_backend: str) -> TemporalGraph:
 
 
 @pytest.fixture(scope="session")
+def quarter_sms(storage_backend: str) -> TemporalGraph:
+    """The message network at scale 0.25 (2250 events), the census workload."""
+    pytest.importorskip("numpy", reason="dataset synthesis is numpy-seeded")
+    return get_dataset("sms-copenhagen", scale=0.25)
+
+
+@pytest.fixture(scope="session")
 def small_email(storage_backend: str) -> TemporalGraph:
     """A small email dataset with same-timestamp carbon copies."""
     pytest.importorskip("numpy", reason="dataset synthesis is numpy-seeded")
@@ -125,6 +133,27 @@ def small_bitcoin(storage_backend: str) -> TemporalGraph:
     """A small no-repeated-edges ratings dataset."""
     pytest.importorskip("numpy", reason="dataset synthesis is numpy-seeded")
     return get_dataset("bitcoin-otc", scale=0.2)
+
+
+@pytest.fixture(scope="session")
+def paper_scale():
+    """Run an experiment at scale 0.5, where its paper shapes are calibrated.
+
+    Each result is computed once per session, on numpy whatever the session's
+    backends, so these runs cost the same on every pass and every CI leg.
+    Backend parity of the experiments stays with the per-backend tests that
+    run them at smaller scales.
+    """
+    pytest.importorskip("numpy", reason="dataset synthesis is numpy-seeded")
+    from repro.experiments import run_experiment
+
+    @functools.cache
+    def run(experiment_id: str, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv(ENV_VAR, "numpy")
+            return run_experiment(experiment_id, scale=0.5, **kwargs)
+
+    return run
 
 
 def make_events(*triples: tuple[int, int, float]) -> list[Event]:

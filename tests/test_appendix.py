@@ -12,7 +12,7 @@ from repro.datasets.registry import dataset_names
 
 import pytest
 
-pytest.importorskip("numpy", reason="appendix experiments run on numpy-seeded datasets")
+np = pytest.importorskip("numpy", reason="appendix experiments run on numpy-seeded datasets")
 
 
 class TestDatasetCoverage:
@@ -63,3 +63,31 @@ class TestRuns:
         entry = result.data["sms-copenhagen"]
         assert len(entry["matrix"]) == 6
         assert "asymmetries" in entry
+
+    def test_figure7_repetition_share_at_paper_scale(self, paper_scale):
+        # Repetition share decreases (or stays flat) toward only-ΔC everywhere.
+        for name, per_size in paper_scale("figure7", n_events_list=(3,)).data.items():
+            per_config = per_size["3e"]
+            assert per_config["only-ΔC"]["R"] <= per_config["only-ΔW"]["R"] + 0.02, name
+
+    def test_figure8_pair_shares_sum_to_one(self, paper_scale):
+        for name, per_size in paper_scale("figure8", n_events_list=(3,)).data.items():
+            assert sum(per_size["3e"]["only-ΔW"].values()) > 0.99, name
+
+    def test_figure9_skew_regularizes(self, paper_scale):
+        for panel, per_config in paper_scale("figure9").data.items():
+            w, c = per_config["only-ΔW"], per_config["only-ΔC"]
+            if min(w["samples"], c["samples"]) >= 50:  # a stable sample
+                assert abs(c["skew"]) <= abs(w["skew"]) + 0.05, panel
+
+    def test_figure10_at_paper_scale(self, paper_scale):
+        for name, per_config in paper_scale("figure10").data.items():
+            only_w = per_config["only-ΔW"]
+            if only_w["summary"].count >= 50:
+                assert only_w["summary"].maximum <= 3000, name
+                assert only_w["uniformity"] >= per_config["only-ΔC"]["uniformity"] - 0.05, name
+
+    def test_figure11_at_paper_scale(self, paper_scale):
+        for name, entry in paper_scale("figure11").data.items():
+            if np.array(entry["matrix"]).sum() >= 100:
+                assert entry["asymmetries"]["C_then_O_vs_O_then_C"] > 0, name

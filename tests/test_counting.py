@@ -12,6 +12,7 @@ from repro.algorithms.counting import (
     run_census,
 )
 from repro.algorithms.enumeration import enumerate_instances
+from repro.algorithms.restrictions import satisfies_cdg, satisfies_consecutive_events
 from repro.core.constraints import TimingConstraints
 from repro.core.eventpairs import PairType, classify_pair
 from repro.core.notation import canonical_code
@@ -44,6 +45,29 @@ class TestCountMotifs:
         g = TemporalGraph.from_tuples([(5, 9, 0), (5, 9, 3), (5, 9, 7)])
         counts = count_motifs(g, 3, TimingConstraints.only_c(10))
         assert counts == Counter({"010101": 1})
+
+
+class TestQuarterScaleWorkloads:
+    """The census workloads on the message networks at scale 0.25."""
+
+    constraints = TimingConstraints(delta_c=1500, delta_w=3000)
+
+    def test_censuses_find_motifs_and_restrictions_subset_them(self, quarter_sms):
+        vanilla = count_motifs(quarter_sms, 3, self.constraints, max_nodes=3)
+        assert sum(vanilla.values()) > 0
+        assert sum(count_motifs(quarter_sms, 4, self.constraints, max_nodes=4).values()) > 0
+        for predicate in (satisfies_consecutive_events, satisfies_cdg):
+            restricted = count_motifs(
+                quarter_sms, 3, self.constraints, max_nodes=3, predicate=predicate
+            )
+            assert all(n <= vanilla[code] for code, n in restricted.items())
+
+    def test_delta_w_at_twice_delta_c_is_only_delta_c(self, quarter_sms):
+        # Three events 1500 s apart at most span 3000 s = ΔW: no extra cut.
+        only_c = TimingConstraints.only_c(1500)
+        assert count_motifs(quarter_sms, 3, only_c, max_nodes=3) == count_motifs(
+            quarter_sms, 3, self.constraints, max_nodes=3
+        )
 
 
 class TestCountEventPairs:

@@ -69,11 +69,15 @@ class TestBasics:
 
 
 class TestAgainstEngine:
-    @pytest.mark.parametrize("n_events", [2, 3, 4])
-    def test_dataset_agreement(self, small_sms, n_events):
-        delta_w = 900.0
-        fast = count_two_node_motifs(small_sms, n_events, delta_w)
-        assert fast == oracle(small_sms, n_events, delta_w)
+    @pytest.mark.parametrize(
+        "dataset, n_events, delta_w",
+        [pytest.param("small_sms", n, 900.0, id=str(n)) for n in (2, 3, 4)]
+        + [pytest.param("quarter_sms", 3, 3000.0, id="quarter-scale-3")],
+    )
+    def test_dataset_agreement(self, request, dataset, n_events, delta_w):
+        graph = request.getfixturevalue(dataset)
+        fast = count_two_node_motifs(graph, n_events, delta_w)
+        assert fast == oracle(graph, n_events, delta_w)
 
     def test_dense_single_pair(self):
         g = TemporalGraph.from_tuples(

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.algorithms.counting import count_motifs
+from repro.algorithms.restrictions import satisfies_consecutive_events
 from repro.core.temporal_graph import TemporalGraph
 from repro.models import (
     ALL_MODELS,
@@ -226,3 +228,31 @@ class TestAspects:
         """Each surveyed model uses exactly one of ΔC / ΔW (Table 1)."""
         for row in ASPECT_ROWS.values():
             assert row.uses_delta_c != row.uses_delta_w
+
+
+class TestCountHandsTheEngineItsRestriction:
+    """A model count is the engine census with the model's own restriction."""
+
+    @pytest.mark.parametrize(
+        "model, restriction",
+        [
+            (KovanenModel(1500), satisfies_consecutive_events),
+            (KovanenModel(1500, enforce_consecutive=False), None),
+            (SongModel(3000), None),
+            (ParanjapeModel(3000, induced=False), None),
+        ],
+        ids=["kovanen", "kovanen-relaxed", "song", "paranjape-non-induced"],
+    )
+    def test_count_takes_no_scalar_predicate(self, small_sms, model, restriction):
+        pytest.importorskip("numpy", reason="the block lane runs on the numpy backend")
+        import repro.obs as obs
+
+        graph = small_sms.with_backend("numpy")
+        registry = obs.enable(obs.MetricsRegistry())
+        try:
+            counts = model.count(graph, 3, max_nodes=3)
+        finally:
+            obs.disable()
+        assert registry.counters.get("engine.predicate.scalar", 0) == 0
+        direct = count_motifs(graph, 3, model.constraints(), max_nodes=3, predicate=restriction)
+        assert list(counts.items()) == list(direct.items())

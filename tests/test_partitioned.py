@@ -403,6 +403,31 @@ def test_root_sampling_stays_out_of_core(tmp_path):
     assert estimate and estimate == reference
 
 
+def test_window_sampling_stays_out_of_core(tmp_path):
+    import warnings
+
+    import repro.obs as obs
+    from repro.algorithms.sampling import estimate_counts_window_sampling
+
+    events = _stream(150, tick=4)
+    write_partitioned(events, tmp_path, partition_events=16)
+    constraints = TimingConstraints(delta_c=2.0, delta_w=4.0)
+
+    def estimate(graph):
+        rng = np.random.default_rng(11)
+        return estimate_counts_window_sampling(graph, 3, constraints, window=6.0, q=0.5, rng=rng)
+
+    registry = obs.enable(obs.MetricsRegistry())
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sampled = estimate(TemporalGraph.load(tmp_path))
+    finally:
+        obs.disable()
+    assert registry.counters.get("storage.partition.materialize", 0) == 0
+    assert sampled and sampled == estimate(TemporalGraph(events))
+
+
 @pytest.mark.parametrize("restriction", ("consecutive", "cdg"))
 def test_predicated_census_never_maps_index_pages(tmp_path, restriction):
     import repro.obs as obs

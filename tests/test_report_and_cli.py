@@ -70,6 +70,25 @@ class TestCLI:
         assert "events/s" in out
         assert "parity vs batch recount: ok" in out
 
+    @pytest.mark.parametrize("views", ({"window": 6000.0}, {"windows": "3000,12000"}))
+    def test_stream_replays_a_partitioned_directory(self, tmp_path, views):
+        import warnings
+
+        from repro.datasets.registry import get_dataset
+        from repro.experiments import run_experiment
+
+        get_dataset("sms-copenhagen", scale=0.1).save(tmp_path, partition_events=512)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_experiment("stream", datasets=[str(tmp_path)], **views)
+        assert "parity vs batch recount: ok" in result.text
+        assert "MISMATCH" not in result.text
+        in_memory = run_experiment("stream", datasets=["sms-copenhagen"], scale=0.1, **views)
+        for data in (result.data, in_memory.data):
+            for timing in ("seconds", "events_per_sec"):
+                del data["sms-copenhagen"][timing]
+        assert result.data == in_memory.data
+
     def test_window_flag_is_inert_elsewhere(self, capsys):
         """--window forwards into every experiment's **_ignored sink."""
         code = cli_main(

@@ -88,6 +88,15 @@ class TestRootSampling:
 
         assert err(0.8) < err(0.1) + 0.05  # generous slack for tiny samples
 
+    def test_single_q01_sample_accuracy(self, quarter_sms):
+        constraints = TimingConstraints(delta_c=1500, delta_w=3000)
+        estimate = estimate_counts_root_sampling(
+            quarter_sms, 3, constraints, q=0.1, max_nodes=3, rng=np.random.default_rng(1)
+        )
+        exact = count_motifs(quarter_sms, 3, constraints, max_nodes=3)
+        # One q=0.1 sample lands within 60% relative error on this workload.
+        assert relative_error(exact, estimate) < 0.6
+
 
 class TestWindowSampling:
     def test_q_one_is_exact(self, small_sms):
