@@ -242,6 +242,44 @@ def is_static_induced(
 is_static_induced.tick_boundary_sensitive = True
 
 
+class _Conjunction:
+    """The AND of restriction predicates; :func:`combine` builds it.
+
+    A module-level class rather than a closure, so a conjunction of
+    picklable predicates pickles too and travels to shard workers.
+    """
+
+    def __init__(self, predicates) -> None:
+        self.predicates = tuple(predicates)
+        self.shard_safe = all(getattr(pred, "shard_safe", False) for pred in self.predicates)
+        # One tie-unstable component makes the conjunction tie-unstable.
+        self.tick_boundary_sensitive = any(
+            getattr(pred, "tick_boundary_sensitive", False) for pred in self.predicates
+        )
+
+    def __call__(self, graph: TemporalGraph, instance: Instance) -> bool:
+        return all(pred(graph, instance) for pred in self.predicates)
+
+    def __repr__(self) -> str:
+        names = (getattr(pred, "__name__", repr(pred)) for pred in self.predicates)
+        return f"combine({', '.join(names)})"
+
+
+class _RowConjunction(_Conjunction):
+    """A conjunction whose every component has a row form."""
+
+    def rows(self, graph: TemporalGraph, rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        # Each component judges only the rows the earlier ones kept, as
+        # the scalar conjunction short-circuits.
+        kept = np.arange(len(rows))
+        for pred in self.predicates:
+            kept = kept[pred.rows(graph, rows[kept])]
+        mask = np.zeros(len(rows), dtype=bool)
+        mask[kept] = True
+        return mask
+
+
 def combine(*predicates):
     """AND-combine restriction predicates into a single enumerator filter.
 
@@ -249,32 +287,8 @@ def combine(*predicates):
     when every component is (see
     :func:`repro.parallel.mark_shard_safe`), and carries a row form
     exactly when every component does: the AND of the component masks.
+    It pickles whenever its components do.
     """
-
-    def combined(graph: TemporalGraph, instance: Instance) -> bool:
-        return all(pred(graph, instance) for pred in predicates)
-
-    row_forms = [getattr(pred, "rows", None) for pred in predicates]
-    if all(form is not None for form in row_forms):
-
-        def combined_rows(graph: TemporalGraph, rows):
-            rows = np.asarray(rows, dtype=np.int64)
-            # Each component judges only the rows the earlier ones kept,
-            # as the scalar conjunction short-circuits.
-            kept = np.arange(len(rows))
-            for form in row_forms:
-                kept = kept[form(graph, rows[kept])]
-            mask = np.zeros(len(rows), dtype=bool)
-            mask[kept] = True
-            return mask
-
-        combined.rows = combined_rows
-
-    combined.shard_safe = all(
-        getattr(pred, "shard_safe", False) for pred in predicates
-    )
-    # One tie-unstable component makes the conjunction tie-unstable.
-    combined.tick_boundary_sensitive = any(
-        getattr(pred, "tick_boundary_sensitive", False) for pred in predicates
-    )
-    return combined
+    if all(getattr(pred, "rows", None) is not None for pred in predicates):
+        return _RowConjunction(predicates)
+    return _Conjunction(predicates)

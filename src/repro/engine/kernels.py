@@ -32,12 +32,13 @@ Two kernels are registered:
   bisection per partial; correct on every backend.
 * :class:`NumpyExtensionKernel` — inherits the contract above and adds
   the **block lane** (``block_ready()`` / ``grow_block(roots)``): a
-  whole root block grows level by level, a constant number of
-  vectorized ``searchsorted`` probes per level, their keys searched in
-  ascending order, over the banded CSR machinery of
+  whole root block grows level by level, with at most two batched
+  ``searchsorted`` probes per level, their keys searched in ascending
+  order: partials below the node cap probe the banded node CSR of
   :class:`~repro.storage.numpy_backend.NumpyStorage`
   (:meth:`~repro.storage.numpy_backend.NumpyStorage.extension_arrays`),
-  to an ``(n, n_events)`` instance array plus each row's motif code,
+  partials at the cap a per-run band of events keyed by node pair.  It
+  grows to an ``(n, n_events)`` instance array plus each row's motif code,
   without building Partial objects (see
   :func:`repro.engine.driver.run_plan`).  While tail appends are
   pending the banded arrays are unavailable and the driver takes the
@@ -265,12 +266,15 @@ MAX_CODE_EVENTS = 9
 class NumpyExtensionKernel(ExtensionKernel):
     """Vectorized kernel over :class:`NumpyStorage`'s banded CSR arrays.
 
-    Extends the whole frontier at once: per-(partial, node) half-open
-    window queries become two batched ``searchsorted`` sweeps over the
-    banded CSR, their keys searched in ascending order (one argsort,
-    not the partials' order, which jumps between node bands at random),
-    the ragged candidate ranges gather through one fancy-index, and
-    dedup/adjacency/node-cap admission run as array ops.  That sweep,
+    Extends the whole frontier at once.  A partial below the node cap
+    makes one half-open window query per node into the banded node
+    CSR; a partial at the cap makes one per pair of its nodes into the
+    run's pair band, since only events between its own nodes fit.  The
+    queries become batched ``searchsorted`` sweeps, their keys searched
+    in ascending order (one argsort, not the partials' order, which
+    jumps between bands at random), the ragged candidate ranges gather
+    through one fancy-index, and dedup and endpoint positions run as
+    array ops over candidates that are all admissible.  That sweep,
     :meth:`_admit_arrays`, is the kernel's one admission
     implementation.  It works on dense node *slots* (a node's
     position in the storage's ascending node-id array) and per-partial
@@ -303,7 +307,11 @@ class NumpyExtensionKernel(ExtensionKernel):
 
         Builds the run's per-event tables on the kernel (never on the
         storage, so they live exactly as long as the run): each event's
-        endpoint slots, and the global index bounds of the windows it
+        endpoint slots; the pair band, which sorts the events by their
+        unordered endpoint-slot pair, then by index, as keys
+        ``rank * m + e`` (``rank`` is the pair's position among the
+        distinct ``pair_keys``, so every key stays below ``m**2``); and
+        the global index bounds of the windows each event
         opens — ``lo[e]``, the first event strictly later than ``e``,
         and ``hi_c[e]``/``hi_w[e]``, one past the last event at or
         before ``t[e] + ΔC`` / ``t[e] + ΔW``.  Because ``searchsorted``
@@ -324,12 +332,26 @@ class NumpyExtensionKernel(ExtensionKernel):
         keys = arrays["keys"]
         su = keys.searchsorted(arrays["u"])
         sv = keys.searchsorted(arrays["v"])
+        n_slots = np.int64(len(keys))
+        pair = np.minimum(su, sv) * n_slots + np.maximum(su, sv)
+        pair_idx = pair.argsort(kind="stable")
+        pair = pair[pair_idx]
+        fresh = np.ones(len(pair), dtype=bool)
+        np.not_equal(pair[1:], pair[:-1], out=fresh[1:])
+        pair_banded = np.cumsum(fresh)
+        pair_banded -= 1
+        pair_banded *= arrays["m"]
+        pair_banded += pair_idx
         plan = self._plan
         self._block = {
             "arrays": arrays,
             "su": su,
             "sv": sv,
             "loops": bool((su == sv).any()),
+            "n_slots": n_slots,
+            "pair_keys": pair[fresh],
+            "pair_banded": pair_banded,
+            "pair_idx": pair_idx,
             "lo": t.searchsorted(t, side="right"),
             "hi_c": t.searchsorted(t + plan.delta_c, side="right"),
             "hi_w": t.searchsorted(t + plan.delta_w, side="right"),
@@ -361,7 +383,6 @@ class NumpyExtensionKernel(ExtensionKernel):
         ascending.
         """
         block = self._block
-        arrays = block["arrays"]
         su = block["su"]
         sv = block["sv"]
         lo_of = block["lo"]
@@ -384,7 +405,7 @@ class NumpyExtensionKernel(ExtensionKernel):
         level_ext = np.zeros(n - 1, dtype=np.int64)
         for depth in range(1, n):
             level_partials[depth - 1] = len(seqs)
-            vec = self._admit_arrays(arrays, su, sv, win_lo, win_hi, padded, sizes)
+            vec = self._admit_arrays(block, win_lo, win_hi, padded, sizes)
             if not vec:
                 break
             cand, cand_part, pos_u, pos_v = vec
@@ -429,61 +450,108 @@ class NumpyExtensionKernel(ExtensionKernel):
     # ------------------------------------------------------------------
     # the admission sweep
     # ------------------------------------------------------------------
-    def _admit_arrays(self, arrays, su, sv, win_lo, win_hi, padded, sizes):
+    def _admit_arrays(self, block, win_lo, win_hi, padded, sizes):
         """Every admissible extension of an array-shaped frontier.
 
+        ``block`` is the run's tables from :meth:`block_ready`.
         ``padded`` is the ``(n_p, width)`` node-slot table: row ``i``
-        holds partial ``i``'s ``sizes[i]`` distinct node slots in
-        first-appearance order, then ``-1``.  ``su``/``sv`` are the
-        per-event endpoint slot columns; ``[win_lo[i], win_hi[i])`` is
-        partial ``i``'s window of global event indices (strictly after
-        its last event, at or before its deadline).  Returns ``()`` when
-        no extension is admissible, else ``(cand, cand_part, pos_u,
-        pos_v)``: the admitted event indices, their partial positions
-        (grouped in input order, events ascending within a partial), and
-        each candidate endpoint's position in its partial's node row,
-        ``-1`` when the endpoint is new.
+        holds partial ``i``'s ``sizes[i]`` node slots in first-appearance
+        order, then ``-1``; ``[win_lo[i], win_hi[i])`` is partial ``i``'s
+        window of global event indices (strictly after its last event,
+        at or before its deadline).  Returns ``()`` when no extension is
+        admissible, else ``(cand, cand_part, pos_u, pos_v)``: the
+        admitted event indices, their partial positions (grouped in
+        input order, events ascending within a partial), and each
+        candidate endpoint's position in its partial's node row, ``-1``
+        when the endpoint is new.
+
+        Two probes gather only admissible candidates.  A partial below
+        the node cap probes the node band once per node: an adjacent
+        event adds at most one node, so every event it finds fits under
+        the cap.  A partial at the cap can only take events between two
+        of its own nodes, so it probes the pair band once per unordered
+        pair of its node slots, plus once per ``(a, a)`` pair when the
+        graph has self-loops.
         """
+        arrays = block["arrays"]
         m = arrays["m"]
         n_p = len(sizes)
         if m == 0 or n_p == 0:
             return ()
-
-        # One window query per (partial, node), mapped into the node's
-        # band of the flat CSR index (strictly increasing per band,
-        # globally sorted after the + slot*m shift).  Empty or
-        # past-deadline windows fall out as empty index ranges.  The
-        # queries arrive in partial order, which jumps between bands at
-        # random; searched in ascending key order, consecutive binary
-        # searches walk nearly the same path through ``banded`` and stay
-        # in cache, which saves several times what the argsort costs.
-        # The temporaries are dropped once spent: the ragged gather
-        # below is the sweep's memory peak, and they would sit under it.
-        flat_slots = padded[np.arange(padded.shape[1]) < sizes[:, None]]
-        q_part = np.repeat(np.arange(n_p, dtype=np.int64), sizes)
-        base = flat_slots * np.int64(m)
-        key_lo = base + win_lo[q_part]
-        order = key_lo.argsort()
-        q_part = q_part[order]
-        key_hi = base[order]
-        key_hi += win_hi[q_part]
-        key_lo = key_lo[order]
-        del flat_slots, base, order
-        banded = arrays["banded"]
-        a = banded.searchsorted(key_lo, side="left")
-        b = banded.searchsorted(key_hi, side="left")
-        del key_lo, key_hi
-        cnt = b - a
-        np.maximum(cnt, 0, out=cnt)
-        total_c = int(cnt.sum())
-        if total_c == 0:
+        m = np.int64(m)
+        found = []
+        full = sizes >= self._plan.node_cap
+        n_full = int(np.count_nonzero(full))
+        if n_full < n_p:
+            # One window query per (open partial, node), mapped into the
+            # node's band of the flat CSR index (strictly increasing per
+            # band, globally sorted after the ``+ slot*m`` shift).  The
+            # queries arrive in partial order, which jumps between bands
+            # at random; searched in ascending key order, consecutive
+            # binary searches walk nearly the same path through the band
+            # and stay in cache, which saves several times what the
+            # argsort costs.  The temporaries are dropped once spent: the
+            # ragged gather is the sweep's memory peak, and they would
+            # sit under it.
+            open_sizes = np.where(full, 0, sizes) if n_full else sizes
+            slots = padded[np.arange(padded.shape[1]) < open_sizes[:, None]]
+            q_part = np.repeat(np.arange(n_p, dtype=np.int64), open_sizes)
+            base = slots * m
+            key_lo = base + win_lo[q_part]
+            order = key_lo.argsort()
+            q_part = q_part[order]
+            key_hi = base[order]
+            key_hi += win_hi[q_part]
+            key_lo = key_lo[order]
+            del slots, base, order
+            found.append(_probe_band(arrays["banded"], arrays["idx"], key_lo, key_hi, q_part))
+            del key_lo, key_hi
+        if n_full:
+            # Every full partial holds ``max(node_cap, 2)`` slots: a root
+            # carries two nodes, and only a partial below the cap grows.
+            width = max(self._plan.node_cap, 2)
+            first, second = np.triu_indices(width, 0 if block["loops"] else 1)
+            slots = padded[full, :width]
+            lo_slot = slots[:, first].ravel()
+            hi_slot = slots[:, second].ravel()
+            pair = np.minimum(lo_slot, hi_slot) * block["n_slots"]
+            pair += np.maximum(lo_slot, hi_slot)
+            q_part = np.repeat(np.flatnonzero(full), len(first))
+            # Rank the pairs in ascending order (a packed sort, much
+            # cheaper than an argsort): random-order binary searches
+            # cost several times more, and the band searches below then
+            # run in key order too.  Pairs no event joins drop out.
+            bits = int(n_p).bit_length()
+            if 2 * int(block["n_slots"]).bit_length() + bits < 63:
+                packed = (pair << bits) | q_part
+                packed.sort()
+                pair = packed >> bits
+                q_part = packed & ((np.int64(1) << bits) - 1)
+            else:  # pragma: no cover - >2^63 packed keys
+                order = pair.argsort()
+                pair = pair[order]
+                q_part = q_part[order]
+            pair_keys = block["pair_keys"]
+            rank = pair_keys.searchsorted(pair)
+            np.minimum(rank, len(pair_keys) - 1, out=rank)
+            hit = pair_keys[rank] == pair
+            base = rank[hit] * m
+            q_part = q_part[hit]
+            found.append(
+                _probe_band(
+                    block["pair_banded"],
+                    block["pair_idx"],
+                    base + win_lo[q_part],
+                    base + win_hi[q_part],
+                    q_part,
+                )
+            )
+        found = [probe for probe in found if probe is not None]
+        if not found:
             return ()
-
-        # Ragged gather of every candidate range in one shot.
-        starts = np.cumsum(cnt) - cnt
-        offsets = np.arange(total_c, dtype=np.int64) - np.repeat(starts, cnt)
-        cand = arrays["idx"][np.repeat(a, cnt) + offsets]
-        cand_part = np.repeat(q_part, cnt)
+        cand = np.concatenate([probe[0] for probe in found])
+        cand_part = np.concatenate([probe[1] for probe in found])
+        total_c = len(cand)
 
         # Sort per partial (the contract's grouped-ascending order) and
         # drop duplicates: an event adjacent to two motif nodes arrives
@@ -519,15 +587,16 @@ class NumpyExtensionKernel(ExtensionKernel):
                     keep = ~dup
                     cand = cand[keep]
                     cand_part = cand_part[keep]
+        rec = _obs.ACTIVE
+        if rec is not None:
+            rec.inc(_ADMIT_CANDIDATES, total_c)
+            rec.inc(_ADMIT_ADMITTED, len(cand))
 
         # Each endpoint's position in its partial's node row, one column
-        # at a time (a row holds distinct slots, so at most one column
-        # matches).  The candidate came from one of the partial's own
-        # node queries, so at most one endpoint is new; and, exactly
-        # like the scalar kernels, only such extensions are tested
-        # against the node cap.  The table is at least as wide as the
-        # *largest* partial, not the cap — a root always carries two
-        # nodes even under a degenerate ``max_nodes=1``.
+        # at a time (a row holds distinct slots, except a self-loop
+        # root's two equal ones, where the later column wins).
+        su = block["su"]
+        sv = block["sv"]
         cu = su[cand]
         cv = sv[cand]
         pos_u = np.full(len(cand), -1, dtype=np.int64)
@@ -536,15 +605,34 @@ class NumpyExtensionKernel(ExtensionKernel):
             col = padded[:, j][cand_part]
             np.copyto(pos_u, j, where=col == cu)
             np.copyto(pos_v, j, where=col == cv)
-        ok = ((pos_u >= 0) & (pos_v >= 0)) | (sizes[cand_part] < self._plan.node_cap)
-        if not ok.all():
-            cand = cand[ok]
-            cand_part = cand_part[ok]
-            pos_u = pos_u[ok]
-            pos_v = pos_v[ok]
-            if not len(cand):
-                return ()
         return cand, cand_part, pos_u, pos_v
+
+
+#: The admission sweep's counters: candidates gathered by its probes
+#: (duplicates included) and extensions admitted.
+_ADMIT_CANDIDATES = _obs.labeled("engine.admit.candidates", kernel="numpy")
+_ADMIT_ADMITTED = _obs.labeled("engine.admit.admitted", kernel="numpy")
+
+
+def _probe_band(banded, idx, key_lo, key_hi, q_part):
+    """Gather ``idx`` over every query's half-open key range of one band.
+
+    Query ``i`` of partial ``q_part[i]`` covers the ``banded`` keys
+    ``[key_lo[i], key_hi[i])``; empty or past-deadline windows fall out
+    as empty ranges.  Returns ``(cand, cand_part)`` in query order, or
+    ``None`` when nothing is found.
+    """
+    a = banded.searchsorted(key_lo, side="left")
+    cnt = banded.searchsorted(key_hi, side="left")
+    cnt -= a
+    np.maximum(cnt, 0, out=cnt)
+    total = int(cnt.sum())
+    if total == 0:
+        return None
+    # Ragged gather of every candidate range in one shot.
+    starts = np.cumsum(cnt) - cnt
+    offsets = np.arange(total, dtype=np.int64) - np.repeat(starts, cnt)
+    return idx[np.repeat(a, cnt) + offsets], np.repeat(q_part, cnt)
 
 
 #: Registry of kernel capability names (the values backends may put in

@@ -522,6 +522,34 @@ class TestNumpyBlockLane:
         assert grow["count"] == n_blocks
         assert 0 < grow["total"] <= wall
 
+    def test_admit_counters_count_gathered_and_admitted_candidates(self):
+        import random
+
+        import repro.obs as obs
+
+        rng = random.Random(5)
+        t = 0.0
+        events = []
+        for _ in range(800):
+            t += rng.choice([0.0, 1.0, 2.0, 5.0])
+            u, v = rng.sample(range(15), 2)
+            events.append((u, v, t))
+        graph = TemporalGraph(events, backend="numpy")
+        constraints = TimingConstraints(delta_c=4.0, delta_w=8.0)
+        registry = obs.enable(obs.MetricsRegistry())
+        try:
+            census = run_census(graph, 3, constraints, max_nodes=3)
+        finally:
+            obs.disable()
+        snap = registry.snapshot()
+        candidates = snap["counters"]["engine.admit.candidates{kernel=numpy}"]
+        admitted = snap["counters"]["engine.admit.admitted{kernel=numpy}"]
+        extensions = snap["histograms"]["engine.frontier.extensions{kernel=numpy}"]
+        assert census.total > 0
+        assert admitted == extensions["total"]
+        # Open partials find each event once per shared node: duplicates.
+        assert candidates > admitted
+
 
 class TestRangeRoots:
     """A step-1 ``range`` of roots (a shard's owned anchors) stays a range."""
@@ -769,6 +797,79 @@ class TestBlockLaneCodes:
         }
         assert instances["numpy"] == instances["list"]
         assert (0, 1, 2) in instances["numpy"]
+
+
+def looped_event_lists(max_events=14):
+    """Sorted event lists on 2-4 node ids, self-loops and ties included."""
+
+    def steps(n_ids):
+        step = st.tuples(
+            st.integers(0, n_ids - 1),
+            st.integers(0, n_ids - 1),
+            st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]),
+        )
+        return st.lists(step, min_size=1, max_size=max_events)
+
+    def build(raw):
+        t = 0.0
+        events = []
+        for u, v, dt in raw:
+            t += dt
+            events.append((u, v, t))
+        return events
+
+    return st.integers(2, 4).flatmap(steps).map(build)
+
+
+@requires_numpy_backend
+class TestBlockLaneLoopsAndCaps:
+    """Self-loops through the block lane, most partials at the node cap."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        looped_event_lists(),
+        st.integers(2, 4),
+        st.sampled_from([None, 1, 2, 3]),
+        st.sampled_from([2.0, 4.0, None]),
+        st.sampled_from(sorted(NODE_IDS)),
+        st.data(),
+    )
+    def test_grow_block_matches_generic_run_plan(
+        self, events, n_events, max_nodes, delta_c, ids, data
+    ):
+        from repro.core.notation import canonical_code
+
+        relabel = NODE_IDS[ids]
+        graph = _loop_graph([(relabel(u), relabel(v), t) for u, v, t in events], "numpy")
+        constraints = _constraints(delta_c, 8.0)
+
+        def plan_for(n, kernel):
+            return compile_plan(
+                n, constraints, None, graph.storage, max_nodes=max_nodes, kernel=kernel
+            )
+
+        kernel = plan_for(n_events, "numpy").bind(graph.storage)
+        assert kernel.block_ready()
+        edges = [ev.edge for ev in graph.events]
+        m = len(graph)
+        subset = data.draw(st.permutations(range(m)))[: data.draw(st.integers(1, m))]
+        for roots in (list(range(m)), sorted(subset)):
+            # The generic j-event instances from these roots are exactly
+            # the lane's frontier after j - 1 levels.
+            prefixes = [
+                list(run_plan(plan_for(j, "generic"), graph, roots=roots))
+                for j in range(1, n_events + 1)
+            ]
+            rows, codes, level_partials, level_ext = kernel.grow_block(roots)
+            assert [tuple(row) for row in rows.tolist()] == prefixes[-1]
+            assert level_partials.tolist() == [len(p) for p in prefixes[:-1]]
+            assert level_ext.tolist() == [len(p) for p in prefixes[1:]]
+            for row, code in zip(rows.tolist(), codes.tolist()):
+                row_edges = [edges[i] for i in row]
+                if any(u == v for u, v in row_edges):
+                    assert code == -1
+                else:
+                    assert str(code).zfill(2 * n_events) == canonical_code(row_edges)
 
 
 # ----------------------------------------------------------------------

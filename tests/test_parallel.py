@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from collections import Counter
 
 import pytest
@@ -372,6 +373,26 @@ class TestParity:
             jobs=3,
         )
         assert parallel == serial
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            combine(satisfies_consecutive_events, satisfies_cdg),
+            combine(satisfies_cdg, is_static_induced),
+        ],
+        ids=["row-form", "scalar"],
+    )
+    def test_combined_predicate_runs_in_a_pool(self, medium_graph, predicate):
+        """A combined predicate pickles, so jobs=2 never falls back to serial."""
+        kwargs = dict(max_nodes=3, predicate=predicate, collect_timespans=True)
+        serial = run_census(medium_graph, 3, CONSTRAINTS, **kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parallel = run_census(medium_graph, 3, CONSTRAINTS, jobs=2, **kwargs)
+        assert serial.total > 0
+        assert parallel.total == serial.total
+        assert list(parallel.code_counts.items()) == list(serial.code_counts.items())
+        assert parallel.timespans == serial.timespans
 
     def test_four_event_motifs(self, medium_graph):
         serial = count_motifs(medium_graph, 4, CONSTRAINTS, max_nodes=4)

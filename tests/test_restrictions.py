@@ -154,6 +154,36 @@ class TestCombine:
         assert not hasattr(combine(satisfies_cdg, is_static_induced), "rows")
         assert not hasattr(is_static_induced, "rows")
 
+    @pytest.mark.parametrize(
+        "components",
+        [(satisfies_consecutive_events, satisfies_cdg), (satisfies_cdg, is_static_induced)],
+        ids=["row-form", "scalar"],
+    )
+    def test_pickle_round_trip_keeps_flags_mask_and_verdicts(self, components):
+        import pickle
+
+        from repro.algorithms.enumeration import enumerate_instances
+        from repro.core.constraints import TimingConstraints
+
+        both = combine(*components)
+        copy = pickle.loads(pickle.dumps(both))
+        assert copy.shard_safe == both.shard_safe
+        assert copy.tick_boundary_sensitive is both.tick_boundary_sensitive is True
+        assert hasattr(copy, "rows") == hasattr(both, "rows")
+        events = [(0, 1, 0.0), (1, 2, 1.0), (0, 2, 1.0), (2, 0, 2.0), (1, 0, 2.5)]
+        events += [(0, 1, 3.0), (2, 1, 3.0), (1, 2, 4.0), (0, 2, 5.0), (2, 0, 5.5)]
+        graph = TemporalGraph.from_tuples(events)
+        constraints = TimingConstraints(delta_c=3.0, delta_w=5.0)
+        instances = list(enumerate_instances(graph, 3, constraints))
+        verdicts = [both(graph, inst) for inst in instances]
+        assert True in verdicts and False in verdicts
+        assert [copy(graph, inst) for inst in instances] == verdicts
+        if hasattr(both, "rows"):
+            np = pytest.importorskip("numpy")
+            rows = np.array(instances, dtype=np.int64)
+            assert copy.rows(graph, rows).tolist() == verdicts
+            assert both.rows(graph, rows).tolist() == verdicts
+
 
 # ----------------------------------------------------------------------
 # row forms: one bool mask per instance block, equal to the scalar form
