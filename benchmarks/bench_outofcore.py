@@ -20,6 +20,10 @@ directory, then censused three ways:
 Hard checks (non-zero exit on violation, so the CI bench step fails):
 
 * all three censuses are **bit-identical** (counter key order included);
+* the traced ``jobs=1`` census opens at most **two partitions per
+  partition**: shard planning opens each at most once, and the serial
+  shards slice the parent storage's open partitions, which opens each
+  at most once more;
 * both partitioned runs stay under the **RSS ceiling**: the measured
   interpreter floor plus ``max(48 MiB, total page bytes / 3)``.  At CI
   smoke scale the 48 MiB slack dominates and the ceiling mostly guards
@@ -39,7 +43,7 @@ The ``--json`` record is the standard BENCH shape; CI gates the
 A ``partitions`` block beside it records what one more, untimed
 ``jobs=1`` census run with ``repro.obs`` enabled counted: partition
 opens and evictions, and how many times a storage mapped its index
-pages.  It is informational only.
+pages.  Its open count is checked against the bound above.
 """
 
 from __future__ import annotations
@@ -285,6 +289,13 @@ def run(args) -> int:
         "partitioned jobs=1 census (untimed, traced): "
         + ", ".join(f"{key} {n}" for key, n in counters.items())
     )
+    open_bound = 2 * floor["n_partitions"]
+    if counters["storage.partition.opens"] > open_bound:
+        print(
+            f"FAIL: {counters['storage.partition.opens']} partition opens, over "
+            f"the bound of {open_bound} (2 x {floor['n_partitions']} partitions)"
+        )
+        failures += 1
 
     if args.json:
         payload = {

@@ -53,16 +53,20 @@ Instance = tuple[int, ...]
 #: frontier memory-bounded.
 ROOT_BLOCK = 2048
 
-#: First block size.  Blocks grow geometrically from here to
-#: :data:`ROOT_BLOCK`, so an early-terminating consumer (``next(...)``,
-#: a small ``max_instances``) pays for a few dozen roots, not thousands,
-#: while a full scan still amortizes kernel calls over large frontiers.
+#: First block size of :func:`run_plan`.  Blocks grow geometrically from
+#: here to :data:`ROOT_BLOCK`, so an early-terminating consumer
+#: (``next(...)``, a small ``max_instances``) pays for a few dozen roots,
+#: not thousands, while a full scan still amortizes kernel calls over
+#: large frontiers.  :func:`run_plan_blocks`, whose consumers drain every
+#: block, starts at :data:`ROOT_BLOCK` instead.
 FIRST_BLOCK = 64
 
 
-def _root_blocks(root_iter: Iterable[int]) -> Iterator[list[int]]:
-    """Chunk roots into the driver's geometric block schedule."""
-    block_cap = FIRST_BLOCK
+def _root_blocks(
+    root_iter: Iterable[int], first_block: int = FIRST_BLOCK
+) -> Iterator[list[int]]:
+    """Chunk roots into blocks growing from ``first_block`` to :data:`ROOT_BLOCK`."""
+    block_cap = first_block
     block: list[int] = []
     for root in root_iter:
         block.append(root)
@@ -75,7 +79,9 @@ def _root_blocks(root_iter: Iterable[int]) -> Iterator[list[int]]:
         yield block
 
 
-def _block_roots(roots: Iterable[int] | None, m: int) -> Iterator:
+def _block_roots(
+    roots: Iterable[int] | None, m: int, first_block: int = FIRST_BLOCK
+) -> Iterator:
     """The block lane's root blocks, on :func:`_root_blocks`' schedule.
 
     A full scan (``roots is None``, i.e. ``range(m)``) or any other
@@ -85,10 +91,10 @@ def _block_roots(roots: Iterable[int] | None, m: int) -> Iterator:
     if roots is None:
         roots = range(m)
     if not (isinstance(roots, range) and roots.step == 1):
-        yield from _root_blocks(roots)
+        yield from _root_blocks(roots, first_block)
         return
     start, end = roots.start, roots.stop
-    block_cap = FIRST_BLOCK
+    block_cap = first_block
     while start < end:
         stop = min(end, start + block_cap)
         yield np.arange(start, stop, dtype=np.int64)
@@ -143,15 +149,16 @@ def _lane_ready(kernel) -> bool:
     return hasattr(kernel, "grow_block") and kernel.block_ready()
 
 
-def _lane_blocks(plan, kernel, graph, roots, stats):
+def _lane_blocks(plan, kernel, graph, roots, stats, first_block):
     """The block lane: ``(rows, codes)`` per root block, in yield order.
 
-    A restriction predicate with a row form (``predicate.rows``, see
+    ``first_block`` is the schedule's first block size.  A restriction
+    predicate with a row form (``predicate.rows``, see
     :mod:`repro.algorithms.restrictions`) filters each block with one
     mask; any other predicate is the caller's to apply per row.
     """
     row_filter = getattr(plan.predicate, "rows", None)
-    for block_roots in _block_roots(roots, len(graph.storage)):
+    for block_roots in _block_roots(roots, len(graph.storage), first_block):
         if stats is None:
             rows, codes, level_partials, level_ext = kernel.grow_block(block_roots)
         else:
@@ -167,13 +174,13 @@ def _lane_blocks(plan, kernel, graph, roots, stats):
         yield rows, codes
 
 
-def _partial_instances(plan, kernel, roots, stats) -> Iterator[Instance]:
+def _partial_instances(plan, kernel, roots, stats, first_block) -> Iterator[Instance]:
     """The Partial-object path: each root block grown one kernel call per level."""
     storage = kernel.storage
     m = len(storage)
     times = storage.times
     event_at = storage.event_at
-    for block in _root_blocks(range(m) if roots is None else roots):
+    for block in _root_blocks(range(m) if roots is None else roots, first_block):
         frontier = []
         for root in block:
             ev = event_at(root)
@@ -224,10 +231,10 @@ def run_plan(
                 predicate = None  # applied per block by the lane
             elif predicate is not None and stats is not None:
                 stats[0].inc("engine.predicate.scalar")
-            blocks = _lane_blocks(plan, kernel, graph, roots, stats)
+            blocks = _lane_blocks(plan, kernel, graph, roots, stats, FIRST_BLOCK)
             found = map(tuple, chain.from_iterable(rows.tolist() for rows, _codes in blocks))
         else:
-            found = _partial_instances(plan, kernel, roots, stats)
+            found = _partial_instances(plan, kernel, roots, stats, FIRST_BLOCK)
     if predicate is not None:
         found = (inst for inst in found if predicate(graph, inst))
     yield from islice(found, max_instances)
@@ -241,13 +248,17 @@ def run_plan_blocks(
 ):
     """Array-shaped enumeration: instance blocks instead of tuples.
 
-    Returns a generator of ``(rows, codes)`` pairs, one per root block:
+    Returns a generator of ``(rows, codes)`` pairs, one per root block of
+    :data:`ROOT_BLOCK` roots (the last may be shorter):
     ``rows`` is an ``(n_i, n_events)`` int64 array, the rows
     concatenating to exactly :func:`run_plan`'s yield sequence, and
     ``codes`` the ``(n_i,)`` motif codes the kernel built while growing
     them (see :meth:`~repro.engine.kernels.NumpyExtensionKernel.grow_block`)
     — for consumers that fold instances with array ops (the batched
-    census of :mod:`repro.algorithms.batched`).  A restriction
+    census of :mod:`repro.algorithms.batched`).  Such a consumer drains
+    every block, so the schedule skips :func:`run_plan`'s
+    :data:`FIRST_BLOCK` ramp, which only serves a consumer that may stop
+    early; block boundaries never change the row sequence.  A restriction
     predicate filters each block through its row form
     (``predicate.rows``, see :mod:`repro.algorithms.restrictions`).
     Returns ``None`` when the block lane cannot serve this run —
@@ -263,4 +274,4 @@ def run_plan_blocks(
     kernel = plan.bind(graph.storage)
     if not _lane_ready(kernel):
         return None
-    return _lane_blocks(plan, kernel, graph, roots, _bind_stats(plan))
+    return _lane_blocks(plan, kernel, graph, roots, _bind_stats(plan), ROOT_BLOCK)

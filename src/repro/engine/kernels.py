@@ -330,8 +330,22 @@ class NumpyExtensionKernel(ExtensionKernel):
             return False
         t = arrays["t"]
         keys = arrays["keys"]
-        su = keys.searchsorted(arrays["u"])
-        sv = keys.searchsorted(arrays["v"])
+        u = arrays["u"]
+        idx = arrays["idx"]
+        # Endpoint slots from the node CSR: entry k lists event idx[k]
+        # in band banded[k] // m, under its u side or its v side.  A
+        # self-loop is listed once, under u.
+        slot = arrays["banded"] // arrays["m"]
+        is_u = keys[slot] == u[idx]
+        su = np.empty(len(t), dtype=np.int64)
+        sv = np.empty(len(t), dtype=np.int64)
+        su[idx[is_u]] = slot[is_u]
+        is_v = ~is_u
+        sv[idx[is_v]] = slot[is_v]
+        loops = u == arrays["v"]
+        has_loops = bool(loops.any())
+        if has_loops:
+            sv[loops] = su[loops]
         n_slots = np.int64(len(keys))
         pair = np.minimum(su, sv) * n_slots + np.maximum(su, sv)
         pair_idx = pair.argsort(kind="stable")
@@ -347,7 +361,7 @@ class NumpyExtensionKernel(ExtensionKernel):
             "arrays": arrays,
             "su": su,
             "sv": sv,
-            "loops": bool((su == sv).any()),
+            "loops": has_loops,
             "n_slots": n_slots,
             "pair_keys": pair[fresh],
             "pair_banded": pair_banded,

@@ -4,10 +4,12 @@ Two entry points shard work: :func:`parallel_run_census` (behind every
 counting call — counts, event pairs and totals are projections of the
 census) and :func:`parallel_enumerate`.  Each plans shards for the graph
 (time shards when the predicate is shard-safe and the constraints bound
-the motif window; root shards otherwise), ships one self-contained
-:class:`_ShardTask` per shard to the executor, and reduces the per-shard
-results with the merge helpers — in shard order, so every output is
-bit-identical to the serial run.
+the motif window; root shards otherwise), runs one :class:`_ShardTask`
+per shard, and reduces the per-shard results with the merge helpers — in
+shard order, so every output is bit-identical to the serial run.  A pool
+ships each task with a payload its worker rebuilds the shard's storage
+from; a serial run slices the parent's storage in-process, one shard at
+a time.
 
 Shard-safety of predicates
 --------------------------
@@ -62,18 +64,22 @@ def mark_shard_safe(predicate: Predicate) -> Predicate:
 
 @dataclass(frozen=True)
 class _ShardTask:
-    """Everything one worker needs, picklable and self-contained.
+    """Everything one shard run needs except its storage; picklable.
 
-    ``payload`` is whatever the parent storage's
-    :meth:`~repro.storage.base.GraphStorage.shard_payload` produced for
-    the shard's event range — an event tuple on the generic path, column
-    array slices on array-backed engines — and the worker rebuilds its
-    subgraph through ``from_shard_payload`` on the same backend class,
-    skipping the per-event boxing round-trip.  ``plan`` is the parent's
-    compiled :class:`~repro.engine.plan.ExecutionPlan`: workers bind it
-    to the shard storage instead of re-deriving deadlines, node caps and
-    kernel capability per shard.  ``local_roots`` overrides the shard's
-    owned anchor range when the caller restricted the search to explicit
+    ``payload`` is what a pool worker rebuilds its subgraph from: the
+    parent storage's
+    :meth:`~repro.storage.base.GraphStorage.shard_payload` for the
+    shard's event range — an event tuple on the generic path, column
+    array slices on array-backed engines, ``(path, lo, hi)`` on
+    partitioned pages — turned back into a storage by
+    ``from_shard_payload`` on the same backend class.  It is built only
+    for tasks a pool ships; an in-process shard (``payload is None``)
+    slices the parent's storage instead, so partitioned pages stay on
+    the parent's open partitions.  ``plan`` is the parent's compiled
+    :class:`~repro.engine.plan.ExecutionPlan`: shards bind it to their
+    storage instead of re-deriving deadlines, node caps and kernel
+    capability per shard.  ``local_roots`` overrides the shard's owned
+    anchor range when the caller restricted the search to explicit
     roots (the sampling estimators).  ``kind`` is ``"census"`` or
     ``"instances"``.
     """
@@ -101,31 +107,45 @@ class _ShardTask:
     submitted: float | None = None
 
 
-def _run_shard(task: _ShardTask):
+def _run_shard(task: _ShardTask, source=None):
+    """Run one shard; ``source`` is the parent's storage in-process.
+
+    A pool worker gets ``source=None`` and rebuilds the shard's storage
+    from ``task.payload``; an in-process shard slices ``source``.
+    """
     if not task.obs:
-        return _run_shard_inner(task)
+        return _run_shard_inner(task, _shard_storage(task, source))
     queue_wait = 0.0 if task.submitted is None else time.monotonic() - task.submitted
     parent = _obs.ACTIVE
     local = MetricsRegistry()
     _obs.ACTIVE = local
     try:
         start = time.perf_counter()
-        result = _run_shard_inner(task)
+        storage = _shard_storage(task, source)
+        built = time.perf_counter()
+        result = _run_shard_inner(task, storage)
         elapsed = time.perf_counter() - start
     finally:
         _obs.ACTIVE = parent
+    local.observe("parallel.slice.seconds", built - start)
     local.observe("parallel.shard.seconds", elapsed)
     local.observe("parallel.shard.queue_wait_seconds", max(queue_wait, 0.0))
     local.observe("parallel.shard.events", task.shard.ev_hi - task.shard.ev_lo)
     return result, local.snapshot()
 
 
-def _run_shard_inner(task: _ShardTask):
+def _shard_storage(task: _ShardTask, source):
+    """The shard's storage: a slice of ``source``, else the rebuilt payload."""
+    if source is not None:
+        return source.slice_range(task.shard.ev_lo, task.shard.ev_hi)
+    return get_backend(task.backend).from_shard_payload(task.payload)
+
+
+def _run_shard_inner(task: _ShardTask, storage):
     # Deferred import: counting/enumeration lazily import this package on
     # their jobs= paths, so the engine must not import them at module level.
     from repro.algorithms import counting, enumeration
 
-    storage = get_backend(task.backend).from_shard_payload(task.payload)
     graph = TemporalGraph._from_storage(storage, name=task.name)
     roots = task.local_roots if task.local_roots is not None else task.shard.local_roots
     common: dict[str, Any] = {
@@ -168,6 +188,16 @@ def _execute(
     plan: ExecutionPlan | None = None,
     options: dict | None = None,
 ) -> tuple[list[Shard], list]:
+    """Plan shards, run one task per shard, return ``(shards, results)``.
+
+    With a pool (``jobs > 1`` and more than one shard) each task carries
+    its storage's :meth:`~repro.storage.base.GraphStorage.shard_payload`
+    and the worker rebuilds the shard from it.  Otherwise the shards run
+    in-process, each on ``graph.storage.slice_range`` of its event
+    range, taken only when that shard starts: a partitioned graph then
+    reads its own open partitions, its ``max_resident`` LRU bounding
+    memory, instead of reopening the manifest per shard.
+    """
     n_jobs = resolve_jobs(jobs)
     if roots is not None and any(a > b for a, b in zip(roots, roots[1:])):
         raise ValueError(
@@ -192,12 +222,15 @@ def _execute(
     else:
         shards = plan_root_shards(graph, n_shards)
     storage = graph.storage
+    # A pool ships each shard's payload; in-process shards slice the
+    # parent's storage one at a time, so no payload is built for them.
+    pooled = n_jobs > 1 and len(shards) > 1
     rec = _obs.ACTIVE
     submitted = time.monotonic() if rec is not None else None
     tasks = [
         _ShardTask(
             kind=kind,
-            payload=storage.shard_payload(shard.ev_lo, shard.ev_hi),
+            payload=storage.shard_payload(shard.ev_lo, shard.ev_hi) if pooled else None,
             backend=graph.backend,
             name=graph.name,
             shard=shard,
@@ -217,12 +250,16 @@ def _execute(
         rec.inc(_obs.labeled("parallel.execute.calls", kind=kind))
         rec.set_gauge("parallel.jobs", n_jobs)
         rec.set_gauge("parallel.shards", len(tasks))
-        for task in tasks:
-            rec.observe(
-                "parallel.shard.payload_bytes",
-                len(pickle.dumps(task.payload, pickle.HIGHEST_PROTOCOL)),
-            )
-    results = get_executor(n_jobs).map(_run_shard, tasks)
+        if pooled:
+            for task in tasks:
+                rec.observe(
+                    "parallel.shard.payload_bytes",
+                    len(pickle.dumps(task.payload, pickle.HIGHEST_PROTOCOL)),
+                )
+    if pooled:
+        results = get_executor(n_jobs).map(_run_shard, tasks)
+    else:
+        results = [_run_shard(task, storage) for task in tasks]
     if rec is not None:
         unwrapped = []
         for result, snapshot in results:

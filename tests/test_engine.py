@@ -445,7 +445,7 @@ class TestNumpyBlockLane:
         import random
 
         import repro.obs as obs
-        from repro.engine import NumpyExtensionKernel
+        from repro.engine import ROOT_BLOCK, NumpyExtensionKernel, driver
 
         # Enough roots for several geometric blocks; sparse enough that
         # some blocks' frontiers empty before the final level.
@@ -483,6 +483,11 @@ class TestNumpyBlockLane:
             ]
 
         reference = histograms("generic")
+        # run_plan_blocks drains its run, so its schedule starts at
+        # ROOT_BLOCK: the generic path on that schedule is its reference.
+        with monkeypatch.context() as patch:
+            patch.setattr(driver, "FIRST_BLOCK", ROOT_BLOCK)
+            drained_reference = histograms("generic")
 
         def partial_path(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("the block lane fell back to Partial objects")
@@ -491,14 +496,14 @@ class TestNumpyBlockLane:
         monkeypatch.setattr(NumpyExtensionKernel, "next_frontier", partial_path)
         monkeypatch.setattr(NumpyExtensionKernel, "extend_frontier", partial_path)
         assert histograms("numpy") == reference
-        assert histograms("numpy", blocks=True) == reference
+        assert histograms("numpy", blocks=True) == drained_reference
 
     def test_grow_seconds_histogram_times_each_root_block(self):
         import random
         import time
 
         import repro.obs as obs
-        from repro.engine.driver import _block_roots
+        from repro.engine.driver import ROOT_BLOCK, _block_roots
 
         rng = random.Random(11)
         t = 0.0
@@ -508,8 +513,9 @@ class TestNumpyBlockLane:
             u, v = rng.sample(range(40), 2)
             events.append((u, v, t))
         graph = TemporalGraph(events, backend="numpy")
-        n_blocks = len(list(_block_roots(None, len(graph))))
-        assert n_blocks > 3
+        # The census drains its run: blocks of ROOT_BLOCK roots from the start.
+        n_blocks = len(list(_block_roots(None, len(graph), ROOT_BLOCK)))
+        assert n_blocks == math.ceil(len(graph) / ROOT_BLOCK) > 1
         registry = obs.enable(obs.MetricsRegistry())
         try:
             start = time.perf_counter()
@@ -648,6 +654,37 @@ class TestEarlyTermination:
         monkeypatch.undo()
         assert first == list(run_plan(plan, graph, max_instances=1))
         assert first[0] == next(iter(run_plan(plan, graph)))
+
+
+@requires_numpy_backend
+def test_drained_blocks_start_at_root_block(monkeypatch):
+    """run_plan_blocks' consumers drain it: no FIRST_BLOCK ramp."""
+    import random
+
+    from repro.engine import ROOT_BLOCK, NumpyExtensionKernel
+
+    rng = random.Random(3)
+    t, events = 0.0, []
+    for _ in range(5000):
+        t += rng.choice([0.0, 0.5, 1.0, 2.0])
+        u, v = rng.sample(range(20), 2)
+        events.append((u, v, t))
+    graph = TemporalGraph(events, backend="numpy")
+    plan = compile_plan(3, _constraints(2.0, 4.0), None, graph.storage, kernel="numpy")
+    grown: list[int] = []
+    grow_block = NumpyExtensionKernel.grow_block
+
+    def counted(self, roots):
+        grown.append(len(roots))
+        return grow_block(self, roots)
+
+    monkeypatch.setattr(NumpyExtensionKernel, "grow_block", counted)
+    rows = [r for r, _codes in run_plan_blocks(plan, graph)]
+    m = len(graph)
+    assert len(grown) == math.ceil(m / ROOT_BLOCK) > 1
+    assert grown == [ROOT_BLOCK] * (len(grown) - 1) + [m - ROOT_BLOCK * (len(grown) - 1)]
+    monkeypatch.undo()
+    assert [tuple(r) for block in rows for r in block.tolist()] == list(run_plan(plan, graph))
 
 
 # ----------------------------------------------------------------------
@@ -870,6 +907,26 @@ class TestBlockLaneLoopsAndCaps:
                     assert code == -1
                 else:
                     assert str(code).zfill(2 * n_events) == canonical_code(row_edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(looped_event_lists(), st.sampled_from(sorted(NODE_IDS)))
+    def test_endpoint_slots_match_searchsorted(self, events, ids):
+        import numpy as np
+
+        relabel = NODE_IDS[ids]
+        looped = [(relabel(u), relabel(v), t) for u, v, t in events]
+        # Always hold a self-loop, its endpoint listed once in the CSR.
+        looped.append((relabel(0), relabel(0), looped[-1][2]))
+        graph = _loop_graph(looped, "numpy")
+        kernel = compile_plan(3, _constraints(2.0, 8.0), None, graph.storage).bind(
+            graph.storage
+        )
+        assert kernel.block_ready()
+        arrays = graph.storage.extension_arrays()
+        block = kernel._block
+        assert np.array_equal(block["su"], arrays["keys"].searchsorted(arrays["u"]))
+        assert np.array_equal(block["sv"], arrays["keys"].searchsorted(arrays["v"]))
+        assert block["loops"]
 
 
 # ----------------------------------------------------------------------

@@ -376,6 +376,7 @@ class TestParallelMerge:
             "parallel.shard.queue_wait_seconds",
             "parallel.shard.events",
             "parallel.shard.payload_bytes",
+            "parallel.slice.seconds",
         ):
             assert snap["histograms"][metric]["count"] == n_shards, metric
         assert snap["gauges"]["parallel.jobs"] == 4.0
@@ -389,6 +390,27 @@ class TestParallelMerge:
         ]
         assert worker_keys
         assert sum(snap["counters"][k] for k in worker_keys) >= n_shards
+
+    def test_serial_shards_slice_the_parent_and_ship_nothing(self, tmp_path):
+        pytest.importorskip("numpy")
+        from repro.algorithms.counting import run_census
+
+        graph = _graph(n=500, seed=21)
+        graph.save(tmp_path, partition_events=64)
+        paged = TemporalGraph.load(tmp_path)
+        reg = obs.enable()
+        census = run_census(paged, 3, CONSTRAINTS, max_nodes=3, jobs=1)
+        assert census.code_counts == run_census(graph, 3, CONSTRAINTS, max_nodes=3).code_counts
+
+        snap = reg.snapshot()
+        n_shards = int(snap["gauges"]["parallel.shards"])
+        assert n_shards > 1
+        # One storage build per shard, each a slice of the parent: no
+        # payload is built, so none is sized.
+        slices = snap["histograms"]["parallel.slice.seconds"]
+        assert slices["count"] == n_shards
+        assert 0 < slices["total"] <= snap["histograms"]["parallel.shard.seconds"]["total"]
+        assert "parallel.shard.payload_bytes" not in snap["histograms"]
 
     def test_worker_snapshot_merge_is_order_independent(self):
         """Shard snapshots fold to identical totals in any order/grouping."""

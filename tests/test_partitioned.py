@@ -361,13 +361,17 @@ def test_whole_stream_materialization_is_loud(tmp_path):
     ) == 0
     # Root shards of a predicate that is not shard-safe rebuild the whole
     # stream in every shard's storage: counted per shard, warned per storage.
+    # Serial shards slice the parent storage, so it warns once.
     n_shards = graph.storage.shard_count_hint()
     assert materializations(
         lambda: run_census(graph, 3, constraints, predicate=is_static_induced),
-        warns=n_shards,
+        warns=1,
     ) == n_shards
     # Serial enumeration reads the whole-stream views: one warning for
-    # this storage, one count per view built, none once built.
+    # this storage, one count per view built, none once built.  A fresh
+    # storage, so the root-shard warning above has not been spent on it.
+    graph = TemporalGraph.load(tmp_path)
+
     def serial():
         list(enumerate_instances(graph, 3, constraints))
 
@@ -525,3 +529,89 @@ def test_partitioned_census_matches_flat_and_memory(tuples, tmp_path_factory):
     assert _census_items(flat_graph, jobs=1) == reference
     assert _census_items(part_graph, jobs=1) == reference
     assert _census_items(part_graph, jobs=2) == reference
+
+
+# ----------------------------------------------------------------------
+# serial shards slice the parent's open partitions
+# ----------------------------------------------------------------------
+def _traced_opens(run) -> int:
+    import repro.obs as obs
+
+    registry = obs.enable(obs.MetricsRegistry())
+    try:
+        run()
+    finally:
+        obs.disable()
+    return registry.counters.get("storage.partition.opens", 0)
+
+
+def test_serial_census_reads_the_parent_partitions(tmp_path):
+    from repro.algorithms.restrictions import satisfies_cdg
+
+    events = _stream(150, tick=4)
+    meta = write_partitioned(events, tmp_path, partition_events=16)
+    n_partitions = len(meta["partitions"])
+    storage, _ = load_partitioned(tmp_path, max_resident=n_partitions)
+    graph = TemporalGraph._from_storage(storage)
+    constraints = TimingConstraints(delta_c=2.0, delta_w=4.0)
+
+    def census():
+        return run_census(graph, 3, constraints, predicate=satisfies_cdg, jobs=1)
+
+    assert 0 < _traced_opens(census) <= n_partitions
+    # Every partition is resident now: a second census opens none.
+    assert _traced_opens(census) == 0
+    reference = run_census(TemporalGraph(events), 3, constraints, predicate=satisfies_cdg)
+    assert census().total > 0
+    assert list(census().code_counts.items()) == list(reference.code_counts.items())
+
+
+def test_serial_census_keeps_the_residency_bound(tmp_path):
+    events = _stream(150, tick=4)
+    write_partitioned(events, tmp_path, partition_events=16)
+    storage, _ = load_partitioned(tmp_path, max_resident=2)
+    assert storage.n_partitions > 2
+    graph = TemporalGraph._from_storage(storage)
+    constraints = TimingConstraints(delta_c=2.0, delta_w=4.0)
+    census = run_census(graph, 3, constraints, jobs=1)
+    assert len(storage.resident_partitions) <= 2
+    reference = run_census(TemporalGraph(events), 3, constraints)
+    assert census.total > 0
+    assert list(census.code_counts.items()) == list(reference.code_counts.items())
+
+
+@pytest.mark.parametrize("restriction", (None, "consecutive", "cdg"))
+def test_sharded_census_on_ties_matches_memory(tmp_path, restriction):
+    from repro.algorithms.restrictions import (
+        satisfies_cdg,
+        satisfies_consecutive_events,
+    )
+
+    predicate = {
+        None: None,
+        "consecutive": satisfies_consecutive_events,
+        "cdg": satisfies_cdg,
+    }[restriction]
+    # Six events per timestamp and partitions of five: every partition
+    # edge splits a tie.
+    events = _stream(180, tick=6, n_nodes=30)
+    write_partitioned(events, tmp_path, partition_events=5)
+    constraints = TimingConstraints(delta_c=2.0, delta_w=3.0)
+
+    def items(graph, jobs):
+        census = run_census(
+            graph, 3, constraints, predicate=predicate, jobs=jobs,
+            collect_timespans=True, collect_positions=True,
+        )
+        return (
+            list(census.code_counts.items()),
+            list(census.pair_counts.items()),
+            list(census.timespans.items()),
+            list(census.intermediate_positions.items()),
+            census.total,
+        )
+
+    reference = items(TemporalGraph(events), 1)
+    assert reference[-1] > 0
+    for jobs in (1, 2):
+        assert items(TemporalGraph.load(tmp_path), jobs) == reference, jobs
