@@ -106,6 +106,15 @@ def _peak_rss_kb() -> int:
 # ----------------------------------------------------------------------
 # subprocess roles (one measured run each; stdout is one JSON line)
 # ----------------------------------------------------------------------
+def _open(args):
+    """The partitioned directory as a graph, under the ``--max-resident`` bound."""
+    from repro.core.temporal_graph import TemporalGraph
+    from repro.storage.partitioned import load_partitioned
+
+    storage, meta = load_partitioned(args.path, max_resident=args.max_resident)
+    return TemporalGraph._from_storage(storage, name=meta.get("name", ""))
+
+
 def _child(args) -> int:
     out: dict = {}
     if args.child == "floor":
@@ -116,9 +125,8 @@ def _child(args) -> int:
         out["n_partitions"] = storage.n_partitions
     elif args.child == "census":
         from repro.algorithms.counting import run_census
-        from repro.core.temporal_graph import TemporalGraph
 
-        graph = TemporalGraph.load(args.path)
+        graph = _open(args)
         started = time.perf_counter()
         census = run_census(
             graph, N_MOTIF_EVENTS, _constraints(), jobs=args.jobs[0]
@@ -128,12 +136,11 @@ def _child(args) -> int:
     elif args.child == "counters":
         import repro.obs as obs
         from repro.algorithms.counting import run_census
-        from repro.core.temporal_graph import TemporalGraph
 
         registry = obs.enable(obs.MetricsRegistry())
         try:
             run_census(
-                TemporalGraph.load(args.path),
+                _open(args),
                 N_MOTIF_EVENTS,
                 _constraints(),
                 jobs=args.jobs[0],

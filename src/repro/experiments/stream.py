@@ -12,7 +12,8 @@ rolling motif mix, and cross-check the final window against a batch
 With ``--windows W1,W2,...`` the replay goes through one shared
 :class:`~repro.online.MultiViewCensus` engine instead — every window
 maintained at once over a single graph tail, prefix store and compiled
-kernel — and the batch cross-check runs per view::
+kernel, fed in batches through ``push_many`` — and the batch
+cross-check runs per view::
 
     python -m repro.experiments stream --windows 3000,12000,48000
 """
@@ -20,6 +21,7 @@ kernel — and the batch cross-check runs per view::
 from __future__ import annotations
 
 import time
+from itertools import islice
 from typing import Iterable
 
 import repro.obs as _obs
@@ -43,6 +45,11 @@ DEFAULT_WINDOW = 4 * DELTA_W_TIMING
 
 #: Default replay datasets: the conversation-heavy message network.
 DEFAULT_DATASETS = ("sms-copenhagen",)
+
+#: Events per :meth:`~repro.online.MultiViewCensus.push_many` batch in
+#: the ``--windows`` replay (the single-window replay pushes one event
+#: at a time, because it tracks the peak live count per event).
+REPLAY_BATCH = 512
 
 
 def run(
@@ -235,8 +242,9 @@ def _run_multiview(
             engine.add_view(name, w)
             names.append(name)
         started = time.perf_counter()
-        for event in graph.storage.iter_uvt():
-            engine.push(event)
+        events = graph.storage.iter_uvt()
+        while batch := list(islice(events, REPLAY_BATCH)):
+            engine.push_many(batch)
         seconds = time.perf_counter() - started
         rate = len(graph) / seconds if seconds > 0 else float("inf")
 

@@ -456,26 +456,38 @@ class CensusServer:
         if stream is None:
             stream = self._streams[name] = self._create_stream(obj)
         engine = stream.engine
-        accepted = 0
+        before = engine.pushed
         with self.registry.span("service.push.seconds"):
+            # Parse up to the first bad item: the events before it are
+            # pushed, in one batch, before its error is raised, as one
+            # push per event would.
+            batch = []
+            problem: Exception | None = None
+            for ev in events:
+                if not isinstance(ev, (list, tuple)) or len(ev) != 3:
+                    problem = ProtocolError("bad_request", "each event must be [u, v, t]")
+                    break
+                try:
+                    batch.append((int(ev[0]), int(ev[1]), float(ev[2])))
+                except (TypeError, ValueError) as exc:
+                    problem = exc
+                    break
             try:
-                for ev in events:
-                    if not isinstance(ev, (list, tuple)) or len(ev) != 3:
-                        raise ProtocolError(
-                            "bad_request", "each event must be [u, v, t]"
-                        )
-                    engine.push((int(ev[0]), int(ev[1]), float(ev[2])))
-                    accepted += 1
+                engine.push_many(batch)
+                if problem is not None:
+                    raise problem
             except ProtocolError:
                 raise
             except (TypeError, ValueError) as exc:
                 # e.g. timestamps going backwards: the stream contract.
+                accepted = engine.pushed - before
                 self.registry.inc("service.errors{code=bad_stream}")
                 raise ProtocolError(
                     "bad_stream",
                     f"push rejected after {accepted} events: {exc}",
                     accepted=accepted,
                 ) from None
+        accepted = len(batch)
         self.registry.inc("service.push.events", accepted)
         result = {"stream": name, "accepted": accepted}
         result.update(stream.describe())  # "pushed" is the stream's lifetime total

@@ -37,6 +37,7 @@ from repro.core.constraints import TimingConstraints
 from repro.core.events import Event
 from repro.core.notation import canonical_code
 from repro.online import MultiViewCensus, OnlineCensus
+from repro.online import multiview as multiview_module
 from repro.storage import available_backends
 from tests.test_online import event_streams, tie_free_streams
 
@@ -659,3 +660,212 @@ def test_advance_to_returns_the_views_expired_delta():
         assert got == expired() - before
         retired += got
     assert retired > 0
+
+
+# ----------------------------------------------------------------------
+# batched pushes: push_many against one push per event
+# ----------------------------------------------------------------------
+LANE = "numpy" in available_backends()
+
+
+def _core_state(engine) -> tuple:
+    """Everything push_many must leave exactly as per-event pushes do.
+
+    Exact views' counter items in key order, totals and lifetime counts;
+    the ledger heap in list order; the prefixes a later arrival can
+    still extend; the clock-side counters; and the retained tail.
+    """
+    store = engine._prefixes
+    for times, _prefixes in store._buckets.values():
+        assert times == sorted(times)
+    views = {
+        name: (_ordered(view.code_counts), view.total, view.discovered, view.expired)
+        for name, view in engine._views.items()
+        if view.mode == "exact"
+    }
+    ledger = [
+        (anchor, seq, entry.events, entry.code, entry.nodes, entry.t_last)
+        for anchor, seq, entry in engine._ledger
+    ]
+    live_from = multiview_module._widen_down(engine.now - store.gap_bound)
+    extensible = {
+        (p.seq, p.code, p.nodes, p.t_root, p.t_last)
+        for p in _live_prefixes(store)
+        if p.t_last >= live_from
+    }
+    tail = list(engine.graph.storage.iter_uvt())
+    return views, ledger, extensible, engine.pushed, engine.discovered, engine._offset, tail
+
+
+def _apply_view_op(engines, op, step: int) -> None:
+    """One view lifecycle change, applied alike to every engine."""
+    action, window, pick = op
+    names = sorted(engines[0].view_names())
+    for engine in engines:
+        window = min(window, engine.retention)
+        if action == "add":
+            engine.add_view(f"add-{step}", window)
+        elif action == "slice":
+            engine.add_view(f"slice-{step}", window, nodes=range(pick, pick + 3))
+        elif action == "drop" and names:
+            engine.drop_view(names[pick % len(names)])
+        elif action == "degrade" and names:
+            engine.degrade_view(names[pick % len(names)], q=0.5, seed=pick)
+
+
+@pytest.mark.skipif(not LANE, reason="the block lane needs NumPy")
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(
+    events=event_streams(max_events=40),
+    n_events=st.integers(2, 4),
+    max_nodes=st.sampled_from([None, 2, 3]),
+    constraints=st.sampled_from([CONSTRAINTS, TimingConstraints(delta_c=3.0)]),
+    retention=st.sampled_from([2.0, 15.0, math.inf]),
+    prune_every=st.sampled_from([None, 2, 5]),
+    cuts=st.lists(st.integers(1, 12), min_size=1, max_size=12),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["add", "slice", "drop", "degrade"]),
+            st.sampled_from(WINDOW_PALETTE),
+            st.integers(0, 3),
+        ),
+        max_size=12,
+    ),
+)
+@settings(max_examples=50, deadline=None)
+def test_push_many_matches_push_by_push(
+    backend, events, n_events, max_nodes, constraints, retention, prune_every, cuts, ops
+):
+    """Random batches through the lane == one push per event, after
+    every batch: counters in key order, ledger order, returned
+    instances and the extensible prefixes, with views added, sliced,
+    dropped and degraded between batches."""
+    engines = [
+        MultiViewCensus(
+            n_events,
+            constraints,
+            retention,
+            max_nodes=max_nodes,
+            backend=backend,
+            prune_every=prune_every,
+        )
+        for _ in range(2)
+    ]
+    batched, single = engines
+    for engine in engines:
+        engine.add_view("wide", min(15.0, retention))
+        engine.add_view("short", min(3.0, retention))
+        engine.add_view("slice", min(7.0, retention), nodes=range(3))
+    batches = []
+    pos = 0
+    for cut in cuts:
+        batches.append(events[pos : pos + cut])
+        pos += cut
+    batches.append(events[pos:])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiview_module, "LANE_MIN_BATCH", 1)
+        for step, batch in enumerate(b for b in batches if b):
+            want = [inst for ev in batch for inst in single.push(ev)]
+            assert batched.push_many(batch) == want
+            assert _core_state(batched) == _core_state(single)
+            if step < len(ops):
+                _apply_view_op(engines, ops[step], step)
+
+
+def _error_engines(warm):
+    engines = [MultiViewCensus(3, CONSTRAINTS, 15.0, max_nodes=3) for _ in range(2)]
+    for engine in engines:
+        engine.add_view("wide", 15.0)
+        engine.add_view("slice", 7.0, nodes=range(3))
+        for ev in warm:
+            engine.push(ev)
+    return engines
+
+
+#: The first invalid item at batch position ``j``, per kind: an arrival
+#: before the clock, a self-loop, a negative time (which, behind a
+#: running clock, is also before it) and an item that is not an event.
+_BAD_ITEMS = {
+    "backward": lambda t: Event(0, 1, 0.5),
+    "self_loop": lambda t: Event(2, 2, t),
+    "negative": lambda t: Event(0, 1, -1.0),
+    "malformed": lambda t: (0, 1),
+}
+
+
+@pytest.mark.parametrize("lane", [True, False], ids=["lane", "loop"])
+@pytest.mark.parametrize("kind", sorted(_BAD_ITEMS))
+@pytest.mark.parametrize("j", [0, 1, 6])
+def test_push_many_error_position(lane, kind, j):
+    """Event ``j`` invalid: events ``< j`` are pushed, then the error
+    one push per event raises for event ``j`` is raised."""
+    if lane and not LANE:
+        pytest.skip("the block lane needs NumPy")
+    rng = random.Random(j)
+    warm = [Event(0, 1, 1.0), Event(1, 2, 1.0)]
+    batch = []
+    t = 1.0
+    for _ in range(10):
+        t += rng.choice([0.0, 1.0, 2.0])
+        u, v = rng.sample(range(5), 2)
+        batch.append(Event(u, v, t))
+    batch[j] = _BAD_ITEMS[kind](batch[j - 1].t if j else 1.0)
+    batched, single = _error_engines(warm)
+    with pytest.raises((TypeError, ValueError)) as want:
+        for ev in batch:
+            single.push(ev)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiview_module, "LANE_MIN_BATCH", 1 if lane else 10**9)
+        with pytest.raises(type(want.value)) as got:
+            batched.push_many(batch)
+    assert str(got.value) == str(want.value)
+    assert batched.pushed == single.pushed == len(warm) + j
+    assert _core_state(batched) == _core_state(single)
+
+
+def test_push_many_negative_time_on_a_fresh_stream():
+    """With no clock yet, a negative time fails the storage check."""
+    engine = MultiViewCensus(3, CONSTRAINTS, 15.0)
+    with pytest.raises(ValueError, match="negative timestamp"):
+        engine.push_many([Event(0, 1, -2.0), Event(1, 2, 1.0)])
+    assert engine.pushed == 0 and engine.now is None
+
+
+@pytest.mark.skipif(not LANE, reason="the block lane needs NumPy")
+def test_push_many_takes_the_per_event_path_when_the_lane_cannot_serve(monkeypatch):
+    """A predicate view (or node ids no int64 column holds) keeps
+    discovery per event; without one the lane serves the batch."""
+    calls = []
+    discover = MultiViewCensus._discover
+
+    def counting(self, *args):
+        calls.append(len(args[0][1]))
+        return discover(self, *args)
+
+    monkeypatch.setattr(MultiViewCensus, "_discover", counting)
+    monkeypatch.setattr(multiview_module, "LANE_MIN_BATCH", 4)
+    events = [Event(i % 4, (i + 1) % 4, float(i // 2)) for i in range(24)]
+    batched, single = _error_engines([])
+    for engine in (batched, single):
+        engine.add_view("restricted", 6.0, predicate=lambda graph, inst: True, backfill=False)
+    want = [inst for ev in events[:12] for inst in single.push(ev)]
+    assert batched.push_many(events[:12]) == want
+    assert calls == []
+    assert _ordered(batched.counts("restricted")) == _ordered(single.counts("restricted"))
+    for engine in (batched, single):
+        engine.drop_view("restricted")
+    want = [inst for ev in events[12:] for inst in single.push(ev)]
+    assert batched.push_many(events[12:]) == want
+    assert len(calls) == 1
+    assert _core_state(batched) == _core_state(single)
+
+    named = [Event(f"n{ev.u}", f"n{ev.v}", ev.t) for ev in events]
+    by_name, one_by_one = (
+        MultiViewCensus(3, CONSTRAINTS, 15.0, backend="list") for _ in range(2)
+    )
+    by_name.add_view("all", 15.0)
+    one_by_one.add_view("all", 15.0)
+    want = [inst for ev in named for inst in one_by_one.push(ev)]
+    assert by_name.push_many(named) == want
+    assert len(calls) == 1
+    assert _ordered(by_name.counts("all")) == _ordered(one_by_one.counts("all"))

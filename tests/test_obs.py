@@ -339,6 +339,33 @@ class TestInstrumentedLayers:
         assert instrumented.code_counts == plain.code_counts
         assert instrumented.total == plain.total
 
+    def test_batched_push_records_once_per_batch(self):
+        """push_many records its batch metrics once per batch, the lane
+        split only when the lane served it; single pushes keep theirs."""
+        pytest.importorskip("numpy")
+        from repro.online import MultiViewCensus
+        from repro.online.multiview import LANE_MIN_BATCH
+
+        events = _graph(n=LANE_MIN_BATCH + 40).events
+        registry = MetricsRegistry()
+        engine = MultiViewCensus(3, CONSTRAINTS, 60.0, max_nodes=3, registry=registry)
+        engine.add_view("all", 60.0)
+        engine.push_many(events[:LANE_MIN_BATCH])  # the lane
+        engine.push_many(events[LANE_MIN_BATCH:-1])  # the per-event loop
+        snap = registry.snapshot()
+        hists = snap["histograms"]
+        assert hists["online.multiview.push_batch.seconds"]["count"] == 2
+        batch_events = hists["online.multiview.push_batch.events"]
+        assert batch_events["count"] == 2 and batch_events["total"] == len(events) - 1
+        assert hists["online.push.discover.seconds"]["count"] == 1
+        assert hists["online.push.fold.seconds"]["count"] == 1
+        assert "online.multiview.push.seconds" not in hists
+        assert snap["counters"]["online.multiview.push.instances"] == engine.discovered > 0
+        engine.push(events[-1])
+        hists = registry.snapshot()["histograms"]
+        assert hists["online.multiview.push.seconds"]["count"] == 1
+        assert hists["online.multiview.push_batch.seconds"]["count"] == 2
+
     def test_stream_matcher_shed_counter(self):
         from repro.algorithms.pattern import chain_pattern
         from repro.algorithms.streaming import StreamMatcher

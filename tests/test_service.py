@@ -33,6 +33,7 @@ from repro.core.constraints import TimingConstraints
 from repro.core.temporal_graph import TemporalGraph
 from repro.datasets.generators import ActivityConfig, generate
 from repro.online import OnlineCensus
+from repro.online.multiview import LANE_MIN_BATCH
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import (
     ProtocolError,
@@ -244,6 +245,74 @@ class TestPushStream:
             assert result["now"] == oracle.now
             assert result["codes"] == dict(oracle.counts())
         assert client.stream_close(name)["closed"] is True
+
+    def test_lane_sized_batches_match_online_engine(self, client, served_events):
+        """Batches past the engine's lane threshold: same counters."""
+        window = 6000.0
+        chunk = 2 * LANE_MIN_BATCH
+        oracle = OnlineCensus(3, CONSTRAINTS, window, max_nodes=3)
+        name = "lane-parity"
+        for start in range(0, len(served_events), chunk):
+            batch = served_events[start : start + chunk]
+            result = client.push(
+                batch,
+                stream=name,
+                window=window,
+                delta_c=1500.0,
+                delta_w=3000.0,
+                n_events=3,
+                max_nodes=3,
+                want_counts=True,
+            )
+            for ev in batch:
+                oracle.push(ev)
+            assert result["accepted"] == len(batch)
+            assert list(result["codes"].items()) == list(oracle.counts().items())
+            assert result["discovered"] == oracle.discovered
+        client.stream_close(name)
+
+    @pytest.mark.parametrize("size", [20, 2 * LANE_MIN_BATCH])
+    @pytest.mark.parametrize(
+        "bad, code",
+        [
+            ([0, 1, -5.0], "bad_stream"),  # before the stream clock
+            ([3, 3, None], "bad_stream"),  # a self-loop (t filled in below)
+            (["x", 1, None], "bad_stream"),  # a node id that is not an int
+            ([1, 2], "bad_request"),  # not an [u, v, t] triple
+        ],
+    )
+    def test_push_error_keeps_the_events_before_it(
+        self, client, served_events, size, bad, code
+    ):
+        """Event j bad: events before it are pushed, then the error."""
+        name = f"bad-{code}-{size}-{bad[0]}-{len(bad)}"
+        j = size - 5
+        events = [list(ev) for ev in served_events[:size]]
+        item = list(bad)
+        if len(item) == 3 and item[2] is None:
+            item[2] = events[j - 1][2]
+        events[j] = item
+        response = client.request(
+            "push",
+            stream=name,
+            events=events,
+            window=6000.0,
+            delta_c=1500.0,
+            delta_w=3000.0,
+            n_events=3,
+            max_nodes=3,
+        )
+        assert response["ok"] is False
+        assert response["error"]["code"] == code
+        if code == "bad_stream":
+            assert response["error"]["accepted"] == j
+        oracle = OnlineCensus(3, CONSTRAINTS, 6000.0, max_nodes=3)
+        for ev in served_events[:j]:
+            oracle.push(ev)
+        result = client.push([], stream=name, want_counts=True)
+        assert result["pushed"] == j
+        assert list(result["codes"].items()) == list(oracle.counts().items())
+        client.stream_close(name)
 
     def test_push_requires_config(self, client):
         with pytest.raises(ServiceError) as err:
