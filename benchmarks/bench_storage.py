@@ -67,12 +67,25 @@ def _window_sweep_queries(storage) -> tuple[list[int], list[float], list[float]]
     return nodes, t_los, t_his
 
 
+#: Each sample repeats its kernel until it spans at least this long, as
+#: ``timeit``'s autorange does: a sub-millisecond kernel is then timed
+#: over dozens of calls, so one host hiccup cannot set its row.
+MIN_SAMPLE_S = 0.02
+
+
 def _best_of(fn, rounds: int = 5) -> float:
-    best = float("inf")
-    for _ in range(rounds):
+    """Best per-call seconds over ``rounds`` samples of ``MIN_SAMPLE_S`` or more."""
+    number, best = 1, float("inf")
+    while rounds > 0:
         start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for _ in range(number):
+            fn()
+        elapsed = time.perf_counter() - start
+        if elapsed < MIN_SAMPLE_S:
+            number *= 2
+            continue
+        best = min(best, elapsed / number)
+        rounds -= 1
     return best
 
 
@@ -80,7 +93,7 @@ KERNELS = ("construct", "window", "window_batch", "census")
 
 
 def compare(n_events: int = STREAM_CONFIG.n_events) -> dict[str, dict[str, float]]:
-    """Best-of-5 kernel seconds per backend (standalone comparison table)."""
+    """Best-of-5 per-call kernel seconds per backend (standalone comparison table)."""
     config = replace(STREAM_CONFIG, n_events=n_events)
     events = generate(config, seed=42).events
     sms = get_dataset("sms-copenhagen", scale=0.25)

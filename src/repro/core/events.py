@@ -16,6 +16,7 @@ deterministic.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 
@@ -81,12 +82,17 @@ class DurativeEvent(NamedTuple):
         return Event(self.u, self.v, self.t)
 
 
+#: The ``(t, u, v)`` sort key of an event.
+_TIME_KEY = itemgetter(2, 0, 1)
+
+
 def validate_events(events: Iterable[Event], *, allow_loops: bool = False) -> list[Event]:
     """Validate and normalize an iterable of events into a sorted list.
 
-    Events are sorted by ``(t, u, v)``.  Raises :class:`ValueError` on
-    negative timestamps or (by default) self-loops, since none of the four
-    motif models in the paper admits self-loops.
+    Events are sorted by ``(t, u, v)`` (a stable sort).  Raises
+    :class:`ValueError` on negative or NaN timestamps or (by default)
+    self-loops, since none of the four motif models in the paper admits
+    self-loops; the error names the first bad event in input order.
 
     Parameters
     ----------
@@ -96,14 +102,18 @@ def validate_events(events: Iterable[Event], *, allow_loops: bool = False) -> li
         Permit ``u == v`` events (disabled by default).
     """
     out: list[Event] = []
+    append = out.append
     for raw in events:
         ev = raw if isinstance(raw, Event) else Event(*raw)
-        if ev.t < 0:
+        t = ev[2]
+        if t < 0:
             raise ValueError(f"event {ev} has a negative timestamp")
-        if ev.is_loop() and not allow_loops:
+        if t != t:
+            raise ValueError(f"event {ev} has a NaN timestamp")
+        if ev[0] == ev[1] and not allow_loops:
             raise ValueError(f"event {ev} is a self-loop; motif models exclude loops")
-        out.append(ev)
-    out.sort(key=lambda e: (e.t, e.u, e.v))
+        append(ev)
+    out.sort(key=_TIME_KEY)
     return out
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.core.events import Event, interevent_times, validate_events
+from repro.core.events import Event, interevent_times
 from repro.storage import GraphStorage, get_backend
 
 
@@ -38,8 +38,12 @@ class TemporalGraph:
     Parameters
     ----------
     events:
-        Iterable of :class:`Event` (or 3-tuples).  They are validated,
-        sorted by ``(t, u, v)``, and handed to the storage engine.
+        Iterable of :class:`Event` (or 3-tuples), handed to the storage
+        engine, which validates them with
+        :func:`~repro.core.events.validate_events`'s errors and stores
+        them sorted by ``(t, u, v)``.  The ``numpy`` backend reads plain
+        int/float rows as whole columns without building an
+        :class:`Event` per row.
     name:
         Optional label used by dataset registry and experiment reports.
     backend:
@@ -66,10 +70,7 @@ class TemporalGraph:
         name: str = "",
         backend: str | None = None,
     ) -> None:
-        cls = get_backend(backend)
-        self._storage: GraphStorage = cls.from_events(
-            validate_events(events), presorted=True
-        )
+        self._storage: GraphStorage = get_backend(backend).from_events(events)
         self.name = name
 
     @classmethod

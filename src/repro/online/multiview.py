@@ -892,7 +892,7 @@ class MultiViewCensus:
 
         Runs :meth:`push`'s checks in its order: coercion to
         :class:`Event`, the stream clock, then the storage's arrival
-        checks (negative time, self-loop).
+        checks (negative or NaN time, self-loop).
         """
         batch: list[Event] = []
         now = self._now

@@ -82,6 +82,14 @@ class GraphStorage(ABC):
     ) -> "GraphStorage":
         """Build a storage engine from events.
 
+        With ``presorted=False`` (what :class:`TemporalGraph
+        <repro.core.temporal_graph.TemporalGraph>` passes) the backend
+        validates its own input: it raises exactly the errors of
+        :func:`~repro.core.events.validate_events` (for the first bad
+        event in input order) and stores the events in its stable
+        ``(t, u, v)`` order.  Calling ``validate_events`` is always a
+        correct way to do so; a backend may certify its input another
+        way as long as the errors and the order stay the same.
         ``presorted=True`` promises the input is already validated and
         ``(t, u, v)``-sorted (e.g. a slice of another storage), letting
         backends skip re-validation.
@@ -389,6 +397,8 @@ def _validate_arrival(ev: Event, last: float | None) -> float:
     """Check one arriving event against the stream tail; return its time."""
     if ev.t < 0:
         raise ValueError(f"event {ev} has a negative timestamp")
+    if ev.t != ev.t:
+        raise ValueError(f"event {ev} has a NaN timestamp")
     if ev.is_loop():
         raise ValueError(f"event {ev} is a self-loop; motif models exclude loops")
     if last is not None and ev.t < last:

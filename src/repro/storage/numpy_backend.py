@@ -24,9 +24,19 @@ keeps the concatenated CSR array globally sorted.  These are the kernels
 behind the enumeration engine's candidate-pruning fast path and the
 benchmark's batched window sweep.
 
+Construction reads the three columns straight from the input rows, one
+``itemgetter`` pass per column.  Unsorted input is certified with
+whole-array checks and put in ``(t, u, v)`` order by one ``argsort`` of
+an int64 composite key; rows the checks cannot certify (odd types or
+arity, bad times, loops) go through
+:func:`~repro.core.events.validate_events`, so the errors are its own.
+
 CSR indices are built lazily (first per-node/per-edge query) and
-vectorized through one ``np.lexsort`` per index, so :meth:`slice_time` and
+vectorized: the node index sorts one composite int64 key, the edge
+index runs one ``np.lexsort``; so :meth:`slice_time` and
 :meth:`slice_range` are zero-copy column views with deferred index cost.
+Each build is observed as ``storage.index.seconds{index=node|edge}``
+when a recorder is active.
 
 Persistence
 -----------
@@ -52,10 +62,13 @@ from __future__ import annotations
 import bisect
 import json
 import os
+import time
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 import repro.obs as _obs
 from repro.core.events import Event, validate_events
+from repro.obs import labeled
 from repro.storage.base import GraphStorage
 
 try:  # The whole backend requires NumPy; registration is gated on this.
@@ -72,6 +85,21 @@ PAGE_VERSION = 1
 #: Column pages: (file stem, attribute, dtype).
 _COLUMN_PAGES = (("u", "_u", "int64"), ("v", "_v", "int64"), ("t", "_t", "float64"))
 
+_U, _V, _T = itemgetter(0), itemgetter(1), itemgetter(2)
+
+#: Row types whose indexing reads what ``Event(*row)`` reads.
+_ROW_TYPES = frozenset((Event, tuple, list))
+
+#: Times below 2**53 are exact in float64 whatever their Python type.
+_EXACT_TIME = 2.0**53
+
+#: Composite int64 sort keys must stay below this bound.
+_KEY_LIMIT = 2**63
+
+#: Histogram names of the lazy CSR builds (one observation per build).
+_NODE_INDEX_SECONDS = labeled("storage.index.seconds", index="node")
+_EDGE_INDEX_SECONDS = labeled("storage.index.seconds", index="edge")
+
 
 def available() -> bool:
     """Whether the backend can run (NumPy importable)."""
@@ -79,7 +107,15 @@ def available() -> bool:
 
 
 class NumpyStorage(GraphStorage):
-    """Contiguous-``ndarray`` event store with vectorized window kernels."""
+    """Contiguous-``ndarray`` event store with vectorized window kernels.
+
+    ``NumpyStorage(events)`` validates like every backend (the errors of
+    :func:`~repro.core.events.validate_events`, ``(t, u, v)`` order) but
+    builds no :class:`Event` per row when the rows are plain
+    ``Event``/tuple/list triples of int node ids and int or float times:
+    those are read as whole columns and checked and sorted as arrays.
+    ``presorted=True`` reads the columns as they come.
+    """
 
     backend_name = "numpy"
 
@@ -94,18 +130,12 @@ class NumpyStorage(GraphStorage):
     def __init__(self, events: Iterable[Event] = (), *, presorted: bool = False) -> None:
         if np is None:  # pragma: no cover - exercised only without numpy
             raise RuntimeError("the 'numpy' storage backend requires NumPy")
-        validated = list(events) if presorted else validate_events(events)
-        m = len(validated)
-        try:
-            u = np.fromiter((ev[0] for ev in validated), dtype=np.int64, count=m)
-            v = np.fromiter((ev[1] for ev in validated), dtype=np.int64, count=m)
-        except OverflowError:
-            raise ValueError(
-                "the 'numpy' storage backend requires int64 node ids; "
-                "use the 'list' backend for wider identifiers"
-            ) from None
-        t = np.fromiter((ev[2] for ev in validated), dtype=np.float64, count=m)
-        self._set_columns(u, v, t)
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        columns = None if presorted else _certified_columns(events)
+        if columns is None:
+            columns = _read_columns(events if presorted else validate_events(events))
+        self._set_columns(*columns)
 
     # ------------------------------------------------------------------
     # construction / conversion
@@ -230,36 +260,47 @@ class NumpyStorage(GraphStorage):
         indices.
         """
         if self._node_csr is None and not self._map_index_pages():
-            m = self._m
-            if m == 0:
-                empty = np.empty(0, dtype=np.int64)
-                self._node_csr = ({}, np.zeros(1, dtype=np.int64), empty)
-                return self._node_csr
-            u, v = self._u, self._v
-            ar = np.arange(m, dtype=np.int64)
-            # Each event is indexed under both endpoints; position keys
-            # 2i / 2i+1 reproduce the seed's insertion order (within a
-            # node by event index, across nodes by first touch).
-            endpoints = np.concatenate((u, v))
-            pos = np.concatenate((2 * ar, 2 * ar + 1))
-            loops = u == v
-            if loops.any():
-                keep = np.concatenate((np.ones(m, dtype=bool), ~loops))
-                endpoints = endpoints[keep]
-                pos = pos[keep]
+            self._node_csr = _timed_build(_NODE_INDEX_SECONDS, self._build_node_csr)
+        return self._node_csr
+
+    def _build_node_csr(self) -> tuple:
+        m = self._m
+        if m == 0:
+            return ({}, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
+        u, v = self._u, self._v
+        ar = np.arange(m, dtype=np.int64)
+        # Each event is indexed under both endpoints; position keys
+        # 2i / 2i+1 reproduce the seed's insertion order (within a
+        # node by event index, across nodes by first touch).
+        endpoints = np.concatenate((u, v))
+        pos = np.concatenate((2 * ar, 2 * ar + 1))
+        loops = u == v
+        if loops.any():
+            keep = np.concatenate((np.ones(m, dtype=bool), ~loops))
+            endpoints = endpoints[keep]
+            pos = pos[keep]
+        # Positions are distinct, so sorting the one key
+        # (endpoint - lo) * 2m + pos groups by node, positions ascending.
+        lo = int(endpoints.min())
+        width = 2 * m
+        if (int(endpoints.max()) - lo + 1) * width <= _KEY_LIMIT:
+            key = np.sort((endpoints - lo) * width + pos)
+            offset = key // width
+            grouped_pos = key - offset * width
+            grouped_nodes = offset + lo
+        else:
             order = np.lexsort((pos, endpoints))
             grouped_nodes = endpoints[order]
             grouped_pos = pos[order]
-            idx = np.ascontiguousarray(grouped_pos >> 1)
-            starts = np.flatnonzero(np.diff(grouped_nodes)) + 1
-            starts = np.concatenate((np.zeros(1, dtype=np.int64), starts))
-            appearance = np.argsort(grouped_pos[starts], kind="stable")
-            slot = dict(
-                zip(grouped_nodes[starts][appearance].tolist(), appearance.tolist())
-            )
-            off = np.concatenate((starts, np.array([len(idx)], dtype=np.int64)))
-            self._node_csr = (slot, off, idx)
-        return self._node_csr
+        idx = np.ascontiguousarray(grouped_pos >> 1)
+        starts = np.flatnonzero(np.diff(grouped_nodes)) + 1
+        starts = np.concatenate((np.zeros(1, dtype=np.int64), starts))
+        keys = grouped_nodes[starts]
+        self._node_keys_sorted = keys
+        appearance = np.argsort(grouped_pos[starts], kind="stable")
+        slot = dict(zip(keys[appearance].tolist(), appearance.tolist()))
+        off = np.concatenate((starts, np.array([len(idx)], dtype=np.int64)))
+        return (slot, off, idx)
 
     def _node_banded_index(self):
         """``idx + slot_of_position * m``: the node CSR shifted so each
@@ -305,33 +346,31 @@ class NumpyStorage(GraphStorage):
     def _edge_index(self) -> tuple:
         """``(slot, off, idx)`` of the per-edge CSR index."""
         if self._edge_csr is None and not self._map_index_pages():
-            m = self._m
-            if m == 0:
-                self._edge_csr = (
-                    {},
-                    np.zeros(1, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                )
-                return self._edge_csr
-            u, v = self._u, self._v
-            # Stable sort by (u, v): ties keep event (time) order.
-            order = np.ascontiguousarray(np.lexsort((v, u)))
-            su, sv = u[order], v[order]
-            starts = np.flatnonzero((np.diff(su) != 0) | (np.diff(sv) != 0)) + 1
-            starts = np.concatenate((np.zeros(1, dtype=np.int64), starts))
-            appearance = np.argsort(order[starts], kind="stable")
-            slot = dict(
-                zip(
-                    zip(
-                        su[starts][appearance].tolist(),
-                        sv[starts][appearance].tolist(),
-                    ),
-                    appearance.tolist(),
-                )
-            )
-            off = np.concatenate((starts, np.array([m], dtype=np.int64)))
-            self._edge_csr = (slot, off, order)
+            self._edge_csr = _timed_build(_EDGE_INDEX_SECONDS, self._build_edge_csr)
         return self._edge_csr
+
+    def _build_edge_csr(self) -> tuple:
+        m = self._m
+        if m == 0:
+            return ({}, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
+        u, v = self._u, self._v
+        # Stable sort by (u, v): ties keep event (time) order.
+        order = np.ascontiguousarray(np.lexsort((v, u)))
+        su, sv = u[order], v[order]
+        starts = np.flatnonzero((np.diff(su) != 0) | (np.diff(sv) != 0)) + 1
+        starts = np.concatenate((np.zeros(1, dtype=np.int64), starts))
+        appearance = np.argsort(order[starts], kind="stable")
+        slot = dict(
+            zip(
+                zip(
+                    su[starts][appearance].tolist(),
+                    sv[starts][appearance].tolist(),
+                ),
+                appearance.tolist(),
+            )
+        )
+        off = np.concatenate((starts, np.array([m], dtype=np.int64)))
+        return (slot, off, order)
 
     def _node_segment(self, node: int):
         slot, off, idx = self._node_index()
@@ -812,17 +851,13 @@ class NumpyStorage(GraphStorage):
         if rec is not None:
             rec.inc("storage.compact.calls")
             rec.observe("storage.compact.tail_events", len(self._tail))
-        tail = self._tail
-        u = np.concatenate(
-            (np.asarray(self._u), np.fromiter((ev.u for ev in tail), dtype=np.int64))
+        heads = (self._u, self._v, self._t)
+        self._set_columns(
+            *(
+                np.concatenate((np.asarray(head), column))
+                for head, column in zip(heads, _read_columns(self._tail))
+            )
         )
-        v = np.concatenate(
-            (np.asarray(self._v), np.fromiter((ev.v for ev in tail), dtype=np.int64))
-        )
-        t = np.concatenate(
-            (np.asarray(self._t), np.fromiter((ev.t for ev in tail), dtype=np.float64))
-        )
-        self._set_columns(u, v, t)
 
     # ------------------------------------------------------------------
     # persistence (mmap page directory)
@@ -882,6 +917,93 @@ class NumpyStorage(GraphStorage):
         """Reopen a :meth:`save` page directory (memory-mapped by default)."""
         storage, _meta = load_pages(path, mmap=mmap)
         return storage
+
+
+def _timed_build(metric: str, build):
+    """``build()``, observed under ``metric`` when a recorder is active."""
+    rec = _obs.ACTIVE
+    if rec is None:
+        return build()
+    start = time.perf_counter()
+    out = build()
+    rec.observe(metric, time.perf_counter() - start)
+    return out
+
+
+def _read_columns(events: Sequence) -> tuple:
+    """The ``u``/``v``/``t`` columns of validated, sorted rows, read as-is."""
+    m = len(events)
+    try:
+        u = np.fromiter(map(_U, events), dtype=np.int64, count=m)
+        v = np.fromiter(map(_V, events), dtype=np.int64, count=m)
+    except OverflowError:
+        raise ValueError(
+            "the 'numpy' storage backend requires int64 node ids; "
+            "use the 'list' backend for wider identifiers"
+        ) from None
+    return u, v, np.fromiter(map(_T, events), dtype=np.float64, count=m)
+
+
+def _certified_columns(rows: Sequence) -> tuple | None:
+    """``(t, u, v)``-sorted columns of rows that validate unchanged, or None.
+
+    Certifies with whole-array tests that :func:`validate_events` would
+    accept the rows and that the columns hold the values it compares:
+    every row an :class:`Event`, tuple or list of three items; node ids
+    that NumPy reads as signed integers; times that are Python ``int``
+    or ``float`` (a NumPy ``float32`` compares in float32), non-negative,
+    not NaN and below 2**53 (so an ``int`` compares as its float64
+    does); no self-loops.  None means "not certified": the caller
+    validates row by row, which raises the first bad event's error.
+    """
+    types = set(map(type, rows))
+    if not types <= _ROW_TYPES or (types - {Event} and set(map(len, rows)) != {3}):
+        return None
+    if not all(issubclass(tp, (int, float)) for tp in set(map(type, map(_T, rows)))):
+        return None
+    try:
+        u = np.array(list(map(_U, rows)))
+        v = np.array(list(map(_V, rows)))
+        t = np.fromiter(map(_T, rows), dtype=np.float64, count=len(rows))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if u.ndim != 1 or v.ndim != 1 or u.dtype.kind != "i" or v.dtype.kind != "i":
+        return None
+    # NaN fails both comparisons; an int rounded to 2**53 fails the second.
+    if not ((t >= 0) & (t < _EXACT_TIME)).all() or (u == v).any():
+        return None
+    u = u.astype(np.int64, copy=False)
+    v = v.astype(np.int64, copy=False)
+    order = _time_order(u, v, t)
+    if order is None:
+        return u, v, t
+    return u[order], v[order], t[order]
+
+
+def _time_order(u, v, t):
+    """The stable ``(t, u, v)`` sort permutation, or None when already sorted.
+
+    One ``argsort`` of the int64 key ``(tie group of t, u - min u,
+    v - min v)`` when it fits (checked with Python ints), else
+    ``np.lexsort``.  The tie group is the rank of ``t`` among the
+    distinct times.
+    """
+    dt = np.diff(t)
+    if (dt >= 0).all():
+        ties = dt == 0
+        du = np.diff(u)
+        if not (ties & ((du < 0) | ((du == 0) & (np.diff(v) < 0)))).any():
+            return None
+        group = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(~ties)))
+    else:
+        group = np.unique(t, return_inverse=True)[1].astype(np.int64, copy=False)
+    u_lo, v_lo = int(u.min()), int(v.min())
+    u_span = int(u.max()) - u_lo + 1
+    v_span = int(v.max()) - v_lo + 1
+    if (int(group.max()) + 1) * u_span * v_span > _KEY_LIMIT:
+        return np.lexsort((v, u, t))
+    key = (group * u_span + (u - u_lo)) * v_span + (v - v_lo)
+    return np.argsort(key, kind="stable")
 
 
 def _as_column(a, dtype):

@@ -89,6 +89,23 @@ class TestValidateEvents:
     def test_empty_ok(self):
         assert validate_events([]) == []
 
+    def test_rejects_nan_timestamps(self):
+        with pytest.raises(ValueError, match="NaN timestamp"):
+            validate_events([Event(0, 1, 1.0), (1, 2, float("nan"))])
+
+    def test_names_the_first_bad_event_in_input_order(self):
+        rows = [(0, 1, 5.0), (3, 3, 1.0), (0, 1, -2.0), (4, 5, float("nan"))]
+        with pytest.raises(ValueError, match="self-loop") as err:
+            validate_events(rows)
+        assert "Event(u=3, v=3, t=1.0)" in str(err.value)
+
+    def test_stable_sort_on_equal_keys(self):
+        rows = [(1, 2, 0.0), (0, 1, 3), (1, 2, -0.0), (0, 1, 3.0)]
+        out = validate_events(rows)
+        assert out == [Event(1, 2, 0.0), Event(1, 2, -0.0), Event(0, 1, 3), Event(0, 1, 3.0)]
+        assert [type(ev.t) for ev in out[2:]] == [int, float]
+        assert str(out[1].t) == "-0.0"
+
 
 class TestIntereventTimes:
     def test_gaps(self):

@@ -784,11 +784,13 @@ def _error_engines(warm):
 
 #: The first invalid item at batch position ``j``, per kind: an arrival
 #: before the clock, a self-loop, a negative time (which, behind a
-#: running clock, is also before it) and an item that is not an event.
+#: running clock, is also before it), a NaN time (which no clock check
+#: catches) and an item that is not an event.
 _BAD_ITEMS = {
     "backward": lambda t: Event(0, 1, 0.5),
     "self_loop": lambda t: Event(2, 2, t),
     "negative": lambda t: Event(0, 1, -1.0),
+    "nan": lambda t: Event(0, 1, math.nan),
     "malformed": lambda t: (0, 1),
 }
 
@@ -821,6 +823,15 @@ def test_push_many_error_position(lane, kind, j):
     assert str(got.value) == str(want.value)
     assert batched.pushed == single.pushed == len(warm) + j
     assert _core_state(batched) == _core_state(single)
+
+
+def test_push_rejects_a_nan_time():
+    """NaN passes every clock comparison; the arrival check refuses it."""
+    engine = MultiViewCensus(3, CONSTRAINTS, 15.0)
+    engine.push(Event(0, 1, 1.0))
+    with pytest.raises(ValueError, match="NaN timestamp"):
+        engine.push(Event(1, 2, math.nan))
+    assert engine.pushed == 1 and engine.now == 1.0
 
 
 def test_push_many_negative_time_on_a_fresh_stream():

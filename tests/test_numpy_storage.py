@@ -11,6 +11,7 @@ benchmark sweep rely on.
 from __future__ import annotations
 
 import json
+import math
 import os
 import pickle
 
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
-from repro.core.events import Event
+from repro.algorithms.counting import run_census
+from repro.core.constraints import TimingConstraints
+from repro.core.events import Event, validate_events
 from repro.core.temporal_graph import TemporalGraph
 from repro.datasets.generators import ActivityConfig, generate
 from repro.storage import ListStorage, NumpyStorage
@@ -396,3 +399,238 @@ class TestTemporalGraphFacade:
         idx = loaded.append(Event(3, 4, loaded.times[-1] + 1))
         assert loaded.event_at(idx) == Event(3, 4, graph.times[-1] + 1)
         assert len(loaded) == len(graph) + 1
+
+
+# ----------------------------------------------------------------------
+# column ingest: certified columns against the validated-list construction
+# ----------------------------------------------------------------------
+#: Node-id pools: small ids fit every composite sort key; ids near 2**62
+#: overflow both int64 keys and force the ``np.lexsort`` fallbacks.
+_NARROW_IDS = st.integers(-3, 6)
+_WIDE_IDS = st.sampled_from([0, 5, 2**62, -(2**62), 2**62 - 9])
+#: Few distinct times, as ints or floats: ties everywhere.
+_TIMES = st.integers(0, 12) | st.integers(0, 12).map(float) | st.just(-0.0)
+
+
+@st.composite
+def _streams(draw):
+    ids = draw(st.sampled_from([_NARROW_IDS, _WIDE_IDS]))
+    triples = draw(
+        st.lists(st.tuples(ids, ids, _TIMES).filter(lambda r: r[0] != r[1]), max_size=40)
+    )
+    layout = draw(st.sampled_from(["as-drawn", "sorted", "time-sorted", "reversed"]))
+    if layout == "sorted":
+        triples.sort(key=lambda r: (r[2], r[0], r[1]))
+    elif layout == "time-sorted":
+        triples.sort(key=lambda r: r[2])
+    elif layout == "reversed":
+        triples.reverse()
+    forms = draw(
+        st.lists(
+            st.sampled_from([Event, tuple, list]),
+            min_size=len(triples),
+            max_size=len(triples),
+        )
+    )
+    return [form(row) if form is not Event else Event(*row) for form, row in zip(forms, triples)]
+
+
+def _csr(index) -> tuple:
+    slot, off, idx = index
+    return list(slot.items()), off.tolist(), idx.tolist()
+
+
+def _snapshot(storage) -> tuple:
+    """Columns (bit for bit), both CSR indices, node keys, kernel arrays."""
+    arrays = storage.extension_arrays()
+    return (
+        [(col.dtype.str, col.tobytes()) for col in (storage._u, storage._v, storage._t)],
+        _csr(storage._node_index()),
+        _csr(storage._edge_index()),
+        storage._node_keys().tolist(),
+        {k: a.tolist() if hasattr(a, "tolist") else a for k, a in arrays.items()},
+    )
+
+
+def _census(graph) -> tuple:
+    census = run_census(graph, 3, TimingConstraints(delta_c=4.0, delta_w=8.0), max_nodes=3)
+    return (
+        census.total,
+        list(census.code_counts.items()),
+        list(census.pair_counts.items()),
+        list(census.pair_sequence_counts.items()),
+    )
+
+
+class TestColumnIngest:
+    """``TemporalGraph(rows, backend="numpy")`` reads rows as columns; it
+    must build exactly what construction from the validated list builds."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=_streams(), as_generator=st.booleans())
+    def test_matches_construction_from_the_validated_list(self, rows, as_generator):
+        source = (row for row in rows) if as_generator else rows
+        got = TemporalGraph(source, backend="numpy")
+        want = NumpyStorage(validate_events(rows), presorted=True)
+        assert _snapshot(got.storage) == _snapshot(want)
+        # Both storages share the CSR code, so hold it to the list reference.
+        ref = ListStorage(validate_events(rows), presorted=True)
+        assert list(got.storage.node_events.items()) == list(ref.node_events.items())
+        assert list(got.storage.edge_events.items()) == list(ref.edge_events.items())
+        assert got.storage._node_keys().tolist() == sorted(ref.node_events)
+        reference = TemporalGraph._from_storage(ref)
+        assert _census(got) == _census(reference)
+
+    def test_wide_ids_take_both_lexsort_fallbacks(self, monkeypatch):
+        import repro.storage.numpy_backend as nb
+
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(nb.np, "lexsort", lambda keys: calls.append(len(keys)) or lexsort(keys))
+        rows = [(2**62, 0, 5.0), (-(2**62), 3, 1.0), (0, 2**62, 1.0), (3, 0, 5.0)]
+        storage = TemporalGraph(rows, backend="numpy").storage
+        storage._node_index()
+        # The event sort (three keys), then the node CSR (two keys).
+        assert calls == [3, 2]
+        ref = ListStorage(validate_events(rows), presorted=True)
+        assert storage.events == ref.events
+        assert list(storage.node_events.items()) == list(ref.node_events.items())
+
+    def test_narrow_ids_sort_without_lexsort(self, monkeypatch):
+        import repro.storage.numpy_backend as nb
+
+        def no_lexsort(keys):
+            raise AssertionError("composite keys fit: lexsort must not run")
+
+        monkeypatch.setattr(nb.np, "lexsort", no_lexsort)
+        rows = [(2, 0, 5.0), (1, 3, 1.0), (0, 2, 1.0), (0, 1, 1)]
+        storage = TemporalGraph(rows, backend="numpy").storage
+        assert storage.events == tuple(validate_events(rows))
+        assert storage._node_keys().tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(0, 1, 2**53 + 1), (1, 2, float(2**53))],
+            [(0, 1, math.inf), (1, 2, 3.0)],
+            [(0.5, 1, 2.0), (0.25, 2, 2.0)],
+            [(0, 1, 2.0), (True, 2, 2.0)],
+            [(0, 1, np.float32(0.1)), (1, 2, 0.1)],
+            [(np.int64(3), 1, 2.0), (1, 2, 2)],
+            [(0, 1, 5.0, 9)],
+            [{0: 7, 1: 8, 2: 9}],
+            [],
+        ],
+        ids=[
+            "int-past-2**53",
+            "inf",
+            "float-ids",
+            "bool-id",
+            "float32-time",
+            "numpy-scalars",
+            "four-items",
+            "mapping",
+            "empty",
+        ],
+    )
+    def test_uncertified_rows_build_as_validated(self, rows):
+        """Rows the column checks cannot certify go through
+        ``validate_events`` and build what it returns, or raise its error."""
+        try:
+            want = NumpyStorage(validate_events(rows), presorted=True)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                TemporalGraph(rows, backend="numpy")
+            assert str(got.value) == str(exc)
+            return
+        assert _snapshot(TemporalGraph(rows, backend="numpy").storage) == _snapshot(want)
+
+
+#: Bad items, each raising (or, for wide ids, passing) ``validate_events``.
+_BAD_ROWS = {
+    "negative": lambda i: (0, 1, -1.0 - i),
+    "loop": lambda i: (i, i, 1.0),
+    "arity-2": lambda i: (0, 1),
+    "arity-4": lambda i: (0, 1, 2.0, 3.0),
+    "none-time": lambda i: (0, 1, None),
+    "str-time": lambda i: (0, 1, "7"),
+    "nan-time": lambda i: (0, 1, math.nan),
+    "wide-id": lambda i: (2**63 + i, 1, 2.0),
+}
+
+
+def _outcome(build):
+    try:
+        build()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestIngestErrorParity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.lists(
+            st.tuples(_NARROW_IDS, _NARROW_IDS, _TIMES).filter(lambda r: r[0] != r[1]),
+            max_size=12,
+        ),
+        bad=st.lists(
+            st.tuples(st.sampled_from(sorted(_BAD_ROWS)), st.integers(0, 12)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_errors_match_the_list_backend(self, base, bad):
+        rows = list(base)
+        for i, (kind, at) in enumerate(bad):
+            rows.insert(min(at, len(rows)), _BAD_ROWS[kind](i))
+        want = _outcome(lambda: TemporalGraph(rows, backend="list"))
+        got = _outcome(lambda: TemporalGraph(iter(rows), backend="numpy"))
+        if want is None:
+            # Only wide ids are bad: the list backend keeps them, numpy
+            # refuses them with its own guidance, as it always has.
+            assert got is not None and got[0] is ValueError and "int64" in got[1]
+        else:
+            assert got == want
+
+
+class TestIndexBuildTimer:
+    """``storage.index.seconds{index=...}``: one observation per CSR build."""
+
+    def _histograms(self, run) -> dict:
+        import repro.obs as obs
+
+        registry = obs.enable(obs.MetricsRegistry())
+        try:
+            run()
+        finally:
+            obs.disable()
+        return {
+            name: hist["count"]
+            for name, hist in registry.snapshot()["histograms"].items()
+            if name.startswith("storage.index.")
+        }
+
+    def test_one_observation_per_build(self, events):
+        def build_and_query():
+            storage = NumpyStorage.from_events(events, presorted=True)
+            storage.extension_arrays()
+            storage.extension_arrays()
+            storage.count_edge_events_in((0, 1), 0.0, 1e9)
+            storage.edge_adjacent_times()
+
+        assert self._histograms(build_and_query) == {
+            "storage.index.seconds{index=node}": 1,
+            "storage.index.seconds{index=edge}": 1,
+        }
+
+    def test_mapped_index_pages_are_not_builds(self, pages, storage):
+        node = storage.event_at(0).u
+
+        def query_loaded():
+            loaded = NumpyStorage.load(pages)
+            loaded.node_events_in(node, 0.0, 1e9)
+            loaded.count_edge_events_in((0, 1), 0.0, 1e9)
+            loaded.extension_arrays()
+
+        assert self._histograms(query_loaded) == {}

@@ -211,6 +211,16 @@ class TestContract:
         assert empty.bisect_time_right(1e9) - empty.bisect_time_left(0) == 0
         assert empty.node_events_in(0, 0, 1e9) == []
 
+    def test_rejects_nan_timestamps(self, storage):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="NaN timestamp"):
+            type(storage).from_events([(0, 1, 1.0), (1, 2, nan)])
+        with pytest.raises(ValueError, match="NaN timestamp"):
+            storage.append(Event(0, 1, nan))
+        with pytest.raises(ValueError, match="NaN timestamp"):
+            storage.update([Event(0, 1, 50.0), Event(1, 2, nan)])
+        assert len(storage) == 5
+
     def test_window_queries(self, storage):
         assert storage.node_events_in(0, 10, 30) == [0, 2]
         assert storage.count_node_events_in(1, 10, 40) == 4
@@ -286,6 +296,19 @@ class TestContract:
         empty = type(storage).from_events([])
         with pytest.raises(ValueError):
             empty.append(Event(0, 1, -1))
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_construction_rejects_nan_timestamps(backend):
+    """A NaN time breaks every time bisect, so no backend stores one."""
+    rows = [(0, 1, 1.0), (1, 2, float("nan")), (2, 0, 3.0)]
+    with pytest.raises(ValueError, match=r"event Event\(u=1, v=2, t=nan\) has a NaN timestamp"):
+        TemporalGraph(rows, backend=backend)
+    graph = TemporalGraph(rows[:1], backend=backend)
+    if graph.storage.supports_append:
+        with pytest.raises(ValueError, match="NaN timestamp"):
+            graph.extend([Event(1, 2, 2.0), Event(2, 0, float("nan"))])
+        assert len(graph) == 1
 
 
 class TestColumnarInternals:
