@@ -7,19 +7,26 @@ partial instances per ``searchsorted`` sweep instead of one
 times the end-to-end ``run_census`` under both kernels on every
 registered backend:
 
-* **census_engine** — the plan's advertised kernel (what ``run_census``
-  picks by default: the vectorized numpy kernel on ``numpy``, generic
-  elsewhere);
+* **census_engine** — the default kernel (what ``run_census`` picks:
+  the numpy kernel's block lane on every backend; a backend other than
+  a compacted numpy storage gets lane columns built on its first census
+  and cached, so that build lands in the warm-up field);
 * **census_generic** — the same census with the kernel forced to
-  ``"generic"`` via :func:`repro.engine.compile_plan`; on the numpy
-  backend this is the per-state bisection path the pre-engine DFS ran,
-  so the engine/generic ratio is the vectorization speedup.
+  ``"generic"`` via :func:`repro.engine.compile_plan`: the per-state
+  bisection path the pre-engine DFS ran, so the engine/generic ratio
+  is the vectorization speedup.
 
 Parity is asserted on every timed run — all kernels must produce the
 identical census, counter key order included.  Per-kernel warm-up
 (the lazy index build) is measured separately and
 recorded in the JSON ``warmup`` field, excluded from the timed rounds,
 so the regression gate compares steady-state numbers.
+
+The script also checks that disabled instrumentation stays near free:
+an obs-enabled census counts its recorder calls, each of which sits
+behind one ``rec is not None`` guard that a disabled census tests
+instead, and the script exits 1 when that count times the timed cost of
+one guard exceeds :data:`OBS_GUARD_BUDGET` of the disabled census time.
 
 Acceptance record (the engine PR): ``run_census`` on the numpy backend
 over the 100k-event generated stream took **29.9 s** through the
@@ -45,6 +52,7 @@ import argparse
 import json
 import math
 import time
+import timeit
 from dataclasses import replace
 
 import repro.obs as obs
@@ -62,6 +70,9 @@ BACKENDS = tuple(b for b in available_backends() if b != "partitioned")
 #: Census configuration (matches bench_storage's census kernel).
 N_EVENTS = 3
 MAX_NODES = 3
+
+#: Largest share of a disabled census that its recorder guards may cost.
+OBS_GUARD_BUDGET = 0.03
 
 
 def _census(graph: TemporalGraph, kernel: str | None):
@@ -138,22 +149,57 @@ def compare(
     return out, warmups
 
 
+class _CountingRegistry(obs.MetricsRegistry):
+    """A registry that counts the recording calls it receives.
+
+    Every recording call sits behind a ``rec is not None`` (or ``stats
+    is not None``) guard, and every guard a disabled census tests guards
+    at least one call here, so the count bounds the guards from above.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def inc(self, name: str, n: int = 1) -> None:
+        self.calls += 1
+        super().inc(name, n)
+
+    def set_gauge(self, name: str, value: float) -> None:
+        self.calls += 1
+        super().set_gauge(name, value)
+
+    def observe(self, name: str, value: float) -> None:
+        self.calls += 1
+        super().observe(name, value)
+
+
+def guard_seconds() -> float:
+    """The timed cost of one disabled recorder guard (best of 5)."""
+    timer = timeit.Timer("rec = obs.ACTIVE\nif rec is not None: pass", globals={"obs": obs})
+    number = 200_000
+    return min(timer.repeat(5, number)) / number
+
+
 def instrumentation_overhead(
     n_events: int = STREAM_CONFIG.n_events, *, rounds: int = 2
 ) -> tuple[dict[str, dict[str, float]], dict]:
     """Disabled-vs-enabled observability timings per backend, plus snapshot.
 
-    ``disabled`` is the null-recorder default every caller pays (its
-    acceptance gate is the unchanged ``census_engine`` baseline in
-    ``benchmarks/baselines/BENCH_engine.json``, held within 3% by CI);
+    ``disabled`` is the null-recorder default every caller pays;
     ``enabled`` runs the same census with a live
     :class:`repro.obs.MetricsRegistry`, and ``ratio`` is
     ``enabled / disabled`` — the price of switching the recorder on.
-    The second return value is the merged registry snapshot across
-    backends (the BENCH JSON's ``obs_snapshot``).
+    ``guards`` counts the recording calls of one more, untimed enabled
+    census, and ``guard_share`` is ``guards`` times
+    :func:`guard_seconds` over ``disabled``: an upper bound on the share
+    of the disabled census its guards cost.  The second return value is
+    the merged registry snapshot across backends (the BENCH JSON's
+    ``obs_snapshot``).
     """
     events = generate(replace(STREAM_CONFIG, n_events=n_events), seed=42).events
     prior = obs.ACTIVE
+    guard = guard_seconds()
     out: dict[str, dict[str, float]] = {}
     snapshots = []
     try:
@@ -164,12 +210,16 @@ def instrumentation_overhead(
             disabled_seconds, _ = _best_of(lambda: _census(graph, None), rounds)
             registry = obs.enable(obs.MetricsRegistry())
             enabled_seconds, _ = _best_of(lambda: _census(graph, None), rounds)
+            counting = obs.enable(_CountingRegistry())
+            _census(graph, None)
             obs.disable()
             snapshots.append(registry.snapshot())
             out[backend] = {
                 "disabled": disabled_seconds,
                 "enabled": enabled_seconds,
                 "ratio": enabled_seconds / disabled_seconds,
+                "guards": counting.calls,
+                "guard_share": counting.calls * guard / disabled_seconds,
             }
     finally:
         obs.ACTIVE = prior
@@ -212,16 +262,23 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover - manual too
         "indices and is excluded from the timed rounds)"
     )
     overhead, snapshot = instrumentation_overhead(args.events, rounds=args.rounds)
-    print(f"\n{'backend':<10}{'obs off':>12}{'obs on':>12}{'overhead':>10}")
+    print(
+        f"\n{'backend':<10}{'obs off':>12}{'obs on':>12}{'overhead':>10}"
+        f"{'guards':>10}{'guard cost':>12}"
+    )
+    over_budget = []
     for backend, row in overhead.items():
         print(
             f"{backend:<10}{row['disabled']:>10.2f}s{row['enabled']:>10.2f}s"
-            f"{row['ratio']:>9.2f}x"
+            f"{row['ratio']:>9.2f}x{row['guards']:>10}{row['guard_share']:>11.4%}"
         )
+        if row["guard_share"] > OBS_GUARD_BUDGET:
+            over_budget.append(backend)
     print(
         "\noverhead = census seconds with a live repro.obs registry / with "
-        "the null recorder (the disabled path is gated separately: CI holds "
-        "census_engine within 3% of the committed baseline)"
+        "the null recorder; guard cost = recorder calls of an enabled census "
+        "x the cost of one disabled guard / the disabled census seconds "
+        f"(must stay <= {OBS_GUARD_BUDGET:.0%})"
     )
     if args.json:
         payload = {
@@ -243,14 +300,20 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover - manual too
                 for backend, row in results.items()
                 for kernel, seconds in row.items()
             ],
-            # Observability sidecar: not regression-gated rows — the
-            # disabled path is gated through census_engine itself.
+            # Observability sidecar: not regression-gated rows; the
+            # guard-cost bound is checked above.
             "instrumentation": overhead,
             "obs_snapshot": snapshot,
         }
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)
         print(f"wrote {args.json}")
+    if over_budget:
+        print(
+            f"FAIL: disabled recorder guards cost more than {OBS_GUARD_BUDGET:.0%} "
+            "of the census on: " + ", ".join(over_budget)
+        )
+        return 1
     return 0
 
 

@@ -12,6 +12,14 @@ function of its code: :class:`MotifCensus` reads its pair counters off
 the sum of the code counts.  :func:`count_motifs` and
 :func:`count_event_pairs` are projections of :func:`run_census`, so the
 roots handling and sharded routing live in one place.
+
+Whenever NumPy imports, the pass folds the engine's block lane
+(:func:`repro.engine.run_plan_blocks`) as array ops on every storage
+backend (:mod:`repro.algorithms.batched`).  The per-instance tuple fold
+serves what the lane cannot: no NumPy, motifs of one event or past
+:data:`~repro.engine.kernels.MAX_CODE_EVENTS`, forced-generic plans, and
+node ids that do not fit int64.  Both give the same census, key order
+included.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from repro.core.constraints import TimingConstraints
 from repro.core.eventpairs import CW_GROUP, RPIO_GROUP, pair_sequence_of_code
 from repro.core.notation import canonical_code
 from repro.core.temporal_graph import TemporalGraph
-from repro.engine import ExecutionPlan, compile_plan, run_plan_blocks
+from repro.engine import ExecutionPlan, compile_plan, lane_arrays, run_plan_blocks
 
 Predicate = Callable[[TemporalGraph, Instance], bool]
 
@@ -307,32 +315,25 @@ def run_census(
     span_filter = set(timespan_codes) if timespan_codes is not None else None
     pos_filter = set(position_codes) if position_codes is not None else None
 
-    # Array-native lane: when the engine can stream instance *blocks*
-    # with their motif codes (numpy kernel, banded arrays ready, motif
-    # within the packed code's size), the whole census folds as array
-    # ops — bit-identical to the serial loop below, counter key order
-    # included.
-    arrays = getattr(graph.storage, "extension_arrays", lambda: None)()
-    if arrays is not None:
-        if plan is None:
-            plan = compile_plan(
-                n_events, constraints, predicate, graph.storage, max_nodes=max_nodes
-            )
-        blocks = run_plan_blocks(plan, graph, roots=roots)
-        if blocks is not None:
-            census.total = batched.fold_census_blocks(
-                census,
-                blocks,
-                arrays["t"],
-                arrays["u"],
-                arrays["v"],
-                collect_timespans=collect_timespans,
-                collect_positions=collect_positions,
-                span_filter=span_filter,
-                pos_filter=pos_filter,
-                sample_cap=sample_cap,
-            )
-            return census
+    # The block lane (see the module docstring), else the tuple fold below.
+    if plan is None:
+        plan = compile_plan(n_events, constraints, predicate, graph.storage, max_nodes=max_nodes)
+    blocks = run_plan_blocks(plan, graph, roots=roots)
+    if blocks is not None:
+        arrays = lane_arrays(graph.storage)
+        census.total = batched.fold_census_blocks(
+            census,
+            blocks,
+            arrays["t"],
+            arrays["u"],
+            arrays["v"],
+            collect_timespans=collect_timespans,
+            collect_positions=collect_positions,
+            span_filter=span_filter,
+            pos_filter=pos_filter,
+            sample_cap=sample_cap,
+        )
+        return census
 
     times = graph.times
     # Resolve each event's (u, v) pair once up front: the fold reads a

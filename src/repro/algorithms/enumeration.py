@@ -11,22 +11,22 @@ such that
 * the :class:`~repro.core.constraints.TimingConstraints` are satisfied:
   consecutive gaps ≤ ΔC and whole span ≤ ΔW, whichever are set.
 
-Since the engine PR this module is a thin driver over the unified
-execution engine (:mod:`repro.engine`): :func:`enumerate_instances`
-compiles — or fetches from the session cache — an
-:class:`~repro.engine.plan.ExecutionPlan` (the once-per-run resolution
-of the chained deadlines, the node cap and the backend's kernel
-capability) and streams :func:`repro.engine.run_plan`, which grows
-root-block frontiers through the backend's
-:class:`~repro.engine.kernels.ExtensionKernel`.  The generic kernel
-unions per-node
-:meth:`~repro.storage.base.GraphStorage.node_events_between` bisections
-via :meth:`~repro.storage.base.GraphStorage.adjacent_events_between`
-(the original per-event path); the ``"numpy"`` backend's kernel extends
-whole batches of partial instances with a constant number of
-``searchsorted`` probes per frontier level.  The yield order is
-bit-identical to the historical recursive DFS (see
-:mod:`repro.engine.driver` for the equivalence argument).
+This module is a thin driver over the unified execution engine
+(:mod:`repro.engine`): :func:`enumerate_instances` compiles — or fetches
+from the session cache — an :class:`~repro.engine.plan.ExecutionPlan`
+(the once-per-run resolution of the chained deadlines and the node cap)
+and streams :func:`repro.engine.run_plan`, which grows root-block
+frontiers through one :class:`~repro.engine.kernels.ExtensionKernel`.
+Whenever NumPy imports, that is the numpy kernel's block lane on every
+storage backend: whole root blocks grow with a constant number of
+``searchsorted`` probes per frontier level.  The generic kernel — forced
+with ``kernel="generic"``, or the only one without NumPy — unions
+per-node :meth:`~repro.storage.base.GraphStorage.node_events_between`
+bisections via
+:meth:`~repro.storage.base.GraphStorage.adjacent_events_between` (the
+original per-event path).  The yield order is bit-identical to the
+historical recursive DFS (see :mod:`repro.engine.driver` for the
+equivalence argument).
 """
 
 from __future__ import annotations

@@ -26,14 +26,14 @@ marks): ``pred.rows(graph, rows)`` takes an ``(n, k)`` integer array of
 instances, one per row, and returns an ``(n,)`` bool mask that equals
 ``[pred(graph, tuple(r)) for r in rows]`` exactly.  The engine's block
 lane (:func:`repro.engine.run_plan`, :func:`repro.engine.run_plan_blocks`)
-filters whole instance blocks with it, so predicated censuses on the
-numpy backend take the batched fold.  The masks are vectorized over the
+filters whole instance blocks with it.  The masks are vectorized over the
 columns of a :class:`~repro.storage.numpy_backend.NumpyStorage`; any
 other storage, or one with tail appends pending, gets the scalar
 predicate row by row.  :func:`combine` carries a row form
-exactly when every component has one.  :func:`is_static_induced` has none
-and is evaluated per instance; so is any user predicate without a ``rows``
-attribute.  NumPy is imported lazily: the scalar predicates need none.
+exactly when every component has one.  :func:`is_static_induced` has none,
+nor has a user predicate without a ``rows`` attribute: the lane calls
+them once per row (:func:`repro.engine.driver.scalar_rows`).  NumPy is
+imported lazily: the scalar predicates need none.
 """
 
 from __future__ import annotations
@@ -43,19 +43,11 @@ from typing import Sequence
 
 from repro.core._optional import import_numpy
 from repro.core.temporal_graph import TemporalGraph
+from repro.engine.driver import scalar_rows
 
 np = import_numpy()
 
 Instance = Sequence[int]
-
-
-def _scalar_rows(predicate, graph: TemporalGraph, rows):
-    """The row-form contract, one scalar call per row (the exact fallback)."""
-    return np.fromiter(
-        (predicate(graph, tuple(row)) for row in rows.tolist()),
-        dtype=bool,
-        count=len(rows),
-    )
 
 
 def _columns(graph: TemporalGraph):
@@ -106,7 +98,7 @@ def _consecutive_events_rows(graph: TemporalGraph, rows):
     rows = np.asarray(rows, dtype=np.int64)
     columns = _columns(graph) if len(rows) else None
     if columns is None:
-        return _scalar_rows(satisfies_consecutive_events, graph, rows)
+        return scalar_rows(satisfies_consecutive_events, graph, rows)
     u, v, t = columns
     rows = np.sort(rows, axis=1)
     n, k = rows.shape
@@ -174,7 +166,7 @@ def _cdg_rows(graph: TemporalGraph, rows):
     columns = _columns(graph) if len(rows) else None
     adjacent = graph.storage.edge_adjacent_times() if columns is not None else None
     if adjacent is None:
-        return _scalar_rows(satisfies_cdg, graph, rows)
+        return scalar_rows(satisfies_cdg, graph, rows)
     u, v, t = columns
     prev_t, next_t = adjacent
     a, b = rows[:, :-1], rows[:, 1:]

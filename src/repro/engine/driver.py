@@ -4,16 +4,19 @@
 (:func:`_root_blocks`) and grows each block level-synchronously on one
 of two lanes:
 
-* the **block lane** (the numpy kernel, banded arrays ready):
-  ``grow_block`` keeps the whole block in arrays and hands back its
-  completed instances in yield order, with their motif codes, which
-  :func:`run_plan_blocks` passes on to array consumers as they are;
-* the **Partial path** (every other run): one
+* the **block lane** (the numpy kernel, on any storage whose events fit
+  its int64 columns): ``grow_block`` keeps the whole block in arrays and
+  hands back its completed instances in yield order, with their motif
+  codes, which :func:`run_plan_blocks` passes on to array consumers as
+  they are;
+* the **Partial path** (the generic kernel: forced, or NumPy missing,
+  or node ids that do not fit int64): one
   :meth:`ExtensionKernel.next_frontier` call per non-final level and
   one :meth:`ExtensionKernel.extend_frontier` call at the last.
 
-Either way a scalar predicate filters the instance stream in one place,
-and ``max_instances`` cuts it in one place.
+A predicate filters the lane's blocks by its row form, or by one scalar
+call per row when it has none, and the Partial path's instances one
+scalar call each; ``max_instances`` cuts the stream in one place.
 
 Yield order is **bit-identical to the historical recursive DFS**, which
 the library's counter key order, capped sample lists and seeded
@@ -32,6 +35,7 @@ ascending event order — the DFS sequence, without the DFS.
 from __future__ import annotations
 
 import time
+from functools import partial
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -117,20 +121,21 @@ def _observe_levels(stats, level_partials, level_ext) -> None:
         rec.observe(ext_metric, int(level_ext[d]))
 
 
-def _bind_stats(plan: "ExecutionPlan"):
+def _bind_stats(kernel):
     """The run's observability tuple, or ``None`` while obs is disabled.
 
     ``(registry, partials_metric, extensions_metric, grow_metric)``,
-    bound once per run: the labeled metric names are built here, never
-    per block or per level, and ``stats is None`` is the entire
-    disabled-path cost of a block.  ``grow_metric`` is the histogram of
-    seconds per ``grow_block`` call (the block lane's kernel time).
-    Counts the run in ``engine.run_plan.calls``.
+    bound once per run and labeled with the bound kernel's name: the
+    labeled metric names are built here, never per block or per level,
+    and ``stats is None`` is the entire disabled-path cost of a block.
+    ``grow_metric`` is the histogram of seconds per ``grow_block`` call
+    (the block lane's kernel time).  Counts the run in
+    ``engine.run_plan.calls``.
     """
     rec = _obs.ACTIVE
     if rec is None:
         return None
-    name = plan.kernel_name
+    name = kernel.kernel_name
     rec.inc(labeled("engine.run_plan.calls", kernel=name))
     return (
         rec,
@@ -143,21 +148,35 @@ def _bind_stats(plan: "ExecutionPlan"):
 def _lane_ready(kernel) -> bool:
     """Whether the kernel's block lane can serve this run.
 
-    ``False`` for a kernel without one, and while tail appends are
-    pending (``block_ready`` counts that demotion).
+    ``False`` for the generic kernel, and for a graph whose node ids do
+    not fit the lane's int64 columns.
     """
     return hasattr(kernel, "grow_block") and kernel.block_ready()
+
+
+def scalar_rows(predicate, graph, rows):
+    """The row-form contract, one scalar call per row (the exact fallback)."""
+    return np.fromiter(
+        (predicate(graph, tuple(row)) for row in rows.tolist()),
+        dtype=bool,
+        count=len(rows),
+    )
 
 
 def _lane_blocks(plan, kernel, graph, roots, stats, first_block):
     """The block lane: ``(rows, codes)`` per root block, in yield order.
 
     ``first_block`` is the schedule's first block size.  A restriction
-    predicate with a row form (``predicate.rows``, see
-    :mod:`repro.algorithms.restrictions`) filters each block with one
-    mask; any other predicate is the caller's to apply per row.
+    predicate filters each block with one mask: its row form
+    (``predicate.rows``, see :mod:`repro.algorithms.restrictions`), else
+    :func:`scalar_rows`, counted once per run in ``engine.predicate.scalar``.
     """
-    row_filter = getattr(plan.predicate, "rows", None)
+    predicate = plan.predicate
+    row_filter = getattr(predicate, "rows", None)
+    if predicate is not None and row_filter is None:
+        row_filter = partial(scalar_rows, predicate)
+        if stats is not None:
+            stats[0].inc("engine.predicate.scalar")
     for block_roots in _block_roots(roots, len(graph.storage), first_block):
         if stats is None:
             rows, codes, level_partials, level_ext = kernel.grow_block(block_roots)
@@ -225,12 +244,9 @@ def run_plan(
         found = ((root,) for root in (range(len(storage)) if roots is None else roots))
     else:
         kernel = plan.bind(storage)
-        stats = _bind_stats(plan)
+        stats = _bind_stats(kernel)
         if _lane_ready(kernel):
-            if getattr(predicate, "rows", None) is not None:
-                predicate = None  # applied per block by the lane
-            elif predicate is not None and stats is not None:
-                stats[0].inc("engine.predicate.scalar")
+            predicate = None  # applied per block by the lane
             blocks = _lane_blocks(plan, kernel, graph, roots, stats, FIRST_BLOCK)
             found = map(tuple, chain.from_iterable(rows.tolist() for rows, _codes in blocks))
         else:
@@ -260,18 +276,16 @@ def run_plan_blocks(
     :data:`FIRST_BLOCK` ramp, which only serves a consumer that may stop
     early; block boundaries never change the row sequence.  A restriction
     predicate filters each block through its row form
-    (``predicate.rows``, see :mod:`repro.algorithms.restrictions`).
-    Returns ``None`` when the block lane cannot serve this run —
-    single-event plans, motifs past
-    :data:`~repro.engine.kernels.MAX_CODE_EVENTS`, a predicate without a
-    row form, a kernel without a block path, or a storage whose banded
-    arrays are pending — and the caller takes the tuple path.
+    (``predicate.rows``, see :mod:`repro.algorithms.restrictions`), or
+    one scalar call per row when it has none.  Returns ``None`` when the
+    block lane cannot serve this run — no NumPy, single-event plans,
+    motifs past :data:`~repro.engine.kernels.MAX_CODE_EVENTS`, a plan
+    forced to the generic kernel, or node ids that do not fit int64
+    columns — and the caller takes the tuple path.
     """
-    if not 2 <= plan.n_events <= MAX_CODE_EVENTS:
-        return None
-    if plan.predicate is not None and getattr(plan.predicate, "rows", None) is None:
+    if not np or not 2 <= plan.n_events <= MAX_CODE_EVENTS:
         return None
     kernel = plan.bind(graph.storage)
     if not _lane_ready(kernel):
         return None
-    return _lane_blocks(plan, kernel, graph, roots, _bind_stats(plan), ROOT_BLOCK)
+    return _lane_blocks(plan, kernel, graph, roots, _bind_stats(kernel), ROOT_BLOCK)

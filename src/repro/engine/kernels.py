@@ -25,37 +25,38 @@ input order, event indices ascending within a partial, each admissible
 ``(partial, event)`` pair exactly once.  The driver relies on this to
 reproduce the serial DFS yield order bit-for-bit.
 
-Two kernels are registered:
+Two kernels, one rule (:func:`kernel_for`):
 
-* :class:`GenericExtensionKernel` — one
-  :meth:`~repro.storage.base.GraphStorage.adjacent_events_between`
-  bisection per partial; correct on every backend.
-* :class:`NumpyExtensionKernel` — inherits the contract above and adds
-  the **block lane** (``block_ready()`` / ``grow_block(roots)``): a
-  whole root block grows level by level, with at most two batched
+* :class:`NumpyExtensionKernel`, whenever NumPy imports and the plan is
+  not forced to ``kernel="generic"``.  It inherits the contract above
+  and adds the **block lane** (``block_ready()`` / ``grow_block(roots)``):
+  a whole root block grows level by level, with at most two batched
   ``searchsorted`` probes per level, their keys searched in ascending
-  order: partials below the node cap probe the banded node CSR of
-  :class:`~repro.storage.numpy_backend.NumpyStorage`
+  order: partials below the node cap probe a banded node CSR
   (:meth:`~repro.storage.numpy_backend.NumpyStorage.extension_arrays`),
   partials at the cap a per-run band of events keyed by node pair.  It
   grows to an ``(n, n_events)`` instance array plus each row's motif code,
   without building Partial objects (see
-  :func:`repro.engine.driver.run_plan`).  While tail appends are
-  pending the banded arrays are unavailable and the driver takes the
-  Partial-object path on the inherited code.
-
-Backends advertise their kernel via the
-:attr:`~repro.storage.base.GraphStorage.extension_kernel` class
-attribute; :func:`kernel_for` resolves it, demoting to generic when the
-advertised kernel is unavailable.
+  :func:`repro.engine.driver.run_plan`).  The lane runs on every
+  storage: :func:`lane_arrays` hands it a compacted
+  :class:`~repro.storage.numpy_backend.NumpyStorage`'s own arrays, and
+  builds columns for any other storage once per storage version.
+* :class:`ExtensionKernel` otherwise: one
+  :meth:`~repro.storage.base.GraphStorage.adjacent_events_between`
+  bisection per partial, exact on every backend.  It is the reference
+  the lane is tested against, and the path of runs without NumPy and of
+  graphs whose node ids do not fit int64 columns.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+import weakref
+from typing import TYPE_CHECKING, Any, Sequence
 
 import repro.obs as _obs
 from repro.core._optional import import_numpy
+from repro.storage.numpy_backend import NumpyStorage
+from repro.storage.partitioned import PartitionedStorage
 
 np = import_numpy()
 
@@ -94,12 +95,14 @@ class Partial:
 
 
 class ExtensionKernel:
-    """Base kernel: the scalar admission arithmetic, both traversals.
+    """The generic kernel: the scalar admission arithmetic, both traversals.
 
     Both the partial-major path (the driver's Partial-object levels) and
     the event-major path (single arriving event, the online engine's
     per-push shape) are shared by every kernel, so the scalar admission
-    comparisons exist exactly once per traversal direction.
+    comparisons exist exactly once per traversal direction.  Bound alone
+    (``kernel="generic"``, or no NumPy) it is the reference path, exact
+    on every storage.
     """
 
     kernel_name = "generic"
@@ -251,12 +254,6 @@ class ExtensionKernel:
         return out
 
 
-class GenericExtensionKernel(ExtensionKernel):
-    """Per-node-bisect kernel: exact on every storage backend."""
-
-    kernel_name = "generic"
-
-
 #: Largest motif whose block-lane code fits an int64: the code packs two
 #: decimal digits per event and its first digit is always 0, and
 #: ``10**(2k - 1) < 2**63`` holds through ``k = 9``.
@@ -264,7 +261,7 @@ MAX_CODE_EVENTS = 9
 
 
 class NumpyExtensionKernel(ExtensionKernel):
-    """Vectorized kernel over :class:`NumpyStorage`'s banded CSR arrays.
+    """Vectorized kernel over banded CSR arrays (:func:`lane_arrays`).
 
     Extends the whole frontier at once.  A partial below the node cap
     makes one half-open window query per node into the banded node
@@ -284,8 +281,8 @@ class NumpyExtensionKernel(ExtensionKernel):
     arrays from its roots to its completed instances and their motif
     codes.  The per-partial contract (``extend_frontier`` /
     ``next_frontier``) is the inherited scalar code: the online engine
-    calls it one arriving event at a time, and the driver only while
-    tail appends keep the block lane unavailable.
+    calls it one arriving event at a time, and the driver only when a
+    graph's node ids do not fit the lane's int64 columns.
     """
 
     kernel_name = "numpy"
@@ -319,14 +316,15 @@ class NumpyExtensionKernel(ExtensionKernel):
         partial's window ``(t_last, min(t_last + ΔC, t_root + ΔW)]`` is
         exactly ``[lo[last], min(hi_c[last], hi_w[root]))``.
 
-        ``False`` (tail appends pending) routes the driver to the
-        Partial-object path, which runs the generic kernel's scalar
-        code; that demotion is counted here, once per call.
+        The arrays come from :func:`lane_arrays`, built here and not at
+        bind time: the online engine binds a kernel on every prune and
+        never runs the lane.  ``False`` (node ids that do not fit int64
+        columns) routes the driver to the Partial-object path, which
+        runs the generic kernel's scalar code.
         """
-        arrays = getattr(self._storage, "extension_arrays", lambda: None)()
+        arrays = lane_arrays(self._storage)
         if arrays is None:
             self._block = None
-            count_kernel_demotion(self.kernel_name, "generic")
             return False
         t = arrays["t"]
         keys = arrays["keys"]
@@ -649,60 +647,83 @@ def _probe_band(banded, idx, key_lo, key_hi, q_part):
     return idx[np.repeat(a, cnt) + offsets], np.repeat(q_part, cnt)
 
 
-#: Registry of kernel capability names (the values backends may put in
-#: :attr:`~repro.storage.base.GraphStorage.extension_kernel`).
-KERNELS: dict[str, type[ExtensionKernel]] = {"generic": GenericExtensionKernel}
-if np:
-    KERNELS["numpy"] = NumpyExtensionKernel
+#: Lane columns of storages whose own arrays cannot serve the block lane,
+#: held weakly so they go with their storage: ``storage -> (version,
+#: NumpyStorage or None)``.  Storages only grow, so the event count is
+#: the version.
+_LANE_STORAGES: "weakref.WeakKeyDictionary[GraphStorage, tuple]" = weakref.WeakKeyDictionary()
 
-#: The demotion ladder: when an advertised kernel is not registered in
-#: this build, resolution walks down one rung at a time ("numpy" wants
-#: NumPy; "generic" is always present).
-KERNEL_FALLBACKS: dict[str, str] = {"numpy": "generic"}
+#: Times at or above this may not convert to float64 exactly.
+_EXACT_TIME = 2.0**53
 
 
-def count_kernel_demotion(src: str, dst: str) -> None:
-    """Record one kernel demotion in the obs counters (when enabled).
+def lane_arrays(storage: "GraphStorage") -> dict[str, Any] | None:
+    """The block lane's arrays over ``storage``, or ``None`` when its events do not fit.
 
-    Covers both compile-time demotion (NumPy absent at plan
-    resolution) and runtime fallback (tail appends pending, so the
-    banded arrays are unavailable for this call).
+    A compacted :class:`~repro.storage.numpy_backend.NumpyStorage` serves
+    its own :meth:`~repro.storage.numpy_backend.NumpyStorage.extension_arrays`;
+    any other storage gets a ``NumpyStorage`` over its events, built on
+    first use per storage version: ``slice_range(0, m)`` of a partitioned
+    directory (so the whole-stream fold warns), else from ``iter_uvt()``.
+    ``None`` — node ids not int64 or times not exact in float64 — is
+    counted once per version in ``engine.kernel.demote{from=numpy,to=generic}``.
     """
+    if isinstance(storage, NumpyStorage):
+        arrays = storage.extension_arrays()
+        if arrays is not None:
+            _LANE_STORAGES.pop(storage, None)  # columns built while a tail was pending
+            return arrays
+    version = len(storage)
+    cached = _LANE_STORAGES.get(storage)
+    if cached is None or cached[0] != version:
+        lane = _lane_storage(storage)
+        if lane is None:
+            _count_demotion()
+        cached = _LANE_STORAGES[storage] = (version, lane)
+    return None if cached[1] is None else cached[1].extension_arrays()
+
+
+def _lane_storage(storage: "GraphStorage") -> NumpyStorage | None:
+    """A flat numpy storage over ``storage``'s events, or ``None`` if they do not fit."""
+    if isinstance(storage, PartitionedStorage):
+        return storage.slice_range(0, len(storage))
+    rows = list(storage.iter_uvt())
+    if not rows:
+        return NumpyStorage.from_events((), presorted=True)
+    u, v, t = (np.array(column) for column in zip(*rows))
+    if u.dtype.kind != "i" or v.dtype.kind != "i" or t.dtype.kind not in "if":
+        return None
+    if t.dtype.kind == "f" and t.dtype != np.float64 or not (t < _EXACT_TIME).all():
+        return None
+    return NumpyStorage.from_arrays(u, v, t)
+
+
+#: The one demotion: from the numpy kernel's lane to the generic kernel.
+_DEMOTE = _obs.labeled("engine.kernel.demote", **{"from": "numpy", "to": "generic"})
+
+
+def _count_demotion() -> None:
     rec = _obs.ACTIVE
     if rec is not None:
-        rec.inc(_obs.labeled("engine.kernel.demote", **{"from": src, "to": dst}))
-
-
-def resolve_kernel_name(name: str) -> str:
-    """Resolve an advertised capability to a kernel registered here.
-
-    Walks :data:`KERNEL_FALLBACKS` one rung at a time, counting each
-    hop in ``engine.kernel.demote{from=...,to=...}`` so a silent
-    fallback is visible in ``stats`` instead of only in timings.
-    """
-    while name not in KERNELS:
-        fallback = KERNEL_FALLBACKS.get(name, "generic")
-        count_kernel_demotion(name, fallback)
-        name = fallback
-    return name
-
-
-def has_kernel(name: str) -> bool:
-    """Whether a kernel capability name is implemented in this build."""
-    return name in KERNELS
+        rec.inc(_DEMOTE)
 
 
 def kernel_for(plan: "ExecutionPlan", storage: "GraphStorage") -> ExtensionKernel:
     """Bind the plan's kernel to one storage engine.
 
-    Plans are picklable and travel to workers, so the kernel *name* is
-    re-resolved here: a plan compiled where NumPy was present demotes
-    cleanly (and countably) on a worker where it is not.
+    :class:`NumpyExtensionKernel` when NumPy imports and the plan is not
+    forced to ``kernel="generic"``, :class:`ExtensionKernel` otherwise.
+    Plans are picklable and travel to workers, so the rule is applied
+    here: a plan compiled where NumPy was present demotes cleanly (and
+    countably) on a worker where it is not.  Binding builds nothing;
+    the lane's arrays wait for :meth:`NumpyExtensionKernel.block_ready`.
     """
-    name = plan.kernel_name
-    if name not in KERNELS:
-        name = resolve_kernel_name(name)
-    cls = KERNELS.get(name, GenericExtensionKernel)
+    cls = ExtensionKernel
+    if plan.kernel_name != "generic":
+        if np:
+            cls = NumpyExtensionKernel
+        else:
+            _count_demotion()
     rec = _obs.ACTIVE
     if rec is not None:
         rec.inc(_obs.labeled("engine.kernel.bind", kernel=cls.kernel_name))

@@ -16,9 +16,11 @@ primitive needs:
 * **restriction shard-safety** (:func:`is_shard_safe`), so the parallel
   engine picks its shard strategy from the plan instead of re-deriving
   it per shard, and
-* the **backend's kernel capability** — which
-  :class:`~repro.engine.kernels.ExtensionKernel` the storage engine
-  advertises (:attr:`~repro.storage.base.GraphStorage.extension_kernel`).
+* whether the run is **forced to the generic kernel** (``kernel=
+  "generic"``, the reference path).  Which kernel serves is one rule,
+  applied at :meth:`ExecutionPlan.bind` (:func:`repro.engine.kernels.kernel_for`):
+  the numpy kernel's block lane whenever NumPy imports, whatever the
+  storage.
 
 Plans are immutable, hashable-key cached (so a runner session compiling
 the same ``(n_events, constraints, restriction)`` configuration for
@@ -89,9 +91,8 @@ class ExecutionPlan:
         The bounds as plain floats (``inf`` when unset), pre-resolved so
         kernels compute deadlines with two adds and a min.
     kernel_name:
-        Which extension kernel the plan's storage backend advertised at
-        compile time (``"generic"`` unless the backend declares a faster
-        one and that kernel is available in this build).
+        ``"generic"`` when the plan is forced to the generic kernel,
+        else ``"numpy"`` (bound as the numpy kernel where NumPy imports).
     """
 
     n_events: int
@@ -154,15 +155,15 @@ def compile_plan(
         Optional restriction predicate applied to complete instances
         (the ``predicate`` of the counting entry points).
     storage:
-        The storage engine the plan will run against — consulted only
-        for its advertised kernel capability
-        (:attr:`~repro.storage.base.GraphStorage.extension_kernel`);
-        ``None`` compiles a generic-kernel plan.
+        The storage engine the plan will run against.  It decides
+        nothing (every storage runs the same kernels); the argument
+        stays for callers that pass it.
     max_nodes:
         Optional cap on distinct nodes per instance.
     kernel:
-        Explicit kernel-name override (benchmarks force ``"generic"``
-        on array backends to measure the vectorization win).
+        ``"generic"`` forces the generic kernel, the reference path
+        (benchmarks and tests measure and check the lane against it);
+        ``None`` or ``"numpy"`` is the default.
 
     Plans are cached per ``(n_events, constraints, restrictions,
     node_cap, kernel)`` for the lifetime of the session, so an
@@ -171,8 +172,10 @@ def compile_plan(
     """
     if n_events < 1:
         raise ValueError("n_events must be >= 1")
+    if kernel not in (None, "numpy", "generic"):
+        raise ValueError(f"unknown kernel {kernel!r} (expected 'numpy' or 'generic')")
     node_cap = n_events + 1 if max_nodes is None else max_nodes
-    kernel_name = kernel if kernel is not None else _advertised_kernel(storage)
+    kernel_name = kernel or "numpy"
     key: tuple | None = (n_events, constraints, restrictions, node_cap, kernel_name)
     try:
         cached = _PLAN_CACHE.get(key)
@@ -203,33 +206,6 @@ def compile_plan(
     return plan
 
 
-#: Memo of advertised-capability -> resolved-kernel decisions.  Kernel
-#: availability is stable within a session (it depends on which optional
-#: imports succeeded), so each advertised name is resolved — and its
-#: demotions counted — once, not once per compile_plan call.
-_KERNEL_RESOLUTION_CACHE: dict[str, str] = {}
-
-
-def _advertised_kernel(storage: "GraphStorage | None") -> str:
-    """The kernel a backend advertises, demoted down the fallback chain."""
-    if storage is None:
-        return "generic"
-    name = getattr(storage, "extension_kernel", "generic")
-    resolved = _KERNEL_RESOLUTION_CACHE.get(name)
-    if resolved is None:
-        from repro.engine.kernels import resolve_kernel_name
-
-        resolved = _KERNEL_RESOLUTION_CACHE[name] = resolve_kernel_name(name)
-    return resolved
-
-
 def clear_plan_cache() -> None:
-    """Drop every memoized plan *and* kernel-capability resolution.
-
-    Tests that monkeypatch :data:`~repro.engine.kernels.KERNELS`
-    (registering or unregistering a kernel mid-session) call this so no
-    stale plan — nor a stale capability decision — survives with a
-    kernel name the current registry can no longer serve.
-    """
+    """Drop every memoized plan (benchmarks time plan compiles from cold)."""
     _PLAN_CACHE.clear()
-    _KERNEL_RESOLUTION_CACHE.clear()

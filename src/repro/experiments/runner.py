@@ -69,8 +69,8 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     :func:`repro.engine.compile_plan`, whose memo hands the same
     compiled plan to every dataset sharing one of the paper's few
     ``(n_events, constraints, restriction)`` configurations — the
-    deadline schedule, shard safety and kernel capability are derived
-    once per configuration, not once per table cell.
+    deadline schedule and shard safety are derived once per
+    configuration, not once per table cell.
     """
     try:
         run, _title = EXPERIMENTS[experiment_id]

@@ -77,8 +77,7 @@ class _ShardTask:
     slices the parent's storage instead, so partitioned pages stay on
     the parent's open partitions.  ``plan`` is the parent's compiled
     :class:`~repro.engine.plan.ExecutionPlan`: shards bind it to their
-    storage instead of re-deriving deadlines, node caps and kernel
-    capability per shard.  ``local_roots`` overrides the shard's owned
+    storage instead of re-deriving deadlines and node caps per shard.  ``local_roots`` overrides the shard's owned
     anchor range when the caller restricted the search to explicit
     roots (the sampling estimators).  ``kind`` is ``"census"`` or
     ``"instances"``.
@@ -204,8 +203,8 @@ def _execute(
             "sharded enumeration requires non-decreasing roots (anchors "
             "partition by shard order); sort them or run serially"
         )
-    # One compiled plan for the whole run: deadlines, node cap, shard
-    # safety and kernel capability resolve here, then ship to workers.
+    # One compiled plan for the whole run: deadlines, node cap and shard
+    # safety resolve here, then ship to workers.
     # A caller-supplied plan (forced kernels, precompiled reuse) is
     # shipped as-is instead of recompiled.
     if plan is None:

@@ -28,7 +28,15 @@ Contract invariants every backend must uphold
   is the enumeration engine's strict-ordering window.
 * :meth:`append` only accepts events at or after :attr:`end_time`
   (non-decreasing time), which is what keeps event indices stable on a
-  live, growing graph.
+  live, growing graph.  Storages only grow, so the engine keys what it
+  derives from a storage by its event count.
+
+A backend declares nothing to the execution engine.  The engine's
+block lane (:func:`repro.engine.kernels.lane_arrays`) reads a compacted
+numpy storage's own arrays and builds int64/float64 columns from
+:meth:`iter_uvt` for every other storage, once per event count; the
+generic kernel reaches the backend only through
+:meth:`adjacent_events_between`, :meth:`event_at` and the scalar views.
 """
 
 from __future__ import annotations
@@ -46,17 +54,6 @@ class GraphStorage(ABC):
 
     #: Registry key of the backend (``"list"``, ``"columnar"``, ...).
     backend_name: ClassVar[str] = ""
-
-    #: Extension-kernel capability this backend advertises to the
-    #: execution engine (:func:`repro.engine.compile_plan`): the name of
-    #: a :class:`repro.engine.kernels.ExtensionKernel` able to run the
-    #: frontier-extension primitive natively over this backend's layout.
-    #: ``"generic"`` — per-node bisection through
-    #: :meth:`adjacent_events_between` — is always correct; array
-    #: backends override it (the numpy backend advertises ``"numpy"``).
-    #: Unknown names demote to generic at plan-compile time, so a
-    #: backend may advertise a kernel that only some builds provide.
-    extension_kernel: ClassVar[str] = "generic"
 
     #: When True, whole-graph census entry points route through the
     #: sharded engine even at ``jobs=1``: the backend would rather run a

@@ -119,11 +119,6 @@ class NumpyStorage(GraphStorage):
 
     backend_name = "numpy"
 
-    #: Frontier-extension capability for the execution engine: the
-    #: vectorized :class:`repro.engine.kernels.NumpyExtensionKernel`, fed
-    #: by :meth:`extension_arrays`.
-    extension_kernel = "numpy"
-
     #: Tail appends tolerated before the columns are rebuilt in one pass.
     compact_threshold = 4096
 
@@ -703,9 +698,8 @@ class NumpyStorage(GraphStorage):
         machinery as :meth:`count_node_events_in_batch`), with ``keys``
         the ascending node ids whose position equals the CSR slot.
         Returns ``None`` while tail appends are pending: the tail lists
-        are not banded, so the engine's generic per-node path (which
-        reads the tail through :meth:`node_events_between`) is the exact
-        one.
+        are not banded, so the engine builds its lane columns from
+        :meth:`iter_uvt` instead (:func:`repro.engine.kernels.lane_arrays`).
         """
         if self._tail:
             return None

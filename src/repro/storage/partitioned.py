@@ -274,16 +274,14 @@ class PartitionedStorage(GraphStorage):
     (event-index -> partition, time -> event-index) happens against the
     manifest, so queries touch only the partitions they need.
 
-    The backend advertises the ``"numpy"`` extension kernel: censuses
-    route through the sharded engine (``prefers_sharded_execution``)
-    whose workers rebuild plain in-memory :class:`NumpyStorage` shards,
-    where the array kernel applies.  Binding a plan directly to this
-    storage stays correct — the array kernel falls back to the generic
-    per-node bisection path partition-locally.
+    Censuses route through the sharded engine
+    (``prefers_sharded_execution``) whose workers rebuild plain
+    in-memory :class:`NumpyStorage` shards.  A plan run directly on this
+    storage (serial ``enumerate_instances``) takes the block lane over
+    ``slice_range(0, m)``: the whole stream in memory, so that fold warns.
     """
 
     backend_name: ClassVar[str] = "partitioned"
-    extension_kernel: ClassVar[str] = "numpy"
     prefers_sharded_execution: ClassVar[bool] = True
     supports_append: ClassVar[bool] = False
 

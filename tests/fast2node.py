@@ -1,11 +1,12 @@
-"""Fast exact counting of two-node temporal motifs (Paranjape et al.).
+"""Test oracle: exact counting of two-node temporal motifs (Paranjape et al.).
 
-The survey's related-work section covers algorithmic improvements for
-motif counting; the seminal one is Paranjape, Benson & Leskovec's
+An independent second implementation of two-node motif counting, which
+``test_fast2node.py`` checks the engine against (the library counts
+two-node motifs with ``count_motifs(..., max_nodes=2)``).  The survey's
+related-work section covers algorithmic improvements for motif
+counting; the seminal one is Paranjape, Benson & Leskovec's
 dynamic-programming counter for δ-temporal motifs.  Its two-node special
-case is both the simplest and the most load-bearing in practice (message
-networks are dominated by two-node conversations — Figure 6), and it is
-implemented here exactly:
+case is implemented here exactly:
 
 For each unordered node pair, the merged event stream reduces to a
 *direction sequence* (0 = lo→hi, 1 = hi→lo).  A sliding window of length

@@ -3,13 +3,14 @@
 Three layers of guarantees:
 
 * **plan units** — :func:`repro.engine.compile_plan` resolves node caps,
-  shard safety, deadline arithmetic and kernel capability exactly once,
-  caches hashable configurations, and pickles (the parallel engine ships
-  plans to shard workers);
-* **kernel differential** — a Hypothesis suite asserting
-  ``extend_frontier`` parity between the generic and the vectorized
-  NumPy kernel, across every registered storage backend and between the
-  partial-major and event-major traversals;
+  shard safety and deadline arithmetic exactly once, caches hashable
+  configurations, and pickles (the parallel engine ships plans to shard
+  workers);
+* **kernel differential** — Hypothesis suites asserting parity between
+  the generic kernel (``kernel="generic"``, the lane's independent
+  oracle) and the vectorized NumPy kernel's block lane, on every
+  registered storage backend, and between the partial-major and
+  event-major traversals;
 * **consumer bit-identity** — ``run_census`` (per backend, forced
   kernels, precompiled plans) and ``OnlineCensus`` (push-by-push against
   the batch window, through snapshot/restore) produce identical output,
@@ -40,13 +41,11 @@ from repro.core.events import Event
 from repro.core.temporal_graph import TemporalGraph
 from repro.engine import (
     ExecutionPlan,
-    GenericExtensionKernel,
+    ExtensionKernel,
     Partial,
     clear_plan_cache,
     compile_plan,
-    has_kernel,
     is_shard_safe,
-    resolve_kernel_name,
     run_plan,
     run_plan_blocks,
 )
@@ -155,25 +154,22 @@ class TestCompilePlan:
         assert is_shard_safe(None)
         assert not is_shard_safe(opaque)
 
-    def test_kernel_capability_follows_backend(self):
+    def test_every_backend_binds_the_numpy_kernel(self):
+        # One rule, whatever the storage: the numpy kernel wherever
+        # NumPy imports, the generic kernel where it does not.
         constraints = TimingConstraints.only_w(10.0)
+        expected = "numpy" if "numpy" in BACKENDS else "generic"
         for backend in BACKENDS:
             storage = get_backend(backend).from_events(
                 [Event(0, 1, 1.0)], presorted=True
             )
             plan = compile_plan(3, constraints, None, storage)
-            expected = "numpy" if backend == "numpy" else "generic"
-            assert plan.kernel_name == expected
-            kernel = plan.bind(storage)
-            assert kernel.kernel_name == expected
+            assert plan.kernel_name == "numpy"
+            assert plan.bind(storage).kernel_name == expected
 
-    def test_unknown_advertised_kernel_demotes_to_generic(self):
-        class Weird:
-            extension_kernel = "definitely-not-a-kernel"
-
-        plan = compile_plan(3, TimingConstraints.only_w(10.0), None, Weird())
-        assert plan.kernel_name == "generic"
-        assert not has_kernel("definitely-not-a-kernel")
+    def test_unknown_kernel_name_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown kernel"):
+            compile_plan(3, TimingConstraints.only_w(10.0), kernel="definitely-not-a-kernel")
 
     def test_explicit_kernel_override(self):
         storage = get_backend(BACKENDS[0]).from_events(
@@ -183,7 +179,7 @@ class TestCompilePlan:
             3, TimingConstraints.only_w(10.0), None, storage, kernel="generic"
         )
         assert plan.kernel_name == "generic"
-        assert isinstance(plan.bind(storage), GenericExtensionKernel)
+        assert type(plan.bind(storage)) is ExtensionKernel
 
     def test_session_cache_reuses_plans(self):
         clear_plan_cache()
@@ -636,14 +632,14 @@ class TestEarlyTermination:
         else:
             # The Partial path's first kernel call per block takes the
             # block's root partials.
-            next_frontier = GenericExtensionKernel.next_frontier
+            next_frontier = ExtensionKernel.next_frontier
 
             def counted(self, partials, lo, hi, times):
                 if all(len(p.seq) == 1 for p in partials):
                     grown.append(len(partials))
                 return next_frontier(self, partials, lo, hi, times)
 
-            monkeypatch.setattr(GenericExtensionKernel, "next_frontier", counted)
+            monkeypatch.setattr(ExtensionKernel, "next_frontier", counted)
 
         if stop == "next":
             first = [next(run_plan(plan, graph))]
@@ -763,8 +759,10 @@ class TestPredicatedBlockLane:
         assert scalar_count(is_static_induced) == 2
         assert scalar_count(satisfies_consecutive_events) == 0
         assert scalar_count(None) == 0
+        # The block entry point filters such a predicate row by row.
         plan = compile_plan(3, constraints, is_static_induced, graph.storage)
-        assert run_plan_blocks(plan, graph) is None
+        rows = [tuple(r) for block, _codes in run_plan_blocks(plan, graph) for r in block]
+        assert rows == list(run_plan(plan, graph))
 
 
 # ----------------------------------------------------------------------
@@ -1018,8 +1016,11 @@ class TestNumpyBlockLaneParity:
         for n_events in (1, 10):
             oversize = compile_plan(n_events, PARITY_CONSTRAINTS, None, graph.storage)
             assert run_plan_blocks(oversize, graph) is None
-        restricted = compile_plan(3, PARITY_CONSTRAINTS, lambda g, i: True, graph.storage)
-        assert run_plan_blocks(restricted, graph) is None
+        # A predicate without a row form filters each block row by row.
+        restricted = compile_plan(3, PARITY_CONSTRAINTS, _even_last, graph.storage)
+        rows = [tuple(r) for block, _codes in run_plan_blocks(restricted, graph) for r in block]
+        assert rows == list(run_plan(restricted, graph))
+        assert rows == [inst for inst in run_plan(plan, graph) if inst[-1] % 2 == 0]
 
     def test_sharded_census_rebinds_plan_in_workers(self):
         # Plans pickle by kernel *name*; shard workers rebind it.
@@ -1033,8 +1034,11 @@ class TestNumpyBlockLaneParity:
 
 
 # ----------------------------------------------------------------------
-# demotion: countable, memoized, invalidated with the plan cache
+# demotion: only without NumPy or int64 node ids, and countable
 # ----------------------------------------------------------------------
+DEMOTE = "engine.kernel.demote{from=numpy,to=generic}"
+
+
 @requires_numpy_backend
 class TestKernelDemotion:
     @pytest.fixture(autouse=True)
@@ -1048,76 +1052,210 @@ class TestKernelDemotion:
         obs.disable()
 
     def test_numpy_resolves_to_generic_and_counts_once(self, monkeypatch):
+        import repro.engine.kernels as kernels
         import repro.obs as obs
-        from repro.engine import KERNELS
+        from repro.core._optional import MissingNumpy
 
-        monkeypatch.delitem(KERNELS, "numpy")
-        clear_plan_cache()
-        registry = obs.enable()
         storage = TemporalGraph([(0, 1, 1.0)], backend="numpy").storage
         plan = compile_plan(3, PARITY_CONSTRAINTS, None, storage)
-        assert plan.kernel_name == "generic"
-        key = "engine.kernel.demote{from=numpy,to=generic}"
-        assert registry.counters[key] == 1
-        # The capability memo makes the next compile free *and* silent.
-        compile_plan(4, PARITY_CONSTRAINTS, None, storage)
-        assert registry.counters[key] == 1
+        assert plan.kernel_name == "numpy"
+        # NumPy missing at bind time: the generic kernel, one count per bind.
+        monkeypatch.setattr(kernels, "np", MissingNumpy())
+        registry = obs.enable()
+        assert type(plan.bind(storage)) is ExtensionKernel
+        assert registry.counters[DEMOTE] == 1
 
     def test_stale_plan_demotes_at_bind_time(self, monkeypatch):
+        import repro.engine.kernels as kernels
         import repro.obs as obs
-        from repro.engine import KERNELS
+        from repro.core._optional import MissingNumpy
 
         events = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)]
         graph = TemporalGraph(events, backend="numpy")
         plan = compile_plan(3, PARITY_CONSTRAINTS, None, graph.storage)
         assert plan.kernel_name == "numpy"
-        # The plan outlives its kernel's registration (a worker
-        # unpickling it, a caller holding it): binding must re-resolve.
-        monkeypatch.delitem(KERNELS, "numpy")
+        # The plan outlives NumPy (a worker unpickling it where NumPy is
+        # not installed): binding applies the rule again.
+        monkeypatch.setattr(kernels, "np", MissingNumpy())
         registry = obs.enable()
         kernel = plan.bind(graph.storage)
         assert kernel.kernel_name == "generic"
-        assert registry.counters["engine.kernel.demote{from=numpy,to=generic}"] == 1
+        assert registry.counters[DEMOTE] == 1
         generic = compile_plan(3, PARITY_CONSTRAINTS, None, graph.storage, kernel="generic")
         assert list(run_plan(plan, graph)) == list(run_plan(generic, graph))
 
-    def test_clear_plan_cache_invalidates_capability_resolution(self, monkeypatch):
-        from repro.engine import KERNELS
-
-        storage = TemporalGraph([(0, 1, 1.0)], backend="numpy").storage
-        assert compile_plan(3, PARITY_CONSTRAINTS, None, storage).kernel_name == "numpy"
-        monkeypatch.delitem(KERNELS, "numpy")
-        # Without invalidation both memo layers would happily serve the
-        # unregistered name forever.
-        clear_plan_cache()
-        assert compile_plan(3, PARITY_CONSTRAINTS, None, storage).kernel_name == "generic"
-
-    def test_numpy_tail_pending_fallback_is_counted_and_correct(self):
+    def test_numpy_tail_pending_takes_the_lane(self):
         import repro.obs as obs
 
         graph = TemporalGraph([(0, 1, 1.0), (1, 2, 2.0)], backend="numpy")
         graph.append(Event(0, 2, 3.0))  # lands in the un-banded tail
+        graph.append(Event(2, 1, 3.5))
         plan = compile_plan(3, PARITY_CONSTRAINTS, None, graph.storage)
-        assert plan.kernel_name == "numpy"
-        key = "engine.kernel.demote{from=numpy,to=generic}"
         registry = obs.enable()
-        # The block lane refuses while the banded arrays are pending.
-        assert run_plan_blocks(plan, graph) is None
-        assert registry.counters[key] == 1
-        numpy_rows = list(run_plan(plan, graph))
-        assert registry.counters[key] == 2  # once per run_plan call
+        blocks = run_plan_blocks(plan, graph)
+        assert blocks is not None
+        rows = [tuple(r) for block, _codes in blocks for r in block.tolist()]
         census = run_census(graph, 3, PARITY_CONSTRAINTS, plan=plan)
-        assert registry.counters[key] >= 3
+        assert DEMOTE not in registry.counters
         obs.disable()
         generic_plan = compile_plan(3, PARITY_CONSTRAINTS, None, graph.storage, kernel="generic")
-        assert numpy_rows == list(run_plan(generic_plan, graph))
+        assert rows == list(run_plan(generic_plan, graph)) == list(run_plan(plan, graph))
         reference = run_census(graph, 3, PARITY_CONSTRAINTS, plan=generic_plan)
-        assert list(census.code_counts.items()) == list(reference.code_counts.items())
-        assert census.total == reference.total > 0
+        assert _census_key(census) == _census_key(reference)
+        assert census.total > 0
 
-    def test_resolve_kernel_name_walks_unknown_names_to_generic(self):
-        assert resolve_kernel_name("definitely-not-a-kernel") == "generic"
-        assert resolve_kernel_name("generic") == "generic"
+    @pytest.mark.parametrize("ids", [("a", "b", "c"), (2**70, 2**70 + 1, -(2**70))])
+    def test_non_int64_node_ids_take_the_scalar_path_and_count_one_demotion(self, ids):
+        import repro.obs as obs
+
+        a, b, c = ids
+        events = [(a, b, 1.0), (b, c, 2.0), (a, c, 3.0), (c, a, 4.0)]
+        graph = TemporalGraph(events, backend="list")
+        registry = obs.enable()
+        census = run_census(graph, 3, PARITY_CONSTRAINTS, collect_timespans=True)
+        assert registry.counters[DEMOTE] == 1
+        assert registry.counters["engine.run_plan.calls{kernel=numpy}"] == 1
+        obs.disable()
+        generic_plan = compile_plan(3, PARITY_CONSTRAINTS, None, graph.storage, kernel="generic")
+        reference = run_census(
+            graph, 3, PARITY_CONSTRAINTS, collect_timespans=True, plan=generic_plan
+        )
+        assert _census_key(census) == _census_key(reference)
+        assert census.timespans == reference.timespans
+        assert census.total > 0
+
+
+# ----------------------------------------------------------------------
+# the lane on every backend, against the forced-generic reference
+# ----------------------------------------------------------------------
+LANE_PREDICATES = (
+    None,
+    satisfies_consecutive_events,
+    satisfies_cdg,
+    is_static_induced,
+    _even_last,
+)
+
+
+def _samples_key(census):
+    return _census_key(census), census.timespans, census.intermediate_positions
+
+
+@requires_numpy_backend
+class TestLaneOnEveryBackend:
+    """Every storage takes the block lane; ``kernel="generic"`` is its oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        event_lists(),
+        configs,
+        st.sampled_from(sorted(NODE_IDS)),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_lane_matches_generic(self, events, config, ids, cap, data):
+        n_events, delta_c, delta_w, max_nodes = config
+        constraints = _constraints(delta_c, delta_w)
+        relabel = NODE_IDS[ids]
+        events = [Event(relabel(e.u), relabel(e.v), e.t) for e in events]
+        # Events past the split arrive by append: a pending tail on the
+        # columnar and numpy backends.
+        split = data.draw(st.integers(1, len(events)))
+        options = dict(collect_timespans=True, collect_positions=True, sample_cap=5)
+
+        def plan(graph, predicate, kernel=None):
+            return compile_plan(
+                n_events, constraints, predicate, graph.storage, max_nodes=max_nodes, kernel=kernel
+            )
+
+        for backend in BACKENDS:
+            graph = TemporalGraph(events[:split], backend=backend)
+            for event in events[split:]:
+                graph.append(event)
+            for predicate in LANE_PREDICATES:
+                lane_plan = plan(graph, predicate)
+                generic_plan = plan(graph, predicate, "generic")
+                expected = list(run_plan(generic_plan, graph))
+                assert list(run_plan(lane_plan, graph)) == expected
+                assert list(run_plan(lane_plan, graph, max_instances=cap)) == expected[:cap]
+                lane = run_census(graph, n_events, constraints, plan=lane_plan, **options)
+                reference = run_census(graph, n_events, constraints, plan=generic_plan, **options)
+                assert _samples_key(lane) == _samples_key(reference)
+                assert list(lane.timespans) == list(reference.timespans)
+
+    @pytest.mark.parametrize("backend", ["list", "columnar", "numpy"])
+    def test_census_after_append_sees_the_new_event(self, backend):
+        events = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)]
+        graph = TemporalGraph(events, backend=backend)
+        before = run_census(graph, 3, PARITY_CONSTRAINTS)
+        graph.append(Event(2, 0, 4.0))
+        after = run_census(graph, 3, PARITY_CONSTRAINTS)
+        generic = compile_plan(3, PARITY_CONSTRAINTS, None, graph.storage, kernel="generic")
+        assert _census_key(after) == _census_key(
+            run_census(graph, 3, PARITY_CONSTRAINTS, plan=generic)
+        )
+        assert after.total > before.total > 0
+
+    def test_direct_partitioned_run_warns_once(self, tmp_path):
+        import random
+        import warnings
+
+        from repro.storage.partitioned import write_partitioned
+
+        rng = random.Random(2)
+        t, events = 0.0, []
+        for _ in range(60):
+            t += rng.choice([0.0, 0.5, 1.0, 2.0])
+            u, v = rng.sample(range(6), 2)
+            events.append(Event(u, v, t))
+        write_partitioned(events, tmp_path, partition_events=8)
+        graph = TemporalGraph.load(tmp_path)
+        assert graph.storage.n_partitions > 1
+        reference = TemporalGraph(events, backend="list")
+
+        def instances():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                found = list(enumerate_instances(graph, 3, PARITY_CONSTRAINTS))
+            return found, [w for w in caught if "folds all" in str(w.message)]
+
+        found, loud = instances()
+        assert found == list(enumerate_instances(reference, 3, PARITY_CONSTRAINTS))
+        assert len(loud) == 1 and "slice" in str(loud[0].message)
+        assert instances() == (found, [])
+
+    @pytest.mark.parametrize("backend", ["list", "columnar", "numpy"])
+    def test_model_censuses_match_the_tuple_path(self, backend, small_sms):
+        from repro.algorithms.counting import count_motifs
+        from repro.algorithms.pattern import chain_pattern
+        from repro.models.song import SongModel
+
+        graph = small_sms.with_backend(backend)
+        constraints = TimingConstraints.only_w(3000.0)
+        song = SongModel(3000.0, pattern=chain_pattern(3, total=False))
+        for predicate in (is_static_induced, song._restriction()):
+            generic = compile_plan(3, constraints, predicate, graph.storage, kernel="generic")
+            lane = count_motifs(graph, 3, constraints, predicate=predicate)
+            reference = count_motifs(graph, 3, constraints, predicate=predicate, plan=generic)
+            assert list(lane.items()) == list(reference.items())
+            assert sum(lane.values()) > 0
+
+    def test_stream_push_loop_builds_no_lane_columns(self, monkeypatch):
+        import repro.engine.kernels as kernels
+        from repro.online import MultiViewCensus
+
+        def no_lane(storage):  # pragma: no cover - failure path
+            raise AssertionError("a push built lane columns")
+
+        monkeypatch.setattr(kernels, "lane_arrays", no_lane)
+        for backend in BACKENDS:
+            engine = MultiViewCensus(
+                3, PARITY_CONSTRAINTS, 20.0, max_nodes=3, backend=backend, prune_every=4
+            )
+            engine.add_view("all", 20.0)
+            for i in range(40):
+                engine.push(Event(i % 5, (i % 5 + 1 + i % 3) % 5, float(i)))
+            assert engine.pushed == 40
 
 
 # ----------------------------------------------------------------------

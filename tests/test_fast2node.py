@@ -1,4 +1,4 @@
-"""Tests for the fast two-node motif counter, with the engine as oracle."""
+"""The engine's two-node counts against an independent counter (``fast2node.py``)."""
 
 from collections import Counter
 
@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.counting import count_motifs
-from repro.algorithms.fast2node import count_two_node_motifs, two_node_codes
 from repro.core.constraints import TimingConstraints
 from repro.core.temporal_graph import TemporalGraph
+
+from fast2node import count_two_node_motifs, two_node_codes
 
 
 def oracle(graph: TemporalGraph, n_events: int, delta_w: float) -> Counter:
