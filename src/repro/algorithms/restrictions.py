@@ -27,9 +27,21 @@ instances, one per row, and returns an ``(n,)`` bool mask that equals
 ``[pred(graph, tuple(r)) for r in rows]`` exactly.  The engine's block
 lane (:func:`repro.engine.run_plan`, :func:`repro.engine.run_plan_blocks`)
 filters whole instance blocks with it.  The masks are vectorized over the
-columns of a :class:`~repro.storage.numpy_backend.NumpyStorage`; any
-other storage, or one with tail appends pending, gets the scalar
-predicate row by row.  :func:`combine` carries a row form
+columns of the storage the lane reads
+(:func:`repro.engine.kernels.lane_storage`): a compacted
+:class:`~repro.storage.numpy_backend.NumpyStorage` itself, else a
+``NumpyStorage`` over the graph's events with the same indices, so
+``list``, ``columnar`` and numpy graphs with tail appends pending batch
+too.  Only graphs whose node ids do not fit int64 get the scalar
+predicate row by row.  Both masks are gathers plus ``O(k**2)`` column
+compares: CDG reads each event's previous and next time on its edge
+(:meth:`~repro.storage.numpy_backend.NumpyStorage.edge_adjacent_times`),
+consecutive events each endpoint's previous and next event
+(:meth:`~repro.storage.numpy_backend.NumpyStorage.node_adjacent_events`;
+:func:`_consecutive_events_rows` gives the exactness argument).  The
+consecutive-events rows that hold a self-loop event or a repeated
+index, where the scalar form counts one event's time twice, take the
+scalar predicate.  :func:`combine` carries a row form
 exactly when every component has one.  :func:`is_static_induced` has none,
 nor has a user predicate without a ``rows`` attribute: the lane calls
 them once per row (:func:`repro.engine.driver.scalar_rows`).  NumPy is
@@ -44,18 +56,11 @@ from typing import Sequence
 from repro.core._optional import import_numpy
 from repro.core.temporal_graph import TemporalGraph
 from repro.engine.driver import scalar_rows
+from repro.engine.kernels import lane_storage
 
 np = import_numpy()
 
 Instance = Sequence[int]
-
-
-def _columns(graph: TemporalGraph):
-    """The numpy storage's ``u``/``v``/``t`` columns, or ``None``."""
-    arrays = getattr(graph.storage, "extension_arrays", lambda: None)()
-    if arrays is None:
-        return None
-    return arrays["u"], arrays["v"], arrays["t"]
 
 
 def satisfies_consecutive_events(graph: TemporalGraph, instance: Instance) -> bool:
@@ -87,38 +92,73 @@ def satisfies_consecutive_events(graph: TemporalGraph, instance: Instance) -> bo
 def _consecutive_events_rows(graph: TemporalGraph, rows):
     """Row form of :func:`satisfies_consecutive_events`.
 
-    Per row, the ``2k`` endpoint slots group by node; each group's size
-    (a self-loop fills two slots, as the scalar form appends its time
-    twice) must equal the node's event count over the group's closed
-    time span, one batched window count per ``(row, node)``.  The check
-    ignores event order, so rows are sorted first: along a sorted row
-    the times never decrease, and a group spans from its first slot's
-    time to its last slot's.
+    The check ignores event order, so rows are sorted first; along a
+    sorted row the indices and the times never decrease.  On a row
+    without a self-loop or a repeated index, a node's motif events are
+    distinct events of its own index-ordered event list, and its events
+    in the closed span of their times number exactly the motif's when
+    (a) they are contiguous in that list and (b) the events just
+    outside them differ strictly in time.  So each endpoint slot
+    ``(i, side)``, with node ``x`` and event ``e = row[i]``, reads
+    ``x``'s previous and next event (``prev``, ``next``, gathered from
+    :meth:`~repro.storage.numpy_backend.NumpyStorage.node_adjacent_events`)
+    and must pass two checks:
+
+    * backward: ``prev`` is in the row (an earlier motif event of ``x``;
+      it is below ``e``, so only ``row[:i]`` can hold it), or
+      ``t[prev] < t[e]``;
+    * forward: ``next`` is in the row, or ``x`` is in no later row event
+      and ``t[next] > t[e]``.
+
+    Forward on every slot but ``x``'s last forces ``next`` to be ``x``'s
+    next motif event, which is (a); backward on ``x``'s first slot and
+    forward on its last are (b).  Gathers and ``O(k**2)`` column
+    compares, no window query.  A row where the scalar form appends a
+    time twice for one event (a self-loop event, or a repeated index)
+    takes the scalar form; the block lane never yields one, as graphs
+    reject self-loops and lane rows strictly increase.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    columns = _columns(graph) if len(rows) else None
-    if columns is None:
+    storage = lane_storage(graph.storage) if len(rows) else None
+    if storage is None:
         return scalar_rows(satisfies_consecutive_events, graph, rows)
-    u, v, t = columns
-    rows = np.sort(rows, axis=1)
-    n, k = rows.shape
-    ends = np.empty((n, 2 * k), dtype=np.int64)
-    ends[:, 0::2] = u[rows]
-    ends[:, 1::2] = v[rows]
-    stamps = t[rows]
-    # One query per group, made at the group's first slot.
-    queries: list[tuple] = []
-    for j in range(2 * k):
-        same = ends == ends[:, j : j + 1]
-        lead = np.flatnonzero(~same[:, :j].any(axis=1))
-        same = same[lead]
-        last = 2 * k - 1 - same[:, ::-1].argmax(axis=1)
-        t_lo, t_hi = stamps[lead, j // 2], stamps[lead, last // 2]
-        queries.append((lead, ends[lead, j], t_lo, t_hi, same.sum(axis=1)))
-    row, nodes, t_los, t_his, sizes = (np.concatenate(col) for col in zip(*queries))
-    counts = graph.storage.count_node_events_in_batch(nodes, t_los, t_his)
-    mask = np.ones(n, dtype=bool)
-    mask[row[counts != sizes]] = False
+    arrays = storage.extension_arrays()
+    u, v, t = arrays["u"], arrays["v"], arrays["t"]
+    m = len(t)
+    # Column-major, one row per row position, so each compare below
+    # runs over contiguous rows.  The lane's rows come sorted.
+    cols = rows.T.copy()
+    if not (cols[1:] > cols[:-1]).all():
+        cols.sort(axis=0)
+    k = len(cols)
+    ends = np.stack((u[cols], v[cols]))
+    stamps = t[cols]
+    prev, nxt = storage.node_adjacent_events()
+    prev = np.take(prev, cols, axis=1)
+    nxt = np.take(nxt, cols, axis=1)
+    # "clip" keeps the -1 / m sentinels in range; the sentinel tests
+    # decide those slots.
+    back = np.take(t, prev, mode="clip") < stamps
+    back |= prev < 0
+    fwd = np.take(t, nxt, mode="clip") > stamps
+    fwd |= nxt >= m
+    for side in range(2):
+        for i in range(k):
+            node, ok = ends[side, i], fwd[side, i]  # ok: a view into fwd
+            for j in range(i + 1, k):
+                ok &= node != ends[0, j]
+                ok &= node != ends[1, j]
+            for j in range(i + 1, k):
+                ok |= nxt[side, i] == cols[j]
+            for j in range(i):
+                back[side, i] |= prev[side, i] == cols[j]
+    back &= fwd
+    mask = back.all(axis=(0, 1))
+    twice = (ends[0] == ends[1]).any(axis=0)
+    twice |= (cols[1:] == cols[:-1]).any(axis=0)
+    if twice.any():
+        odd = np.flatnonzero(twice)
+        mask[odd] = scalar_rows(satisfies_consecutive_events, graph, cols[:, odd].T)
     return mask
 
 
@@ -163,12 +203,12 @@ def _cdg_rows(graph: TemporalGraph, rows):
     (``t_a > t_b`` is an empty window, which fails as in the scalar form.)
     """
     rows = np.asarray(rows, dtype=np.int64)
-    columns = _columns(graph) if len(rows) else None
-    adjacent = graph.storage.edge_adjacent_times() if columns is not None else None
-    if adjacent is None:
+    storage = lane_storage(graph.storage) if len(rows) else None
+    if storage is None:
         return scalar_rows(satisfies_cdg, graph, rows)
-    u, v, t = columns
-    prev_t, next_t = adjacent
+    arrays = storage.extension_arrays()
+    u, v, t = arrays["u"], arrays["v"], arrays["t"]
+    prev_t, next_t = storage.edge_adjacent_times()
     a, b = rows[:, :-1], rows[:, 1:]
     t_a, t_b = t[a], t[b]
     same_edge = (u[a] == u[b]) & (v[a] == v[b])

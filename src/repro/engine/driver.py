@@ -170,6 +170,9 @@ def _lane_blocks(plan, kernel, graph, roots, stats, first_block):
     predicate filters each block with one mask: its row form
     (``predicate.rows``, see :mod:`repro.algorithms.restrictions`), else
     :func:`scalar_rows`, counted once per run in ``engine.predicate.scalar``.
+    While obs is enabled, each block's mask is timed in the
+    ``algorithms.predicate.rows.seconds{predicate=<name>}`` histogram,
+    ``<name>`` the predicate's ``__name__`` (else its type's).
     """
     predicate = plan.predicate
     row_filter = getattr(predicate, "rows", None)
@@ -177,6 +180,9 @@ def _lane_blocks(plan, kernel, graph, roots, stats, first_block):
         row_filter = partial(scalar_rows, predicate)
         if stats is not None:
             stats[0].inc("engine.predicate.scalar")
+    if stats is not None and row_filter is not None:
+        name = getattr(predicate, "__name__", type(predicate).__name__)
+        rows_metric = labeled("algorithms.predicate.rows.seconds", predicate=name)
     for block_roots in _block_roots(roots, len(graph.storage), first_block):
         if stats is None:
             rows, codes, level_partials, level_ext = kernel.grow_block(block_roots)
@@ -186,7 +192,12 @@ def _lane_blocks(plan, kernel, graph, roots, stats, first_block):
             stats[0].observe(stats[3], time.perf_counter() - start)
             _observe_levels(stats, level_partials, level_ext)
         if row_filter is not None:
-            keep = row_filter(graph, rows)
+            if stats is None:
+                keep = row_filter(graph, rows)
+            else:
+                start = time.perf_counter()
+                keep = row_filter(graph, rows)
+                stats[0].observe(rows_metric, time.perf_counter() - start)
             rows = rows[keep]
             if codes is not None:
                 codes = codes[keep]

@@ -40,7 +40,8 @@ Two kernels, one rule (:func:`kernel_for`):
   :func:`repro.engine.driver.run_plan`).  The lane runs on every
   storage: :func:`lane_arrays` hands it a compacted
   :class:`~repro.storage.numpy_backend.NumpyStorage`'s own arrays, and
-  builds columns for any other storage once per storage version.
+  builds columns for any other storage once per storage version
+  (:func:`lane_storage`).
 * :class:`ExtensionKernel` otherwise: one
   :meth:`~repro.storage.base.GraphStorage.adjacent_events_between`
   bisection per partial, exact on every backend.  It is the reference
@@ -657,33 +658,43 @@ _LANE_STORAGES: "weakref.WeakKeyDictionary[GraphStorage, tuple]" = weakref.WeakK
 _EXACT_TIME = 2.0**53
 
 
-def lane_arrays(storage: "GraphStorage") -> dict[str, Any] | None:
-    """The block lane's arrays over ``storage``, or ``None`` when its events do not fit.
+def lane_storage(storage: "GraphStorage") -> NumpyStorage | None:
+    """The storage the block lane reads, or ``None`` when its events do not fit.
 
-    A compacted :class:`~repro.storage.numpy_backend.NumpyStorage` serves
-    its own :meth:`~repro.storage.numpy_backend.NumpyStorage.extension_arrays`;
-    any other storage gets a ``NumpyStorage`` over its events, built on
-    first use per storage version: ``slice_range(0, m)`` of a partitioned
-    directory (so the whole-stream fold warns), else from ``iter_uvt()``.
+    A compacted :class:`~repro.storage.numpy_backend.NumpyStorage` is
+    its own lane storage; any other storage gets a ``NumpyStorage`` over
+    its events, with the same event indices, built on first use per
+    storage version: ``slice_range(0, m)`` of a partitioned directory
+    (so the whole-stream fold warns), else from ``iter_uvt()``.
     ``None`` — node ids not int64 or times not exact in float64 — is
     counted once per version in ``engine.kernel.demote{from=numpy,to=generic}``.
+    The restriction row forms read their columns here too, so they
+    vectorize on whatever storage the lane ran on.
     """
-    if isinstance(storage, NumpyStorage):
-        arrays = storage.extension_arrays()
-        if arrays is not None:
-            _LANE_STORAGES.pop(storage, None)  # columns built while a tail was pending
-            return arrays
+    if isinstance(storage, NumpyStorage) and storage.extension_arrays() is not None:
+        _LANE_STORAGES.pop(storage, None)  # columns built while a tail was pending
+        return storage
     version = len(storage)
     cached = _LANE_STORAGES.get(storage)
     if cached is None or cached[0] != version:
-        lane = _lane_storage(storage)
+        lane = _build_lane_storage(storage)
         if lane is None:
             _count_demotion()
         cached = _LANE_STORAGES[storage] = (version, lane)
-    return None if cached[1] is None else cached[1].extension_arrays()
+    return cached[1]
 
 
-def _lane_storage(storage: "GraphStorage") -> NumpyStorage | None:
+def lane_arrays(storage: "GraphStorage") -> dict[str, Any] | None:
+    """The block lane's arrays over ``storage``, or ``None`` when its events do not fit.
+
+    The :meth:`~repro.storage.numpy_backend.NumpyStorage.extension_arrays`
+    of its :func:`lane_storage`.
+    """
+    lane = lane_storage(storage)
+    return None if lane is None else lane.extension_arrays()
+
+
+def _build_lane_storage(storage: "GraphStorage") -> NumpyStorage | None:
     """A flat numpy storage over ``storage``'s events, or ``None`` if they do not fit."""
     if isinstance(storage, PartitionedStorage):
         return storage.slice_range(0, len(storage))

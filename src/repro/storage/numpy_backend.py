@@ -36,7 +36,9 @@ vectorized: the node index sorts one composite int64 key, the edge
 index runs one ``np.lexsort``; so :meth:`slice_time` and
 :meth:`slice_range` are zero-copy column views with deferred index cost.
 Each build is observed as ``storage.index.seconds{index=node|edge}``
-when a recorder is active.
+when a recorder is active, as is the neighbour table that
+:meth:`NumpyStorage.node_adjacent_events` derives from the node index
+(``{index=node_adjacent}``).
 
 Persistence
 -----------
@@ -99,6 +101,7 @@ _KEY_LIMIT = 2**63
 #: Histogram names of the lazy CSR builds (one observation per build).
 _NODE_INDEX_SECONDS = labeled("storage.index.seconds", index="node")
 _EDGE_INDEX_SECONDS = labeled("storage.index.seconds", index="edge")
+_NODE_ADJACENT_SECONDS = labeled("storage.index.seconds", index="node_adjacent")
 
 
 def available() -> bool:
@@ -180,6 +183,8 @@ class NumpyStorage(GraphStorage):
         self._node_keys_sorted: Any | None = None
         # Lazy per-event previous/next times on the same edge.
         self._edge_adjacent: tuple | None = None
+        # Lazy per-event-side previous/next event of the same node.
+        self._node_adjacent: tuple | None = None
         # Tail delta for appends (mirrors the columnar backend's layout).
         self._tail: list[Event] = []
         self._tail_node_events: dict[int, list[int]] = {}
@@ -744,6 +749,53 @@ class NumpyStorage(GraphStorage):
             next_t[order] = next_sorted
             self._edge_adjacent = (prev_t, next_t)
         return self._edge_adjacent
+
+    def node_adjacent_events(self) -> tuple | None:
+        """Per-event-side ``(prev, next)``: each endpoint's events just
+        before and just after each event.
+
+        Two ``(2, m)`` int64 arrays, row 0 the ``u`` side and row 1 the
+        ``v`` side: ``prev[s, i]`` is the global index of the previous
+        event touching endpoint ``s`` of event ``i``, ``-1`` where ``i``
+        is that node's first; ``next[s, i]`` the next one, ``m`` where
+        ``i`` is its last.  A node's events sit in index order in its
+        node CSR slot, so both are that slot shifted by one; a self-loop
+        is listed once in its node's slot, and both of its sides read
+        the same neighbours.  The consecutive-events restriction's row
+        form reads them with gathers.  Built on first use; ``None``
+        while tail appends are pending (the tail is not in the node CSR).
+        """
+        if self._tail:
+            return None
+        if self._node_adjacent is None:
+            self._node_adjacent = _timed_build(
+                _NODE_ADJACENT_SECONDS, self._build_node_adjacent
+            )
+        return self._node_adjacent
+
+    def _build_node_adjacent(self) -> tuple:
+        m = self._m
+        prev = np.empty((2, m), dtype=np.int64)
+        nxt = np.empty((2, m), dtype=np.int64)
+        if not m:
+            return prev, nxt
+        _slot, off, idx = self._node_index()
+        prev_sorted = np.empty(len(idx), dtype=np.int64)
+        next_sorted = np.empty(len(idx), dtype=np.int64)
+        prev_sorted[1:] = idx[:-1]
+        next_sorted[:-1] = idx[1:]
+        prev_sorted[off[:-1]] = -1
+        next_sorted[off[1:] - 1] = m
+        # Entry k of the CSR lists event idx[k] under the node of its
+        # slot: its u side when that node is the event's u.
+        node = np.repeat(self._node_keys(), np.diff(off))
+        side = (node != self._u[idx]).astype(np.int64)
+        prev[side, idx] = prev_sorted
+        nxt[side, idx] = next_sorted
+        loops = np.flatnonzero(self._u == self._v)
+        prev[1, loops] = prev[0, loops]
+        nxt[1, loops] = nxt[0, loops]
+        return prev, nxt
 
     def adjacent_events_between(
         self, nodes: Sequence[int], t_lo: float, t_hi: float

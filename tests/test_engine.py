@@ -764,6 +764,45 @@ class TestPredicatedBlockLane:
         rows = [tuple(r) for block, _codes in run_plan_blocks(plan, graph) for r in block]
         assert rows == list(run_plan(plan, graph))
 
+    def test_row_filter_is_timed_once_per_block(self):
+        import time
+
+        import repro.obs as obs
+        from repro.engine.driver import ROOT_BLOCK, _block_roots
+
+        events = [(i % 7, (i % 7 + 1 + i % 3) % 7, float(i // 2)) for i in range(5000)]
+        graph = TemporalGraph(events, backend="numpy")
+        constraints = TimingConstraints(delta_c=3.0, delta_w=6.0)
+        n_blocks = len(list(_block_roots(None, len(graph), ROOT_BLOCK)))
+        assert n_blocks > 1
+
+        def histograms(predicate):
+            plan = compile_plan(3, constraints, predicate, graph.storage)
+            registry = obs.enable(obs.MetricsRegistry())
+            try:
+                start = time.perf_counter()
+                for _block in run_plan_blocks(plan, graph):
+                    pass
+                wall = time.perf_counter() - start
+            finally:
+                obs.disable()
+            found = registry.snapshot()["histograms"]
+            return {
+                name: (hist["count"], hist["total"] <= wall)
+                for name, hist in found.items()
+                if name.startswith("algorithms.predicate.")
+            }
+
+        name = "algorithms.predicate.rows.seconds{predicate=%s}"
+        assert histograms(satisfies_consecutive_events) == {
+            name % "satisfies_consecutive_events": (n_blocks, True)
+        }
+        # A predicate without a row form: the per-row fallback is timed too.
+        assert histograms(is_static_induced) == {
+            name % "is_static_induced": (n_blocks, True)
+        }
+        assert histograms(None) == {}
+
 
 # ----------------------------------------------------------------------
 # block-lane motif codes: built during expansion, read by the fold

@@ -618,10 +618,13 @@ class TestIndexBuildTimer:
             storage.extension_arrays()
             storage.count_edge_events_in((0, 1), 0.0, 1e9)
             storage.edge_adjacent_times()
+            storage.node_adjacent_events()
+            storage.node_adjacent_events()
 
         assert self._histograms(build_and_query) == {
             "storage.index.seconds{index=node}": 1,
             "storage.index.seconds{index=edge}": 1,
+            "storage.index.seconds{index=node_adjacent}": 1,
         }
 
     def test_mapped_index_pages_are_not_builds(self, pages, storage):

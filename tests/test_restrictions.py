@@ -292,6 +292,81 @@ class TestRowForms:
 
 
 @requires_numpy
+class TestNodeAdjacentEvents:
+    """``NumpyStorage.node_adjacent_events`` and the CE mask built on it."""
+
+    def test_node_adjacent_events(self):
+        # Ties at t=2, and a self-loop on node 1 listed once in its list.
+        graph = _numpy_graph(
+            validate_events(
+                [(0, 1, 1.0), (1, 1, 2.0), (0, 2, 2.0), (0, 1, 2.0), (2, 1, 3.0)],
+                allow_loops=True,
+            )
+        )
+        assert [tuple(ev) for ev in graph.events] == [
+            (0, 1, 1.0), (0, 1, 2.0), (0, 2, 2.0), (1, 1, 2.0), (2, 1, 3.0)
+        ]
+        prev, nxt = graph.storage.node_adjacent_events()
+        # Node 0: events 0, 1, 2; node 1: 0, 1, 3, 4; node 2: 2, 4.
+        # Row 0 is the u side, row 1 the v side; -1 and m=5 at the ends.
+        assert prev.tolist() == [[-1, 0, 1, 1, 2], [-1, 0, -1, 1, 3]]
+        assert nxt.tolist() == [[1, 2, 5, 4, 5], [1, 3, 4, 4, 5]]
+
+    def test_none_while_a_tail_is_pending(self):
+        graph = TemporalGraph([(0, 1, 1.0)], backend="numpy")
+        graph.append((1, 2, 2.0))
+        assert graph.storage.node_adjacent_events() is None
+        graph.storage.compact()
+        prev, nxt = graph.storage.node_adjacent_events()
+        assert prev.tolist() == [[-1, 0], [-1, -1]]
+        assert nxt.tolist() == [[2, 2], [1, 2]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(tie_heavy_steps, st.sampled_from(sorted(NODE_IDS)))
+    def test_matches_each_nodes_event_list(self, steps, ids):
+        graph = _numpy_graph(_tie_heavy_events(steps, NODE_IDS[ids]))
+        events = graph.events
+        m = len(events)
+        prev, nxt = graph.storage.node_adjacent_events()
+        for i, ev in enumerate(events):
+            for side, node in enumerate((ev.u, ev.v)):
+                mine = [j for j, other in enumerate(events) if node in (other.u, other.v)]
+                pos = mine.index(i)
+                assert prev[side, i] == (mine[pos - 1] if pos else -1)
+                assert nxt[side, i] == (mine[pos + 1] if pos + 1 < len(mine) else m)
+
+    def test_rows_counting_a_time_twice_take_the_scalar_form(self, monkeypatch):
+        import numpy as np
+
+        import repro.algorithms.restrictions as restrictions
+
+        graph = _numpy_graph(
+            validate_events(
+                [(0, 0, 1.0), (0, 5, 2.0), (0, 1, 3.0), (2, 3, 4.0), (2, 3, 4.0)],
+                allow_loops=True,
+            )
+        )
+        rows = np.array([[0, 2], [3, 3], [1, 2], [0, 1], [2, 0]], dtype=np.int64)
+        scalar = []
+        real = restrictions.scalar_rows
+
+        def spy(pred, graph, odd):
+            scalar.append(odd.tolist())
+            return real(pred, graph, odd)
+
+        monkeypatch.setattr(restrictions, "scalar_rows", spy)
+        mask = satisfies_consecutive_events.rows(graph, rows)
+        # The scalar form counts the self-loop's time twice for node 0, so
+        # (0, 2) passes although event 1 touches node 0 in between; the
+        # repeated index (3, 3) passes because event 4 ties with event 3.
+        expected = [satisfies_consecutive_events(graph, tuple(r)) for r in rows.tolist()]
+        assert expected == [True, True, True, False, True]
+        assert mask.tolist() == expected
+        # Only the self-loop and repeated-index rows, sorted, in one call.
+        assert scalar == [[[0, 2], [3, 3], [0, 1], [0, 2]]]
+
+
+@requires_numpy
 def test_combined_census_takes_the_batched_lane(monkeypatch):
     import repro.algorithms.counting as counting
     from repro.algorithms.counting import run_census

@@ -142,6 +142,12 @@ class TestRegistry:
             "g = TemporalGraph.from_tuples([(0, 1, 10), (1, 2, 20), (0, 2, 25)])\n"
             "c = run_census(g, n_events=3, constraints=TimingConstraints.only_w(60))\n"
             "print(dict(c.code_counts))\n"
+            # The restriction module imports, and its census runs, NumPy-free.
+            "from repro.algorithms.restrictions import satisfies_consecutive_events\n"
+            "g = TemporalGraph.from_tuples([(0, 1, 10), (1, 2, 20), (0, 3, 22), (0, 2, 25)])\n"
+            "c = run_census(g, n_events=3, constraints=TimingConstraints.only_w(60),\n"
+            "               predicate=satisfies_consecutive_events)\n"
+            "print(dict(c.code_counts))\n"
         )
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
@@ -154,7 +160,12 @@ class TestRegistry:
             check=True,
             timeout=120,
         )
-        assert out.stdout.strip() == "{'011202': 1}"
+        assert out.stdout.splitlines() == [
+            "{'011202': 1}",
+            # Without the restriction the census would also hold the
+            # triangle, which (0, 3, 22) interrupts at node 0.
+            "{'010203': 1, '011203': 1}",
+        ]
 
 
 #: Every abstract member of the storage contract.  The windowed
