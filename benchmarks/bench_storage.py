@@ -7,11 +7,7 @@ designed around:
   (the acceptance bar of the storage PR: columnar ≥ 1.5× faster than the
   plain-list reference);
 * **window query** — per-node closed-window bisections, the restriction
-  checkers' hot path, issued one query at a time;
-* **batched window query** — the same sweep through
-  ``count_node_events_in_batch``, the vectorization seam of array-backed
-  engines (the numpy backend's acceptance bar: ≥ 2× faster than
-  columnar);
+  checkers' scalar path, issued one query at a time;
 * **census** — an end-to-end 3-event motif census through the enumeration
   engine, exercising the half-open candidate query.
 
@@ -58,7 +54,7 @@ CONSTRAINTS = TimingConstraints(delta_c=1500, delta_w=3000)
 
 
 def _window_sweep_queries(storage) -> tuple[list[int], list[float], list[float]]:
-    """The window sweep as one batch: 2 000 nodes, 10 rotating windows."""
+    """The window sweep: 2 000 nodes, 10 rotating windows."""
     nodes = sorted(storage.nodes)[:2_000]
     t0 = storage.start_time
     span = storage.end_time - t0
@@ -89,7 +85,7 @@ def _best_of(fn, rounds: int = 5) -> float:
     return best
 
 
-KERNELS = ("construct", "window", "window_batch", "census")
+KERNELS = ("construct", "window", "census")
 
 
 def compare(n_events: int = STREAM_CONFIG.n_events) -> dict[str, dict[str, float]]:
@@ -110,9 +106,6 @@ def compare(n_events: int = STREAM_CONFIG.n_events) -> dict[str, dict[str, float
                     storage.count_node_events_in(n, lo, hi)
                     for n, lo, hi in zip(nodes, t_los, t_his)
                 ]
-            ),
-            "window_batch": _best_of(
-                lambda: storage.count_node_events_in_batch(nodes, t_los, t_his)
             ),
             "census": _best_of(
                 lambda: run_census(graph, 3, CONSTRAINTS, max_nodes=3), rounds=3
@@ -142,9 +135,6 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover - manual too
         print(f"{backend:<10}" + "".join(f"{row[k] * 1000:>12.1f}ms" for k in KERNELS))
     ratio = results["list"]["construct"] / results["columnar"]["construct"]
     print(f"\ncolumnar construction speedup over list: {ratio:.2f}x (target >= 1.5x)")
-    if "numpy" in results:
-        ratio = results["columnar"]["window_batch"] / results["numpy"]["window_batch"]
-        print(f"numpy batched-window speedup over columnar: {ratio:.2f}x (target >= 2x)")
     if args.json:
         payload = {
             "benchmark": "bench_storage",

@@ -10,9 +10,9 @@ backends register themselves here under a short name:
   ``array('q')``/``array('d')`` columns with CSR offsets: faster to build,
   lighter in memory, same answers;
 * ``"numpy"`` — :class:`~repro.storage.numpy_backend.NumpyStorage`,
-  contiguous ``ndarray`` columns with lazy CSR indices: vectorized
-  ``searchsorted`` window kernels, batched queries, zero-copy time
-  slices, and memory-mapped persistence
+  contiguous ``ndarray`` columns with lazy CSR indices: ``searchsorted``
+  window kernels, the block lane's arrays, zero-copy time slices, and
+  memory-mapped persistence
   (:meth:`~repro.storage.numpy_backend.NumpyStorage.save` /
   :meth:`~repro.storage.numpy_backend.NumpyStorage.load` over an
   ``.npy`` page directory).  Registered only when NumPy is importable.

@@ -169,11 +169,15 @@ class GraphStorage(ABC):
         """All event indices touching ``node`` (empty list if unknown)."""
 
     def neighbors(self, node: int) -> set[int]:
-        """Nodes adjacent to ``node`` in the directed static projection."""
-        events = self.events
+        """Nodes adjacent to ``node`` in the directed static projection.
+
+        Reads the node's events one by one through :meth:`event_at`, so
+        no backend builds its whole :attr:`events` tuple to answer it.
+        """
+        event_at = self.event_at
         out: set[int] = set()
         for idx in self.node_event_indices(node):
-            ev = events[idx]
+            ev = event_at(idx)
             out.add(ev.v if ev.u == node else ev.u)
         out.discard(node)
         return out
@@ -248,31 +252,8 @@ class GraphStorage(ABC):
         """
 
     # ------------------------------------------------------------------
-    # batched windowed queries (vectorizable backends override these)
+    # candidate generation
     # ------------------------------------------------------------------
-    def count_node_events_in_batch(
-        self,
-        nodes: Sequence[int],
-        t_los: Sequence[float],
-        t_his: Sequence[float],
-    ) -> Sequence[int]:
-        """Closed-window counts for many ``(node, t_lo, t_hi)`` queries.
-
-        Returns a sequence of ints, one per query.  The generic
-        implementation loops the scalar query into a list; array-backed
-        engines answer the whole batch with a constant number of
-        vectorized probes and may return an integer array.  All three
-        sequences must share one length.
-        """
-        rec = _obs.ACTIVE
-        if rec is not None:
-            rec.inc("storage.window_batch.calls")
-            rec.observe("storage.window_batch.queries", len(nodes))
-        return [
-            self.count_node_events_in(node, t_lo, t_hi)
-            for node, t_lo, t_hi in zip(nodes, t_los, t_his, strict=True)
-        ]
-
     def adjacent_events_between(
         self, nodes: Sequence[int], t_lo: float, t_hi: float
     ) -> list[int]:

@@ -17,10 +17,12 @@ slot lookup plus a :mod:`bisect` over a bounded range of the flat timestamp
 array — no per-node list objects, no boxed floats, ~4× less index memory
 than dict-of-lists.
 
-Construction is vectorized through NumPy when available (one ``lexsort``
-per index instead of millions of interpreter-level ``append`` calls) with
-a pure-Python counting-sort fallback, so the backend works — just slower —
-on interpreters without NumPy.
+Construction is vectorized through NumPy when available — the numpy
+backend's CSR builders (:func:`~repro.storage.numpy_backend.build_node_csr`,
+:func:`~repro.storage.numpy_backend.build_edge_csr`) run over zero-copy
+views of the columns instead of millions of interpreter-level ``append``
+calls — with a pure-Python counting-sort fallback, so the backend works —
+just slower — on interpreters without NumPy.
 
 Appends land in a small *tail* (plain dict-of-lists delta) so a live graph
 never rebuilds its columns per event; the tail is folded into the columns
@@ -41,6 +43,7 @@ from typing import Iterable, Iterator
 import repro.obs as _obs
 from repro.core.events import Event, validate_events
 from repro.storage.base import GraphStorage
+from repro.storage.numpy_backend import build_edge_csr, build_node_csr
 
 try:  # NumPy accelerates construction only; queries never need it.
     import numpy as _np
@@ -111,7 +114,6 @@ class ColumnarStorage(GraphStorage):
     def _build_numpy(self, events: tuple[Event, ...]) -> bool:
         """Vectorized index construction; returns False to request fallback."""
         np = _np
-        m = len(events)
         try:
             # The columns are built straight from the event fields — much
             # cheaper than np.array(events) — and NumPy works on zero-copy
@@ -130,57 +132,20 @@ class ColumnarStorage(GraphStorage):
         v = np.frombuffer(self._col_v, dtype=np.int64)
         t = np.frombuffer(self._col_t, dtype=np.float64)
 
-        # --- node CSR ---------------------------------------------------
-        # Each event contributes its index under both endpoints.  Position
-        # keys 2i (source) / 2i+1 (target) reproduce the seed's insertion
-        # order: within a node by event index, across nodes by first touch.
-        ar = np.arange(m, dtype=np.int64)
-        endpoints = np.concatenate((u, v))
-        pos = np.concatenate((2 * ar, 2 * ar + 1))
-        loops = u == v
-        if loops.any():
-            keep = np.concatenate((np.ones(m, dtype=bool), ~loops))
-            endpoints = endpoints[keep]
-            pos = pos[keep]
-        order = np.lexsort((pos, endpoints))
-        s_nodes = endpoints[order]
-        s_pos = pos[order]
-        s_eidx = s_pos >> 1
-        starts = np.flatnonzero(np.diff(s_nodes)) + 1
-        starts = np.concatenate((np.zeros(1, dtype=np.int64), starts))
-        # ``starts`` doubles as the offsets table; the slot stored per node
-        # is its group index in this sorted layout, while dict insertion
-        # follows first appearance for seed-order iteration parity.
-        appearance = np.argsort(s_pos[starts], kind="stable")
-        self._node_slot = dict(
-            zip(s_nodes[starts][appearance].tolist(), appearance.tolist())
-        )
-        self._node_off = starts.tolist() + [len(s_nodes)]
+        node_slot, node_off, node_idx, _keys = build_node_csr(u, v)
+        self._node_slot = node_slot
+        self._node_off = node_off.tolist()
         self._node_idx = array("q")
-        self._node_idx.frombytes(np.ascontiguousarray(s_eidx).tobytes())
+        self._node_idx.frombytes(node_idx.tobytes())
         self._node_t = array("d")
-        self._node_t.frombytes(np.ascontiguousarray(t[s_eidx]).tobytes())
-
-        # --- edge CSR ---------------------------------------------------
-        eorder = np.lexsort((v, u))  # stable: ties keep event (time) order
-        su, sv = u[eorder], v[eorder]
-        estarts = np.flatnonzero((np.diff(su) != 0) | (np.diff(sv) != 0)) + 1
-        estarts = np.concatenate((np.zeros(1, dtype=np.int64), estarts))
-        eappearance = np.argsort(eorder[estarts], kind="stable")
-        self._edge_slot = dict(
-            zip(
-                zip(
-                    su[estarts][eappearance].tolist(),
-                    sv[estarts][eappearance].tolist(),
-                ),
-                eappearance.tolist(),
-            )
-        )
-        self._edge_off = estarts.tolist() + [m]
+        self._node_t.frombytes(t[node_idx].tobytes())
+        edge_slot, edge_off, edge_idx = build_edge_csr(u, v)
+        self._edge_slot = edge_slot
+        self._edge_off = edge_off.tolist()
         self._edge_idx = array("q")
-        self._edge_idx.frombytes(np.ascontiguousarray(eorder).tobytes())
+        self._edge_idx.frombytes(edge_idx.tobytes())
         self._edge_t = array("d")
-        self._edge_t.frombytes(np.ascontiguousarray(t[eorder]).tobytes())
+        self._edge_t.frombytes(t[edge_idx].tobytes())
         return True
 
     def _build_python(self, events: tuple[Event, ...]) -> None:
@@ -375,22 +340,6 @@ class ColumnarStorage(GraphStorage):
         tail = self._tail_node_events.get(node)
         if tail:
             out.extend(tail)
-        return out
-
-    def neighbors(self, node: int) -> set[int]:
-        out: set[int] = set()
-        col_u, col_v = self._col_u, self._col_v
-        lo, hi = self._node_range(node)
-        for pos in range(lo, hi):
-            i = self._node_idx[pos]
-            u = col_u[i]
-            out.add(col_v[i] if u == node else u)
-        if self._tail:
-            m = self._m
-            for i in self._tail_node_events.get(node, ()):
-                ev = self._tail[i - m]
-                out.add(ev.v if ev.u == node else ev.u)
-        out.discard(node)
         return out
 
     def iter_uvt(self) -> Iterator[tuple[int, int, float]]:

@@ -16,13 +16,11 @@ index arithmetic:
 2. two more probes over the slot's index segment count/slice the events of
    that node (edge) falling inside ``[L, R)``.
 
-Batched variants (:meth:`NumpyStorage.count_node_events_in_batch`,
-:meth:`NumpyStorage.adjacent_events_between`) answer *many* window queries
-with a constant number of vectorized ``searchsorted`` calls by shifting
-each slot's segment into a disjoint band (``index + slot * m``), which
-keeps the concatenated CSR array globally sorted.  These are the kernels
-behind the enumeration engine's candidate-pruning fast path and the
-benchmark's batched window sweep.
+The engine's block lane answers *many* window probes at once with a
+constant number of vectorized ``searchsorted`` calls: the node CSR that
+:meth:`NumpyStorage.extension_arrays` hands it is shifted so each slot's
+segment sits in a disjoint band (``index + slot * m``), which keeps the
+concatenated array globally sorted.
 
 Construction reads the three columns straight from the input rows, one
 ``itemgetter`` pass per column.  Unsorted input is certified with
@@ -32,8 +30,9 @@ arity, bad times, loops) go through
 :func:`~repro.core.events.validate_events`, so the errors are its own.
 
 CSR indices are built lazily (first per-node/per-edge query) and
-vectorized: the node index sorts one composite int64 key, the edge
-index runs one ``np.lexsort``; so :meth:`slice_time` and
+vectorized by :func:`build_node_csr` (one sort of a composite int64
+key) and :func:`build_edge_csr` (one ``np.lexsort``), which the
+columnar backend's construction shares; so :meth:`slice_time` and
 :meth:`slice_range` are zero-copy column views with deferred index cost.
 Each build is observed as ``storage.index.seconds{index=node|edge}``
 when a recorder is active, as is the neighbour table that
@@ -177,7 +176,7 @@ class NumpyStorage(GraphStorage):
         # calls per query instead of four).
         self._node_t: Any | None = None
         self._edge_t: Any | None = None
-        # Lazy banded copy of the node CSR (batch kernels only).
+        # Lazy banded copy of the node CSR (the block lane's probe array).
         self._node_banded: Any | None = None
         # Lazy sorted node-id array (vectorized node -> slot resolution).
         self._node_keys_sorted: Any | None = None
@@ -252,61 +251,20 @@ class NumpyStorage(GraphStorage):
         return True
 
     def _node_index(self) -> tuple:
-        """``(slot, off, idx)`` of the per-node CSR index.
-
-        ``slot`` maps node -> group position in the sorted layout, with
-        dict insertion following first appearance (seed iteration order);
-        ``idx[off[s]:off[s+1]]`` is the node's strictly increasing event
-        indices.
-        """
+        """``(slot, off, idx)`` of the per-node CSR index (see :func:`build_node_csr`)."""
         if self._node_csr is None and not self._map_index_pages():
-            self._node_csr = _timed_build(_NODE_INDEX_SECONDS, self._build_node_csr)
+            slot, off, idx, self._node_keys_sorted = _timed_build(
+                _NODE_INDEX_SECONDS, build_node_csr, self._u, self._v
+            )
+            self._node_csr = (slot, off, idx)
         return self._node_csr
-
-    def _build_node_csr(self) -> tuple:
-        m = self._m
-        if m == 0:
-            return ({}, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
-        u, v = self._u, self._v
-        ar = np.arange(m, dtype=np.int64)
-        # Each event is indexed under both endpoints; position keys
-        # 2i / 2i+1 reproduce the seed's insertion order (within a
-        # node by event index, across nodes by first touch).
-        endpoints = np.concatenate((u, v))
-        pos = np.concatenate((2 * ar, 2 * ar + 1))
-        loops = u == v
-        if loops.any():
-            keep = np.concatenate((np.ones(m, dtype=bool), ~loops))
-            endpoints = endpoints[keep]
-            pos = pos[keep]
-        # Positions are distinct, so sorting the one key
-        # (endpoint - lo) * 2m + pos groups by node, positions ascending.
-        lo = int(endpoints.min())
-        width = 2 * m
-        if (int(endpoints.max()) - lo + 1) * width <= _KEY_LIMIT:
-            key = np.sort((endpoints - lo) * width + pos)
-            offset = key // width
-            grouped_pos = key - offset * width
-            grouped_nodes = offset + lo
-        else:
-            order = np.lexsort((pos, endpoints))
-            grouped_nodes = endpoints[order]
-            grouped_pos = pos[order]
-        idx = np.ascontiguousarray(grouped_pos >> 1)
-        starts = np.flatnonzero(np.diff(grouped_nodes)) + 1
-        starts = np.concatenate((np.zeros(1, dtype=np.int64), starts))
-        keys = grouped_nodes[starts]
-        self._node_keys_sorted = keys
-        appearance = np.argsort(grouped_pos[starts], kind="stable")
-        slot = dict(zip(keys[appearance].tolist(), appearance.tolist()))
-        off = np.concatenate((starts, np.array([len(idx)], dtype=np.int64)))
-        return (slot, off, idx)
 
     def _node_banded_index(self):
         """``idx + slot_of_position * m``: the node CSR shifted so each
         slot occupies a disjoint band, making the flat array globally
         sorted — one ``searchsorted`` then answers a probe for any node.
-        Built on first batched query (mmap loads stay lazy until then).
+        Built on first :meth:`extension_arrays` call (mmap loads stay lazy
+        until then).
         """
         if self._node_banded is None:
             _slot, off, idx = self._node_index()
@@ -346,31 +304,10 @@ class NumpyStorage(GraphStorage):
     def _edge_index(self) -> tuple:
         """``(slot, off, idx)`` of the per-edge CSR index."""
         if self._edge_csr is None and not self._map_index_pages():
-            self._edge_csr = _timed_build(_EDGE_INDEX_SECONDS, self._build_edge_csr)
-        return self._edge_csr
-
-    def _build_edge_csr(self) -> tuple:
-        m = self._m
-        if m == 0:
-            return ({}, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
-        u, v = self._u, self._v
-        # Stable sort by (u, v): ties keep event (time) order.
-        order = np.ascontiguousarray(np.lexsort((v, u)))
-        su, sv = u[order], v[order]
-        starts = np.flatnonzero((np.diff(su) != 0) | (np.diff(sv) != 0)) + 1
-        starts = np.concatenate((np.zeros(1, dtype=np.int64), starts))
-        appearance = np.argsort(order[starts], kind="stable")
-        slot = dict(
-            zip(
-                zip(
-                    su[starts][appearance].tolist(),
-                    sv[starts][appearance].tolist(),
-                ),
-                appearance.tolist(),
+            self._edge_csr = _timed_build(
+                _EDGE_INDEX_SECONDS, build_edge_csr, self._u, self._v
             )
-        )
-        off = np.concatenate((starts, np.array([m], dtype=np.int64)))
-        return (slot, off, order)
+        return self._edge_csr
 
     def _node_segment(self, node: int):
         slot, off, idx = self._node_index()
@@ -554,24 +491,6 @@ class NumpyStorage(GraphStorage):
             out.extend(tail)
         return out
 
-    def neighbors(self, node: int) -> set[int]:
-        out = set(self._other_endpoints(node).tolist())
-        if self._tail:
-            m = self._m
-            for i in self._tail_node_events.get(node, ()):
-                ev = self._tail[i - m]
-                out.add(ev.v if ev.u == node else ev.u)
-        out.discard(node)
-        return out
-
-    def _other_endpoints(self, node: int):
-        """For each main-column event touching ``node``, the other endpoint."""
-        segment = self._node_segment(node)
-        if not len(segment):
-            return segment
-        us = self._u[segment]
-        return np.where(us == node, self._v[segment], us)
-
     # ------------------------------------------------------------------
     # windowed queries (scalar)
     # ------------------------------------------------------------------
@@ -649,59 +568,15 @@ class NumpyStorage(GraphStorage):
         return idxs[a:b]
 
     # ------------------------------------------------------------------
-    # windowed queries (batched / vectorized)
+    # kernel arrays
     # ------------------------------------------------------------------
-    def count_node_events_in_batch(
-        self,
-        nodes: Sequence[int],
-        t_los: Sequence[float],
-        t_his: Sequence[float],
-    ) -> Sequence[int]:
-        """Closed-window per-node counts, vectorized across all queries.
-
-        The banded CSR array answers every query with five
-        ``searchsorted`` calls total: one maps the node ids to CSR slots,
-        two map the time windows to global index ranges, and two locate
-        the range boundaries inside each node's band.  The band probes
-        search their keys in ascending order (one argsort; the caller's
-        order jumps between bands at random and misses cache on nearly
-        every search), and the counts scatter back into the caller's
-        query order, returned as an int64 array.
-        """
-        if self._tail or self._m == 0:
-            # The tail path is rare and small; the generic loop is exact.
-            return super().count_node_events_in_batch(nodes, t_los, t_his)
-        try:
-            q = np.asarray(nodes, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return super().count_node_events_in_batch(nodes, t_los, t_his)
-        rec = _obs.ACTIVE
-        if rec is not None:
-            rec.inc("storage.window_batch.calls")
-            rec.observe("storage.window_batch.queries", len(nodes))
-        keys = self._node_keys()
-        banded = self._node_banded_index()
-        slots = np.minimum(keys.searchsorted(q), len(keys) - 1)
-        known = keys[slots] == q
-        t = self._t
-        key_lo = slots * np.int64(self._m)
-        key_hi = key_lo + t.searchsorted(np.asarray(t_his, dtype=np.float64), side="right")
-        key_lo += t.searchsorted(np.asarray(t_los, dtype=np.float64), side="left")
-        order = key_lo.argsort()
-        found = banded.searchsorted(key_hi[order], side="left")
-        found -= banded.searchsorted(key_lo[order], side="left")
-        counts = np.empty_like(found)
-        counts[order] = found
-        counts[~known] = 0
-        return counts
-
     def extension_arrays(self) -> dict[str, Any] | None:
         """Kernel hook: the flat arrays the vectorized extension kernel probes.
 
         Returns the timestamp/endpoint columns plus the node CSR in its
-        banded form (``idx + slot*m``, globally sorted — the same
-        machinery as :meth:`count_node_events_in_batch`), with ``keys``
-        the ascending node ids whose position equals the CSR slot.
+        banded form (``idx + slot*m``, globally sorted; see
+        :meth:`_node_banded_index`), with ``keys`` the ascending node ids
+        whose position equals the CSR slot.
         Returns ``None`` while tail appends are pending: the tail lists
         are not banded, so the engine builds its lane columns from
         :meth:`iter_uvt` instead (:func:`repro.engine.kernels.lane_arrays`).
@@ -796,35 +671,6 @@ class NumpyStorage(GraphStorage):
         prev[1, loops] = prev[0, loops]
         nxt[1, loops] = nxt[0, loops]
         return prev, nxt
-
-    def adjacent_events_between(
-        self, nodes: Sequence[int], t_lo: float, t_hi: float
-    ) -> list[int]:
-        """Deduplicated half-open window union over several nodes.
-
-        The enumeration engine's candidate-generation fast path: one global
-        window translation shared by every node, per-node segment slicing,
-        and an array-level merge instead of a Python set union.
-        """
-        if self._tail:
-            return super().adjacent_events_between(nodes, t_lo, t_hi)
-        idx = self._node_index()[2]
-        parts = []
-        for node in nodes:
-            a, b = self._node_window(node, t_lo, t_hi, "right")
-            if a < b:
-                parts.append(idx[a:b])
-        if not parts:
-            out: list[int] = []
-        elif len(parts) == 1:
-            out = parts[0].tolist()
-        else:
-            out = np.unique(np.concatenate(parts)).tolist()
-        rec = _obs.ACTIVE
-        if rec is not None:
-            rec.inc("storage.adjacent_events_between.calls")
-            rec.observe("storage.adjacent_events_between.candidates", len(out))
-        return out
 
     # ------------------------------------------------------------------
     # transformations / shard plumbing
@@ -965,15 +811,86 @@ class NumpyStorage(GraphStorage):
         return storage
 
 
-def _timed_build(metric: str, build):
-    """``build()``, observed under ``metric`` when a recorder is active."""
+def _timed_build(metric: str, build, *args):
+    """``build(*args)``, observed under ``metric`` when a recorder is active."""
     rec = _obs.ACTIVE
     if rec is None:
-        return build()
+        return build(*args)
     start = time.perf_counter()
-    out = build()
+    out = build(*args)
     rec.observe(metric, time.perf_counter() - start)
     return out
+
+
+def build_node_csr(u, v) -> tuple:
+    """``(slot, off, idx, keys)``: the per-node CSR index of columns ``u``, ``v``.
+
+    ``slot`` maps node -> group position in the sorted layout, with dict
+    insertion following first appearance (seed iteration order);
+    ``idx[off[s]:off[s+1]]`` is the node's strictly increasing event
+    indices (a self-loop listed once); ``keys`` the ascending node ids,
+    position equal to slot.
+    """
+    m = len(u)
+    if m == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return ({}, np.zeros(1, dtype=np.int64), empty, empty)
+    ar = np.arange(m, dtype=np.int64)
+    # Each event is indexed under both endpoints; position keys
+    # 2i / 2i+1 reproduce the seed's insertion order (within a
+    # node by event index, across nodes by first touch).
+    endpoints = np.concatenate((u, v))
+    pos = np.concatenate((2 * ar, 2 * ar + 1))
+    loops = u == v
+    if loops.any():
+        keep = np.concatenate((np.ones(m, dtype=bool), ~loops))
+        endpoints = endpoints[keep]
+        pos = pos[keep]
+    # Positions are distinct, so sorting the one key
+    # (endpoint - lo) * 2m + pos groups by node, positions ascending.
+    lo = int(endpoints.min())
+    width = 2 * m
+    if (int(endpoints.max()) - lo + 1) * width <= _KEY_LIMIT:
+        key = np.sort((endpoints - lo) * width + pos)
+        offset = key // width
+        grouped_pos = key - offset * width
+        grouped_nodes = offset + lo
+    else:
+        order = np.lexsort((pos, endpoints))
+        grouped_nodes = endpoints[order]
+        grouped_pos = pos[order]
+    idx = np.ascontiguousarray(grouped_pos >> 1)
+    starts = np.flatnonzero(np.diff(grouped_nodes)) + 1
+    starts = np.concatenate((np.zeros(1, dtype=np.int64), starts))
+    keys = grouped_nodes[starts]
+    appearance = np.argsort(grouped_pos[starts], kind="stable")
+    slot = dict(zip(keys[appearance].tolist(), appearance.tolist()))
+    off = np.concatenate((starts, np.array([len(idx)], dtype=np.int64)))
+    return (slot, off, idx, keys)
+
+
+def build_edge_csr(u, v) -> tuple:
+    """``(slot, off, idx)``: the per-directed-edge CSR index of ``u``, ``v``."""
+    m = len(u)
+    if m == 0:
+        return ({}, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
+    # Stable sort by (u, v): ties keep event (time) order.
+    order = np.ascontiguousarray(np.lexsort((v, u)))
+    su, sv = u[order], v[order]
+    starts = np.flatnonzero((np.diff(su) != 0) | (np.diff(sv) != 0)) + 1
+    starts = np.concatenate((np.zeros(1, dtype=np.int64), starts))
+    appearance = np.argsort(order[starts], kind="stable")
+    slot = dict(
+        zip(
+            zip(
+                su[starts][appearance].tolist(),
+                sv[starts][appearance].tolist(),
+            ),
+            appearance.tolist(),
+        )
+    )
+    off = np.concatenate((starts, np.array([m], dtype=np.int64)))
+    return (slot, off, order)
 
 
 def _read_columns(events: Sequence) -> tuple:

@@ -611,21 +611,6 @@ class PartitionedStorage(GraphStorage):
             )
         return out
 
-    def adjacent_events_between(
-        self, nodes: Sequence[int], t_lo: float, t_hi: float
-    ) -> list[int]:
-        # Per-partition results are sorted/deduplicated and index ranges
-        # across partitions are disjoint and increasing, so plain
-        # concatenation preserves the contract.
-        out: list[int] = []
-        for p in self._parts_in(t_lo, t_hi):
-            off = self._ev_lo[p]
-            out.extend(
-                i + off
-                for i in self.partition(p).adjacent_events_between(nodes, t_lo, t_hi)
-            )
-        return out
-
     # ------------------------------------------------------------------
     # slicing / sharding
     # ------------------------------------------------------------------

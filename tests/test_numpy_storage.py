@@ -4,8 +4,7 @@ Cross-backend answer parity is covered by the randomized suite in
 ``test_storage.py`` (``"numpy"`` sits in its ``BACKENDS``); this module
 tests what is unique to the tensor engine — the ``.npy`` page directory
 layout, memory-mapped loads (including append-after-load), zero-copy
-slicing, and the batched query seams the enumeration fast path and the
-benchmark sweep rely on.
+slicing, and the CSR builders the columnar backend shares.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import os
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
@@ -26,7 +25,8 @@ from repro.core.constraints import TimingConstraints
 from repro.core.events import Event, validate_events
 from repro.core.temporal_graph import TemporalGraph
 from repro.datasets.generators import ActivityConfig, generate
-from repro.storage import ListStorage, NumpyStorage
+from repro.storage import ColumnarStorage, ListStorage, NumpyStorage
+from repro.storage import columnar as columnar_module
 from repro.storage.numpy_backend import PAGE_FORMAT, PAGE_VERSION, load_pages, page_meta
 
 EVENTS = [(0, 1, 10), (1, 2, 20), (0, 1, 30), (2, 0, 40), (1, 2, 40)]
@@ -94,69 +94,6 @@ class TestColumns:
 
 
 class TestBatchedKernels:
-    def test_batch_counts_match_scalar_loop(self, storage, events):
-        ref = ListStorage.from_events(events)
-        t0, t1 = storage.start_time, storage.end_time
-        span = t1 - t0
-        nodes = (sorted(storage.nodes)[:20] + [-5, 10**7]) * 3
-        t_los = [t0 + (i % 9) * span / 9 - 1 for i in range(len(nodes))]
-        t_his = [lo + span / 6 for lo in t_los]
-        batch = storage.count_node_events_in_batch(nodes, t_los, t_his)
-        assert list(batch) == [
-            ref.count_node_events_in(n, lo, hi)
-            for n, lo, hi in zip(nodes, t_los, t_his)
-        ]
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 7), st.integers(1, 7), st.integers(0, 12)),
-            min_size=1,
-            max_size=40,
-        ),
-        st.lists(
-            st.tuples(st.integers(-2, 10), st.integers(-1, 14), st.integers(0, 6)),
-            min_size=1,
-            max_size=30,
-        ),
-        st.randoms(use_true_random=False),
-    )
-    def test_batch_counts_match_list_in_any_query_order(self, raw, raw_queries, rng):
-        # Small integer times give ties; ids -2, -1, 8, 9, 10 are unknown
-        # nodes.  The band probes run in key order, so the counts must
-        # scatter back into this shuffled order, repeats included.
-        events = [Event(u, (u + d) % 8, t) for u, d, t in raw]
-        queries = raw_queries + raw_queries[: len(raw_queries) // 2]
-        rng.shuffle(queries)
-        nodes = [node for node, _lo, _width in queries]
-        t_los = [float(lo) for _node, lo, _width in queries]
-        t_his = [float(lo + width) for _node, lo, width in queries]
-        got = NumpyStorage.from_events(events).count_node_events_in_batch(
-            nodes, t_los, t_his
-        )
-        ref = ListStorage.from_events(events).count_node_events_in_batch(
-            nodes, t_los, t_his
-        )
-        assert list(got) == ref
-
-    def test_batch_counts_are_an_int64_array(self, storage):
-        # The consecutive-events row form compares the counts as an
-        # array; a list result would be converted straight back.
-        nodes = sorted(storage.nodes)[:5]
-        t0, t1 = storage.start_time, storage.end_time
-        batch = storage.count_node_events_in_batch(nodes, [t0] * 5, [t1] * 5)
-        assert isinstance(batch, np.ndarray) and batch.dtype == np.int64
-        assert batch.tolist() == [storage.count_node_events_in(n, t0, t1) for n in nodes]
-
-    def test_batch_counts_through_tail(self, storage):
-        t1 = storage.end_time
-        storage.append(Event(0, 1, t1 + 5))
-        batch = storage.count_node_events_in_batch([0, 1], [t1, t1], [t1 + 9, t1 + 9])
-        assert batch == [
-            storage.count_node_events_in(0, t1, t1 + 9),
-            storage.count_node_events_in(1, t1, t1 + 9),
-        ]
-
     def test_adjacent_events_between_matches_generic_union(self, storage, events):
         ref = ListStorage.from_events(events)
         t0, t1 = storage.start_time, storage.end_time
@@ -166,6 +103,54 @@ class TestBatchedKernels:
             assert storage.adjacent_events_between(
                 nodes, lo, hi
             ) == ref.adjacent_events_between(nodes, lo, hi)
+
+
+#: Node ids: a small tie-prone range plus ids near +-2**62, whose span
+#: times 2m passes ``_KEY_LIMIT`` and takes the builder's lexsort branch.
+_CSR_IDS = st.one_of(
+    st.integers(-3, 4), st.sampled_from([-(2**62), -(2**62) + 1, 2**62 - 1, 2**62])
+)
+
+
+class TestSharedCsrBuild:
+    """Columnar construction and the numpy backend share one CSR builder."""
+
+    @staticmethod
+    def _csr(slot, off, idx, times) -> tuple:
+        return (
+            list(slot.items()),
+            list(off),
+            np.asarray(idx, dtype=np.int64).tobytes(),
+            np.asarray(times, dtype=np.float64).tobytes(),
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), _CSR_IDS, _CSR_IDS), max_size=30))
+    @example([])
+    @example([(0, -(2**62), 2**62), (0, 2**62, 2**62), (1, 1, -(2**62))])
+    def test_columnar_csr_equals_numpy_csr(self, raw):
+        # Rows are (t, u, v) triples, so sorting them is the storage order;
+        # presorted=True skips validation, so self-loops (u == v) get in.
+        rows = [Event(u, v, float(t)) for t, u, v in sorted(raw)]
+        col = ColumnarStorage.from_events(rows, presorted=True)
+        num = NumpyStorage.from_events(rows, presorted=True)
+        node_slot, node_off, node_idx = num._node_index()
+        edge_slot, edge_off, edge_idx = num._edge_index()
+        assert self._csr(
+            col._node_slot, col._node_off, col._node_idx, col._node_t
+        ) == self._csr(node_slot, node_off, node_idx, num._node_times_flat())
+        assert self._csr(
+            col._edge_slot, col._edge_off, col._edge_idx, col._edge_t
+        ) == self._csr(edge_slot, edge_off, edge_idx, num._edge_times_flat())
+        # The pure-Python counting sort is an independent oracle of the
+        # per-node and per-edge event lists, iteration order included.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(columnar_module, "_np", None)
+            fallback = ColumnarStorage.from_events(rows, presorted=True)
+        for view in ("node_events", "node_times", "edge_events", "edge_times"):
+            assert list(getattr(fallback, view).items()) == list(
+                getattr(num, view).items()
+            )
 
 
 class TestPagePersistence:
@@ -284,7 +269,6 @@ def _answers(storage, reference) -> list:
     for edge in edges:
         out.append(graph.edge_events_in(edge, t0, t1))
         out.append(storage.count_edge_events_in(edge, mid, t1))
-    out.append(list(storage.count_node_events_in_batch(nodes, [t0] * 9, [mid] * 9)))
     out.append(storage.adjacent_events_between(nodes[:3], t0, mid))
     return out
 

@@ -379,6 +379,19 @@ def test_whole_stream_materialization_is_loud(tmp_path):
     assert materializations(serial, warns=0) == 0
 
 
+def test_static_neighbors_stay_out_of_core(tmp_path):
+    import warnings
+
+    events = _stream(150, tick=4)
+    write_partitioned(events, tmp_path, partition_events=16)
+    graph = TemporalGraph.load(tmp_path)
+    reference = TemporalGraph(events, backend="list")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {node: graph.static_neighbors(node) for node in reference.nodes}
+    assert got == {node: reference.static_neighbors(node) for node in reference.nodes}
+
+
 def test_root_sampling_stays_out_of_core(tmp_path):
     import warnings
 
