@@ -72,6 +72,18 @@ def estimate_counts_root_sampling(
     return {code: count / q for code, count in raw.items()}
 
 
+def root_sampling_stderr(estimates: dict[str, float], q: float) -> dict[str, float]:
+    """Per-code Horvitz–Thompson standard error of a root-sampling estimate.
+
+    The raw sampled count ``n = est * q`` has variance ``n (1 - q) / q^2``
+    around the estimate ``n / q``.
+    """
+    return {
+        code: (max(est * q, 0.0) * (1.0 - q)) ** 0.5 / q
+        for code, est in estimates.items()
+    }
+
+
 def estimate_counts_window_sampling(
     graph: TemporalGraph,
     n_events: int,

@@ -701,12 +701,24 @@ def _build_lane_storage(storage: "GraphStorage") -> NumpyStorage | None:
     rows = list(storage.iter_uvt())
     if not rows:
         return NumpyStorage.from_events((), presorted=True)
+    columns = exact_columns(rows)
+    return None if columns is None else NumpyStorage.from_arrays(*columns)
+
+
+def exact_columns(rows: Sequence) -> tuple | None:
+    """int64 ``u``, ``v`` and float64 ``t`` columns of non-empty ``(u, v, t)`` rows.
+
+    ``None`` when a value would not survive the cast exactly: node ids
+    that are not int64, or times that are not numbers below 2**53 (a
+    nanosecond epoch, say), whose float64 ties and order may differ from
+    the rows' own.
+    """
     u, v, t = (np.array(column) for column in zip(*rows))
     if u.dtype.kind != "i" or v.dtype.kind != "i" or t.dtype.kind not in "if":
         return None
     if t.dtype.kind == "f" and t.dtype != np.float64 or not (t < _EXACT_TIME).all():
         return None
-    return NumpyStorage.from_arrays(u, v, t)
+    return u, v, t.astype(np.float64, copy=False)
 
 
 #: The one demotion: from the numpy kernel's lane to the generic kernel.

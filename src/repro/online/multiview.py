@@ -86,7 +86,7 @@ from repro.core.events import Event
 from repro.core.notation import DIGITS, MAX_NOTATION_NODES, canonical_code
 from repro.core.temporal_graph import TemporalGraph
 from repro.engine import compile_plan, run_plan_blocks
-from repro.engine.kernels import MAX_CODE_EVENTS
+from repro.engine.kernels import MAX_CODE_EVENTS, exact_columns
 from repro.storage.base import _validate_arrival
 
 np = import_numpy()
@@ -935,12 +935,10 @@ class MultiViewCensus:
         event_at = storage.event_at
         window = [event_at(i) for i in range(lo, first)]
         window.extend(batch)
-        us, vs, ts = zip(*window)
-        u = np.array(us)
-        v = np.array(vs)
-        if u.dtype.kind != "i" or v.dtype.kind != "i":
-            return None  # node ids the int64 columns cannot hold exactly
-        return lo, window, ts, u, v, np.array(ts, dtype=np.float64)
+        columns = exact_columns(window)
+        if columns is None:
+            return None  # ids or times the lane's columns cannot hold exactly
+        return lo, window, [ev.t for ev in window], *columns
 
     def _push_lane(self, batch: list[Event], columns, rec) -> list[Instance]:
         """Append, discover through the lane, replay per event (see push_many)."""
@@ -1244,7 +1242,7 @@ class MultiViewCensus:
             )
         if self._now is None:
             return {}, {}
-        from repro.algorithms.sampling import estimate_counts_root_sampling
+        from repro.algorithms.sampling import estimate_counts_root_sampling, root_sampling_stderr
 
         window_graph = self._graph.slice(self._now - view.window, self._now)
         if view.nodes is not None:
@@ -1258,13 +1256,7 @@ class MultiViewCensus:
             max_nodes=self._max_nodes,
             rng=np.random.default_rng(view.seed),
         )
-        # Horvitz–Thompson per-code standard error: raw sampled count n
-        # has variance n(1-q)/q^2 around the estimate n/q.
-        stderr = {
-            code: (max(est * q, 0.0) * (1.0 - q)) ** 0.5 / q
-            for code, est in estimates.items()
-        }
-        return estimates, stderr
+        return estimates, root_sampling_stderr(estimates, q)
 
     def describe(self) -> dict:
         """Engine + per-view summary (what the service's ``stats`` shows)."""

@@ -193,7 +193,7 @@ def _estimate(view, kw: Mapping, job: Mapping) -> dict:
         raise ProtocolError(
             "bad_request", "the estimate op requires NumPy on the server"
         )
-    from repro.algorithms.sampling import estimate_counts_root_sampling
+    from repro.algorithms.sampling import estimate_counts_root_sampling, root_sampling_stderr
 
     q = job.get("q", 0.25)
     try:
@@ -212,15 +212,9 @@ def _estimate(view, kw: Mapping, job: Mapping) -> dict:
         rng=rng,
         jobs=kw["jobs"],
     )
-    # Horvitz–Thompson per-code standard error: raw sampled count n has
-    # variance n(1-q)/q^2 around the estimate n/q.
-    stderr = {
-        code: (max(est * q, 0.0) * (1.0 - q)) ** 0.5 / q
-        for code, est in estimates.items()
-    }
     return {
         "codes": estimates,
-        "stderr": stderr,
+        "stderr": root_sampling_stderr(estimates, q),
         "q": q,
         "method": "root_sampling",
     }

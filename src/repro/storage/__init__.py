@@ -10,9 +10,8 @@ backends register themselves here under a short name:
   ``array('q')``/``array('d')`` columns with CSR offsets: faster to build,
   lighter in memory, same answers;
 * ``"numpy"`` — :class:`~repro.storage.numpy_backend.NumpyStorage`,
-  contiguous ``ndarray`` columns with lazy CSR indices: ``searchsorted``
-  window kernels, the block lane's arrays, zero-copy time slices, and
-  memory-mapped persistence
+  contiguous ``ndarray`` columns with lazy CSR indices: the block lane's
+  arrays, zero-copy time slices, and memory-mapped persistence
   (:meth:`~repro.storage.numpy_backend.NumpyStorage.save` /
   :meth:`~repro.storage.numpy_backend.NumpyStorage.load` over an
   ``.npy`` page directory).  Registered only when NumPy is importable.
@@ -23,13 +22,19 @@ backends register themselves here under a short name:
   sharded engine so peak memory follows the largest δ-overlapped shard
   rather than the stream.  Registered only when NumPy is importable.
 
+The two column stores, ``"columnar"`` and ``"numpy"``, subclass the
+NumPy-free core :class:`~repro.storage.columns.ColumnStore`, which holds
+their append tail, views and window queries once.
+
 Selection order: an explicit ``backend=`` argument wins, then the
 ``REPRO_STORAGE`` environment variable (``REPRO_STORAGE=numpy`` turns the
 tensor engine on globally), then :data:`DEFAULT_BACKEND`.
 
 Adding a backend is three steps: subclass ``GraphStorage`` (implement the
 abstract constructors/queries; the base class supplies generic slices,
-coarsening and batch ``update``), call :func:`register_backend`, and run
+coarsening and batch ``update``), or ``ColumnStore`` for a column store
+(supply the columns, the two CSR accessors and ``compact``; the core
+answers the queries); call :func:`register_backend`; and run
 the parity suite in ``tests/test_storage.py`` — it holds every registered
 backend to answer-identical behavior against ``ListStorage``.
 """

@@ -5,17 +5,15 @@ Layout
 
 The event stream is stored as three flat columns — ``u`` and ``v`` in
 ``array('q')`` (int64) and ``t`` in ``array('d')`` (float64) — instead of
-per-event Python objects: the ``events`` tuple (and the per-node/per-edge
-dict views) are materialized from the columns on first access and cached,
-so query-only workloads never box an event, and :meth:`event_at` resolves
-a single index in O(1) without snapshotting the stream.  The per-node and
-per-edge indices are CSR-style:
-one flat ``array('q')`` of event indices grouped by node (edge), one
-parallel ``array('d')`` of timestamps, and an offsets list mapping each
-node (edge) *slot* to its ``[start, end)`` range.  A window query is then a
-slot lookup plus a :mod:`bisect` over a bounded range of the flat timestamp
-array — no per-node list objects, no boxed floats, ~4× less index memory
-than dict-of-lists.
+per-event Python objects.  The per-node and per-edge indices are
+CSR-style: one flat ``array('q')`` of event indices grouped by node
+(edge), one parallel ``array('d')`` of timestamps, and an offsets list
+mapping each node (edge) *slot* to its ``[start, end)`` range — no
+per-node list objects, no boxed floats, ~4× less index memory than
+dict-of-lists.  These ``array`` s are what the column-store core
+(:class:`~repro.storage.columns.ColumnStore`) bisects: the views, the
+window queries and the append tail are the core's, shared with the numpy
+backend.
 
 Construction is vectorized through NumPy when available — the numpy
 backend's CSR builders (:func:`~repro.storage.numpy_backend.build_node_csr`,
@@ -24,11 +22,8 @@ views of the columns instead of millions of interpreter-level ``append``
 calls — with a pure-Python counting-sort fallback, so the backend works —
 just slower — on interpreters without NumPy.
 
-Appends land in a small *tail* (plain dict-of-lists delta) so a live graph
-never rebuilds its columns per event; the tail is folded into the columns
-once it exceeds :attr:`ColumnarStorage.compact_threshold`.  Because
-:meth:`append` requires non-decreasing timestamps, every merged query is a
-cheap concatenation of a CSR range and a tail range.
+Appends land in the core's tail; :meth:`ColumnarStorage.compact` folds
+it into the columns by rebuilding them from the events.
 
 Node ids must fit in a signed 64-bit integer (the ``'q'`` typecode);
 anything wider raises at construction.
@@ -36,13 +31,12 @@ anything wider raises at construction.
 
 from __future__ import annotations
 
-import bisect
 from array import array
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import repro.obs as _obs
 from repro.core.events import Event, validate_events
-from repro.storage.base import GraphStorage
+from repro.storage.columns import ColumnStore
 from repro.storage.numpy_backend import build_edge_csr, build_node_csr
 
 try:  # NumPy accelerates construction only; queries never need it.
@@ -51,13 +45,10 @@ except Exception:  # pragma: no cover - the image bakes numpy in
     _np = None
 
 
-class ColumnarStorage(GraphStorage):
+class ColumnarStorage(ColumnStore):
     """Flat-column event store with CSR per-node / per-edge indices."""
 
     backend_name = "columnar"
-
-    #: Tail appends tolerated before the columns are rebuilt in one pass.
-    compact_threshold = 4096
 
     def __init__(self, events: Iterable[Event], *, presorted: bool = False) -> None:
         validated = (
@@ -82,33 +73,8 @@ class ColumnarStorage(GraphStorage):
         (and cached), so query-only workloads never hold boxed events.
         """
         self._m = len(events)
-        self._main_cache: tuple[Event, ...] | None = None
-        # Tail delta for appends: events, per-node/edge index+time lists.
-        self._tail: list[Event] = []
-        self._tail_node_events: dict[int, list[int]] = {}
-        self._tail_node_times: dict[int, list[float]] = {}
-        self._tail_edge_events: dict[tuple[int, int], list[int]] = {}
-        self._tail_edge_times: dict[tuple[int, int], list[float]] = {}
-        self._invalidate_views()
-
-        m = len(events)
-        self._col_u = array("q")
-        self._col_v = array("q")
-        self._col_t = array("d")
-        if m == 0:
-            self._node_slot: dict[int, int] = {}
-            self._node_off: list[int] = [0]
-            self._node_idx = array("q")
-            self._node_t = array("d")
-            self._edge_slot: dict[tuple[int, int], int] = {}
-            self._edge_off: list[int] = [0]
-            self._edge_idx = array("q")
-            self._edge_t = array("d")
-            return
-        built = False
-        if _np is not None:
-            built = self._build_numpy(events)
-        if not built:
+        self._clear_tail()
+        if not (events and _np is not None and self._build_numpy(events)):
             self._build_python(events)
 
     def _build_numpy(self, events: tuple[Event, ...]) -> bool:
@@ -124,28 +90,16 @@ class ColumnarStorage(GraphStorage):
         except (TypeError, ValueError, OverflowError):
             # e.g. node ids wider than int64: let the pure-Python path try
             # (its array() calls will raise a clear error if truly unfit).
-            self._col_u = array("q")
-            self._col_v = array("q")
-            self._col_t = array("d")
             return False
         u = np.frombuffer(self._col_u, dtype=np.int64)
         v = np.frombuffer(self._col_v, dtype=np.int64)
         t = np.frombuffer(self._col_t, dtype=np.float64)
 
-        node_slot, node_off, node_idx, _keys = build_node_csr(u, v)
-        self._node_slot = node_slot
-        self._node_off = node_off.tolist()
-        self._node_idx = array("q")
-        self._node_idx.frombytes(node_idx.tobytes())
-        self._node_t = array("d")
-        self._node_t.frombytes(t[node_idx].tobytes())
-        edge_slot, edge_off, edge_idx = build_edge_csr(u, v)
-        self._edge_slot = edge_slot
-        self._edge_off = edge_off.tolist()
-        self._edge_idx = array("q")
-        self._edge_idx.frombytes(edge_idx.tobytes())
-        self._edge_t = array("d")
-        self._edge_t.frombytes(t[edge_idx].tobytes())
+        def flat(slot, off, idx) -> tuple:
+            times = array("d", t[idx].tobytes())
+            return (slot, off.tolist(), array("q", idx.tobytes()), times)
+
+        self._set_index(flat(*build_node_csr(u, v)[:3]), flat(*build_edge_csr(u, v)))
         return True
 
     def _build_python(self, events: tuple[Event, ...]) -> None:
@@ -188,243 +142,24 @@ class ColumnarStorage(GraphStorage):
             edge_t[c] = ev.t
             ecursor[edge_slot[ev.edge]] = c + 1
 
-        self._node_slot = node_slot
-        self._node_off = node_off
-        self._node_idx = node_idx
-        self._node_t = node_t
-        self._edge_slot = edge_slot
-        self._edge_off = edge_off
-        self._edge_idx = edge_idx
-        self._edge_t = edge_t
-
-    # ------------------------------------------------------------------
-    # cached materialized views
-    # ------------------------------------------------------------------
-    def _invalidate_views(self) -> None:
-        self._events_cache: tuple[Event, ...] | None = None
-        self._times_cache: list[float] | None = None
-        self._node_events_cache: dict[int, list[int]] | None = None
-        self._node_times_cache: dict[int, list[float]] | None = None
-        self._edge_events_cache: dict[tuple[int, int], list[int]] | None = None
-        self._edge_times_cache: dict[tuple[int, int], list[float]] | None = None
-
-    @property
-    def events(self) -> tuple[Event, ...]:
-        if self._events_cache is None:
-            main = self._main_cache
-            if main is None:
-                main = self._main_cache = tuple(
-                    map(Event, self._col_u, self._col_v, self._col_t)
-                )
-            self._events_cache = main + tuple(self._tail) if self._tail else main
-        return self._events_cache
-
-    @property
-    def times(self) -> list[float]:
-        if self._times_cache is None:
-            times = self._col_t.tolist()
-            times.extend(ev.t for ev in self._tail)
-            self._times_cache = times
-        return self._times_cache
-
-    @property
-    def node_events(self) -> dict[int, list[int]]:
-        if self._node_events_cache is None:
-            out = {
-                node: self._node_idx[
-                    self._node_off[slot] : self._node_off[slot + 1]
-                ].tolist()
-                for node, slot in self._node_slot.items()
-            }
-            for node, idxs in self._tail_node_events.items():
-                out.setdefault(node, []).extend(idxs)
-            self._node_events_cache = out
-        return self._node_events_cache
-
-    @property
-    def node_times(self) -> dict[int, list[float]]:
-        if self._node_times_cache is None:
-            times = self.times
-            self._node_times_cache = {
-                node: [times[i] for i in idxs]
-                for node, idxs in self.node_events.items()
-            }
-        return self._node_times_cache
-
-    @property
-    def edge_events(self) -> dict[tuple[int, int], list[int]]:
-        if self._edge_events_cache is None:
-            out = {
-                edge: self._edge_idx[
-                    self._edge_off[slot] : self._edge_off[slot + 1]
-                ].tolist()
-                for edge, slot in self._edge_slot.items()
-            }
-            for edge, idxs in self._tail_edge_events.items():
-                out.setdefault(edge, []).extend(idxs)
-            self._edge_events_cache = out
-        return self._edge_events_cache
-
-    @property
-    def edge_times(self) -> dict[tuple[int, int], list[float]]:
-        if self._edge_times_cache is None:
-            times = self.times
-            self._edge_times_cache = {
-                edge: [times[i] for i in idxs]
-                for edge, idxs in self.edge_events.items()
-            }
-        return self._edge_times_cache
-
-    # ------------------------------------------------------------------
-    # scalar views (avoid materializing the dict caches)
-    # ------------------------------------------------------------------
-    @property
-    def nodes(self) -> set[int]:
-        out = set(self._node_slot)
-        out.update(self._tail_node_events)
-        return out
-
-    @property
-    def num_nodes(self) -> int:
-        extra = sum(1 for n in self._tail_node_events if n not in self._node_slot)
-        return len(self._node_slot) + extra
-
-    @property
-    def num_edges(self) -> int:
-        extra = sum(1 for e in self._tail_edge_events if e not in self._edge_slot)
-        return len(self._edge_slot) + extra
-
-    @property
-    def start_time(self) -> float | None:
-        if len(self._col_t):
-            return self._col_t[0]
-        return self._tail[0].t if self._tail else None
-
-    @property
-    def end_time(self) -> float | None:
-        if self._tail:
-            return self._tail[-1].t
-        return self._col_t[-1] if len(self._col_t) else None
-
-    def __len__(self) -> int:
-        return self._m + len(self._tail)
-
-    def event_at(self, idx: int) -> Event:
-        """O(1) event lookup straight from the columns (or the tail)."""
-        if idx < 0:
-            idx += len(self)
-        if idx >= self._m:
-            return self._tail[idx - self._m]
-        if self._main_cache is not None:
-            return self._main_cache[idx]
-        return Event(self._col_u[idx], self._col_v[idx], self._col_t[idx])
-
-    # ------------------------------------------------------------------
-    # point lookups
-    # ------------------------------------------------------------------
-    def _node_range(self, node: int) -> tuple[int, int]:
-        slot = self._node_slot.get(node)
-        if slot is None:
-            return (0, 0)
-        return self._node_off[slot], self._node_off[slot + 1]
-
-    def _edge_range(self, edge: tuple[int, int]) -> tuple[int, int]:
-        slot = self._edge_slot.get(edge)
-        if slot is None:
-            return (0, 0)
-        return self._edge_off[slot], self._edge_off[slot + 1]
-
-    def node_event_indices(self, node: int) -> list[int]:
-        lo, hi = self._node_range(node)
-        out = self._node_idx[lo:hi].tolist()
-        tail = self._tail_node_events.get(node)
-        if tail:
-            out.extend(tail)
-        return out
-
-    def iter_uvt(self) -> Iterator[tuple[int, int, float]]:
-        yield from zip(self._col_u, self._col_v, self._col_t)
-        for ev in self._tail:
-            yield (ev.u, ev.v, ev.t)
-
-    # ------------------------------------------------------------------
-    # windowed queries
-    # ------------------------------------------------------------------
-    def node_events_in(self, node: int, t_lo: float, t_hi: float) -> list[int]:
-        lo, hi = self._node_range(node)
-        a = bisect.bisect_left(self._node_t, t_lo, lo, hi)
-        b = bisect.bisect_right(self._node_t, t_hi, lo, hi)
-        out = self._node_idx[a:b].tolist()
-        if self._tail:
-            out.extend(self._tail_window(self._tail_node_times.get(node),
-                                         self._tail_node_events.get(node),
-                                         t_lo, t_hi))
-        return out
-
-    def count_node_events_in(self, node: int, t_lo: float, t_hi: float) -> int:
-        lo, hi = self._node_range(node)
-        n = bisect.bisect_right(self._node_t, t_hi, lo, hi) - bisect.bisect_left(
-            self._node_t, t_lo, lo, hi
+        self._set_index(
+            (node_slot, node_off, node_idx, node_t),
+            (edge_slot, edge_off, edge_idx, edge_t),
         )
-        if self._tail:
-            times = self._tail_node_times.get(node)
-            if times:
-                n += bisect.bisect_right(times, t_hi) - bisect.bisect_left(times, t_lo)
-        return n
 
-    def count_edge_events_in(
-        self, edge: tuple[int, int], t_lo: float, t_hi: float
-    ) -> int:
-        lo, hi = self._edge_range(edge)
-        n = bisect.bisect_right(self._edge_t, t_hi, lo, hi) - bisect.bisect_left(
-            self._edge_t, t_lo, lo, hi
-        )
-        if self._tail:
-            times = self._tail_edge_times.get(edge)
-            if times:
-                n += bisect.bisect_right(times, t_hi) - bisect.bisect_left(times, t_lo)
-        return n
+    def _set_index(self, node: tuple, edge: tuple) -> None:
+        """Install the ``(slot, off, idx, times)`` node and edge CSR indexes."""
+        self._node_cols = node
+        self._edge_cols = edge
+        # Each field by name too, as the CSR parity tests read them.
+        self._node_slot, self._node_off, self._node_idx, self._node_t = node
+        self._edge_slot, self._edge_off, self._edge_idx, self._edge_t = edge
 
-    def node_events_between(self, node: int, t_lo: float, t_hi: float) -> list[int]:
-        lo, hi = self._node_range(node)
-        a = bisect.bisect_right(self._node_t, t_lo, lo, hi)
-        b = bisect.bisect_right(self._node_t, t_hi, lo, hi)
-        out = self._node_idx[a:b].tolist()
-        if self._tail:
-            times = self._tail_node_times.get(node)
-            if times:
-                idxs = self._tail_node_events[node]
-                a = bisect.bisect_right(times, t_lo)
-                b = bisect.bisect_right(times, t_hi)
-                out.extend(idxs[a:b])
-        return out
+    def _node_columns(self) -> tuple:
+        return self._node_cols
 
-    @staticmethod
-    def _tail_window(
-        times: list[float] | None, idxs: list[int] | None, t_lo: float, t_hi: float
-    ) -> list[int]:
-        if not times:
-            return []
-        a = bisect.bisect_left(times, t_lo)
-        b = bisect.bisect_right(times, t_hi)
-        return idxs[a:b]
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def append(self, event: Event) -> int:
-        ev = self._check_appendable(event)
-        idx = self._m + len(self._tail)
-        self._tail.append(ev)
-        for node in (ev.u, ev.v):
-            self._tail_node_events.setdefault(node, []).append(idx)
-            self._tail_node_times.setdefault(node, []).append(ev.t)
-        self._tail_edge_events.setdefault(ev.edge, []).append(idx)
-        self._tail_edge_times.setdefault(ev.edge, []).append(ev.t)
-        self._invalidate_views()
-        if len(self._tail) >= self.compact_threshold:
-            self.compact()
-        return idx
+    def _edge_columns(self) -> tuple:
+        return self._edge_cols
 
     def compact(self) -> None:
         """Fold tail appends into the flat columns (one vectorized rebuild)."""

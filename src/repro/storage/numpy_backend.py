@@ -6,15 +6,15 @@ Layout
 The event stream lives in three contiguous ``ndarray`` columns — ``u`` and
 ``v`` as int64, ``t`` as float64 — and the per-node / per-edge indices are
 CSR-style: one flat int64 array of event indices grouped by node (edge)
-slot plus an offsets array mapping each slot to its ``[start, end)`` range.
-Because the global event order is the time order, the event indices inside
-one slot are *strictly increasing*, so every window query reduces to pure
-index arithmetic:
-
-1. two ``np.searchsorted`` probes over the global timestamp column turn the
-   time window into a half-open global index range ``[L, R)``, and
-2. two more probes over the slot's index segment count/slice the events of
-   that node (edge) falling inside ``[L, R)``.
+slot, a parallel float64 array of their timestamps, and an offsets array
+mapping each slot to its ``[start, end)`` range.  The views, the scalar
+window queries and the append tail are the column-store core's
+(:class:`~repro.storage.columns.ColumnStore`, shared with the columnar
+backend): it reads the columns and the CSR arrays through ``memoryview`` s
+cached beside them, so a scalar window query is two :mod:`bisect` calls
+over one slot's range of the flat timestamp array — the index
+``np.searchsorted`` returns, at a fraction of a NumPy call's overhead, on
+in-memory arrays and read-only mmap pages alike.
 
 The engine's block lane answers *many* window probes at once with a
 constant number of vectorized ``searchsorted`` calls: the node CSR that
@@ -50,9 +50,10 @@ with ``np.load(..., mmap_mode="r")`` by default: the three column pages at
 load, the index pages on first index use, so a multi-million-event stream
 is queryable without materializing anything beyond the touched pages, and
 a slice or a time bisect never maps the index at all.  Appends after a
-load land in a small tail delta (the columns — possibly read-only maps —
-are never written); compaction folds the tail into fresh in-memory arrays
-and forgets the index pages, which no longer describe them.
+load land in the core's tail (the columns — possibly read-only maps —
+are never written); :meth:`NumpyStorage.compact` concatenates the tail
+onto fresh in-memory columns and forgets the index pages, which no
+longer describe them.
 
 Node ids must fit in int64; anything wider raises at construction (use the
 ``"list"`` backend for exotic ids).
@@ -60,17 +61,16 @@ Node ids must fit in int64; anything wider raises at construction (use the
 
 from __future__ import annotations
 
-import bisect
 import json
 import os
 import time
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 import repro.obs as _obs
 from repro.core.events import Event, validate_events
 from repro.obs import labeled
-from repro.storage.base import GraphStorage
+from repro.storage.columns import ColumnStore
 
 try:  # The whole backend requires NumPy; registration is gated on this.
     import numpy as np
@@ -108,7 +108,7 @@ def available() -> bool:
     return np is not None
 
 
-class NumpyStorage(GraphStorage):
+class NumpyStorage(ColumnStore):
     """Contiguous-``ndarray`` event store with vectorized window kernels.
 
     ``NumpyStorage(events)`` validates like every backend (the errors of
@@ -120,9 +120,6 @@ class NumpyStorage(GraphStorage):
     """
 
     backend_name = "numpy"
-
-    #: Tail appends tolerated before the columns are rebuilt in one pass.
-    compact_threshold = 4096
 
     def __init__(self, events: Iterable[Event] = (), *, presorted: bool = False) -> None:
         if np is None:  # pragma: no cover - exercised only without numpy
@@ -165,17 +162,20 @@ class NumpyStorage(GraphStorage):
         self._v = v
         self._t = t
         self._m = len(t)
+        # What the column-store core reads: the columns as Python numbers.
+        self._col_u, self._col_v, self._col_t = map(memoryview, (u, v, t))
         # Page directory whose index pages describe these columns, mapped
         # on first index use (see load_pages); new columns forget it.
         self._index_dir: str | None = None
         # Lazy CSR indices: (slot dict, offsets, flat indices).
         self._node_csr: tuple | None = None
         self._edge_csr: tuple | None = None
-        # Lazy flat timestamp arrays parallel to the CSR index arrays
-        # (scalar window queries probe these directly: two searchsorted
-        # calls per query instead of four).
+        # Lazy flat timestamp arrays parallel to the CSR index arrays.
         self._node_t: Any | None = None
         self._edge_t: Any | None = None
+        # Lazy (slot, off, idx, times) memoryview tuples the core bisects.
+        self._node_cols: tuple | None = None
+        self._edge_cols: tuple | None = None
         # Lazy banded copy of the node CSR (the block lane's probe array).
         self._node_banded: Any | None = None
         # Lazy sorted node-id array (vectorized node -> slot resolution).
@@ -184,21 +184,19 @@ class NumpyStorage(GraphStorage):
         self._edge_adjacent: tuple | None = None
         # Lazy per-event-side previous/next event of the same node.
         self._node_adjacent: tuple | None = None
-        # Tail delta for appends (mirrors the columnar backend's layout).
-        self._tail: list[Event] = []
-        self._tail_node_events: dict[int, list[int]] = {}
-        self._tail_node_times: dict[int, list[float]] = {}
-        self._tail_edge_events: dict[tuple[int, int], list[int]] = {}
-        self._tail_edge_times: dict[tuple[int, int], list[float]] = {}
-        self._invalidate_views()
+        self._clear_tail()
 
-    def _invalidate_views(self) -> None:
-        self._events_cache: tuple[Event, ...] | None = None
-        self._times_cache: list[float] | None = None
-        self._node_events_cache: dict[int, list[int]] | None = None
-        self._node_times_cache: dict[int, list[float]] | None = None
-        self._edge_events_cache: dict[tuple[int, int], list[int]] | None = None
-        self._edge_times_cache: dict[tuple[int, int], list[float]] | None = None
+    def __getstate__(self) -> dict:
+        # memoryviews do not pickle: ship the arrays, view them anew on arrival.
+        state = self.__dict__.copy()
+        for name in ("_col_u", "_col_v", "_col_t", "_node_cols", "_edge_cols"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._col_u, self._col_v, self._col_t = map(memoryview, (self._u, self._v, self._t))
+        self._node_cols = self._edge_cols = None
 
     # ------------------------------------------------------------------
     # lazy CSR indices
@@ -309,263 +307,17 @@ class NumpyStorage(GraphStorage):
             )
         return self._edge_csr
 
-    def _node_segment(self, node: int):
-        slot, off, idx = self._node_index()
-        s = slot.get(node)
-        if s is None:
-            return idx[:0]
-        return idx[off[s] : off[s + 1]]
-
-    def _node_span(self, node: int) -> tuple[int, int]:
-        """The node's ``[start, end)`` range in the flat CSR arrays."""
-        slot, off, _idx = self._node_index()
-        s = slot.get(node)
-        if s is None:
-            return (0, 0)
-        return int(off[s]), int(off[s + 1])
-
-    def _edge_span(self, edge: tuple[int, int]) -> tuple[int, int]:
-        """The edge's ``[start, end)`` range in the flat CSR arrays."""
-        slot, off, _idx = self._edge_index()
-        s = slot.get(edge)
-        if s is None:
-            return (0, 0)
-        return int(off[s]), int(off[s + 1])
-
-    # ------------------------------------------------------------------
-    # global window -> index-range translation
-    # ------------------------------------------------------------------
-    def _closed_range(self, t_lo: float, t_hi: float) -> tuple[int, int]:
-        """Global index range ``[L, R)`` of events with ``t_lo <= t <= t_hi``."""
-        t = self._t
-        return (
-            int(np.searchsorted(t, t_lo, side="left")),
-            int(np.searchsorted(t, t_hi, side="right")),
-        )
-
-    # ------------------------------------------------------------------
-    # materialized views
-    # ------------------------------------------------------------------
-    @property
-    def events(self) -> tuple[Event, ...]:
-        if self._events_cache is None:
-            main = tuple(
-                map(Event, self._u.tolist(), self._v.tolist(), self._t.tolist())
-            )
-            self._events_cache = main + tuple(self._tail) if self._tail else main
-        return self._events_cache
-
-    @property
-    def times(self) -> list[float]:
-        if self._times_cache is None:
-            times = self._t.tolist()
-            times.extend(ev.t for ev in self._tail)
-            self._times_cache = times
-        return self._times_cache
-
-    @property
-    def node_events(self) -> dict[int, list[int]]:
-        if self._node_events_cache is None:
+    def _node_columns(self) -> tuple:
+        if self._node_cols is None:
             slot, off, idx = self._node_index()
-            out = {
-                node: idx[off[s] : off[s + 1]].tolist() for node, s in slot.items()
-            }
-            for node, idxs in self._tail_node_events.items():
-                out.setdefault(node, []).extend(idxs)
-            self._node_events_cache = out
-        return self._node_events_cache
+            self._node_cols = (slot, *map(memoryview, (off, idx, self._node_times_flat())))
+        return self._node_cols
 
-    @property
-    def node_times(self) -> dict[int, list[float]]:
-        if self._node_times_cache is None:
-            times = self.times
-            self._node_times_cache = {
-                node: [times[i] for i in idxs]
-                for node, idxs in self.node_events.items()
-            }
-        return self._node_times_cache
-
-    @property
-    def edge_events(self) -> dict[tuple[int, int], list[int]]:
-        if self._edge_events_cache is None:
+    def _edge_columns(self) -> tuple:
+        if self._edge_cols is None:
             slot, off, idx = self._edge_index()
-            out = {
-                edge: idx[off[s] : off[s + 1]].tolist() for edge, s in slot.items()
-            }
-            for edge, idxs in self._tail_edge_events.items():
-                out.setdefault(edge, []).extend(idxs)
-            self._edge_events_cache = out
-        return self._edge_events_cache
-
-    @property
-    def edge_times(self) -> dict[tuple[int, int], list[float]]:
-        if self._edge_times_cache is None:
-            times = self.times
-            self._edge_times_cache = {
-                edge: [times[i] for i in idxs]
-                for edge, idxs in self.edge_events.items()
-            }
-        return self._edge_times_cache
-
-    # ------------------------------------------------------------------
-    # scalar views (avoid materializing the dict caches)
-    # ------------------------------------------------------------------
-    @property
-    def nodes(self) -> set[int]:
-        slot = self._node_index()[0]
-        out = set(slot)
-        out.update(self._tail_node_events)
-        return out
-
-    @property
-    def num_nodes(self) -> int:
-        slot = self._node_index()[0]
-        extra = sum(1 for n in self._tail_node_events if n not in slot)
-        return len(slot) + extra
-
-    @property
-    def num_edges(self) -> int:
-        slot = self._edge_index()[0]
-        extra = sum(1 for e in self._tail_edge_events if e not in slot)
-        return len(slot) + extra
-
-    @property
-    def start_time(self) -> float | None:
-        if self._m:
-            return float(self._t[0])
-        return self._tail[0].t if self._tail else None
-
-    @property
-    def end_time(self) -> float | None:
-        if self._tail:
-            return self._tail[-1].t
-        return float(self._t[-1]) if self._m else None
-
-    def __len__(self) -> int:
-        return self._m + len(self._tail)
-
-    def event_at(self, idx: int) -> Event:
-        """O(1) event lookup straight from the columns (or the tail)."""
-        if idx < 0:
-            idx += len(self)
-        if idx >= self._m:
-            return self._tail[idx - self._m]
-        if self._events_cache is not None:
-            return self._events_cache[idx]
-        return Event(self._u.item(idx), self._v.item(idx), self._t.item(idx))
-
-    def iter_uvt(self) -> Iterator[tuple[int, int, float]]:
-        yield from zip(self._u.tolist(), self._v.tolist(), self._t.tolist())
-        for ev in self._tail:
-            yield (ev.u, ev.v, ev.t)
-
-    # ------------------------------------------------------------------
-    # shard-planning seams (column-native: no ``times`` list needed)
-    # ------------------------------------------------------------------
-    def time_at(self, idx: int) -> float:
-        if idx < 0:
-            idx += len(self)
-        if idx >= self._m:
-            return self._tail[idx - self._m].t
-        return float(self._t[idx])
-
-    def bisect_time_left(self, t: float) -> int:
-        lo = int(np.searchsorted(self._t, t, side="left"))
-        if lo == self._m and self._tail:
-            lo += bisect.bisect_left([ev.t for ev in self._tail], t)
-        return lo
-
-    def bisect_time_right(self, t: float) -> int:
-        hi = int(np.searchsorted(self._t, t, side="right"))
-        if hi == self._m and self._tail:
-            hi += bisect.bisect_right([ev.t for ev in self._tail], t)
-        return hi
-
-    # ------------------------------------------------------------------
-    # point lookups
-    # ------------------------------------------------------------------
-    def node_event_indices(self, node: int) -> list[int]:
-        out = self._node_segment(node).tolist()
-        tail = self._tail_node_events.get(node)
-        if tail:
-            out.extend(tail)
-        return out
-
-    # ------------------------------------------------------------------
-    # windowed queries (scalar)
-    # ------------------------------------------------------------------
-    def _node_window(
-        self, node: int, t_lo: float, t_hi: float, lo_side: str
-    ) -> tuple[int, int]:
-        """Flat-array range of the node's events in the time window."""
-        lo_p, hi_p = self._node_span(node)
-        if lo_p == hi_p:
-            return (0, 0)
-        seg_t = self._node_times_flat()[lo_p:hi_p]
-        a = lo_p + int(seg_t.searchsorted(t_lo, side=lo_side))
-        b = lo_p + int(seg_t.searchsorted(t_hi, side="right"))
-        return (a, b)
-
-    def node_events_in(self, node: int, t_lo: float, t_hi: float) -> list[int]:
-        a, b = self._node_window(node, t_lo, t_hi, "left")
-        out = self._node_index()[2][a:b].tolist()
-        if self._tail:
-            out.extend(
-                self._tail_window(
-                    self._tail_node_times.get(node),
-                    self._tail_node_events.get(node),
-                    t_lo,
-                    t_hi,
-                )
-            )
-        return out
-
-    def count_node_events_in(self, node: int, t_lo: float, t_hi: float) -> int:
-        a, b = self._node_window(node, t_lo, t_hi, "left")
-        n = b - a
-        if self._tail:
-            times = self._tail_node_times.get(node)
-            if times:
-                n += bisect.bisect_right(times, t_hi) - bisect.bisect_left(times, t_lo)
-        return n
-
-    def count_edge_events_in(
-        self, edge: tuple[int, int], t_lo: float, t_hi: float
-    ) -> int:
-        lo_p, hi_p = self._edge_span(edge)
-        n = 0
-        if lo_p != hi_p:
-            seg_t = self._edge_times_flat()[lo_p:hi_p]
-            n = int(seg_t.searchsorted(t_hi, side="right")) - int(
-                seg_t.searchsorted(t_lo, side="left")
-            )
-        if self._tail:
-            times = self._tail_edge_times.get(edge)
-            if times:
-                n += bisect.bisect_right(times, t_hi) - bisect.bisect_left(times, t_lo)
-        return n
-
-    def node_events_between(self, node: int, t_lo: float, t_hi: float) -> list[int]:
-        a, b = self._node_window(node, t_lo, t_hi, "right")
-        out = self._node_index()[2][a:b].tolist()
-        if self._tail:
-            times = self._tail_node_times.get(node)
-            if times:
-                idxs = self._tail_node_events[node]
-                a = bisect.bisect_right(times, t_lo)
-                b = bisect.bisect_right(times, t_hi)
-                out.extend(idxs[a:b])
-        return out
-
-    @staticmethod
-    def _tail_window(
-        times: list[float] | None, idxs: list[int] | None, t_lo: float, t_hi: float
-    ) -> list[int]:
-        if not times:
-            return []
-        a = bisect.bisect_left(times, t_lo)
-        b = bisect.bisect_right(times, t_hi)
-        return idxs[a:b]
+            self._edge_cols = (slot, *map(memoryview, (off, idx, self._edge_times_flat())))
+        return self._edge_cols
 
     # ------------------------------------------------------------------
     # kernel arrays
@@ -682,8 +434,7 @@ class NumpyStorage(GraphStorage):
             rec.inc("storage.slice_time.calls")
         if self._tail:
             self.compact()
-        lo, hi = self._closed_range(t_lo, t_hi)
-        return self.slice_range(lo, hi)
+        return self.slice_range(self.bisect_time_left(t_lo), self.bisect_time_right(t_hi))
 
     def slice_range(self, lo: int, hi: int) -> "NumpyStorage":
         """A new storage over ``events[lo:hi]`` as zero-copy column views."""
@@ -716,20 +467,6 @@ class NumpyStorage(GraphStorage):
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def append(self, event: Event) -> int:
-        ev = self._check_appendable(event)
-        idx = self._m + len(self._tail)
-        self._tail.append(ev)
-        for node in (ev.u, ev.v):
-            self._tail_node_events.setdefault(node, []).append(idx)
-            self._tail_node_times.setdefault(node, []).append(ev.t)
-        self._tail_edge_events.setdefault(ev.edge, []).append(idx)
-        self._tail_edge_times.setdefault(ev.edge, []).append(ev.t)
-        self._invalidate_views()
-        if len(self._tail) >= self.compact_threshold:
-            self.compact()
-        return idx
-
     def compact(self) -> None:
         """Fold tail appends into fresh in-memory columns.
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.events import Event
 from repro.core.temporal_graph import TemporalGraph
-from repro.storage import available_backends, get_backend
+from repro.storage import ListStorage, available_backends, get_backend
 
 # Only appendable engines are under contract here; read-only views
 # (the partitioned directory backend) opt out via supports_append.
@@ -144,15 +144,45 @@ def test_fuzz_append_tail_queries(backend, base, tail):
         t += dt
         base_events.append(Event(u, v, t))
     base_events.sort(key=lambda e: (e.t, e.u, e.v))
-    storage = get_backend(backend).from_events(base_events)
     t = base_events[-1].t if base_events else 0.0
     appended = []
     for u, v, dt in tail:
         t += dt
         appended.append(Event(u, v, t))
-        storage.append(Event(u, v, t))
     oracle = get_backend("list").from_events(base_events + appended)
-    _assert_query_parity(storage, oracle)
+    cls = get_backend(backend)
+    # Once as configured, once with appends crossing compactions.
+    for threshold in (None, 3) if hasattr(cls, "compact_threshold") else (None,):
+        with pytest.MonkeyPatch.context() as patch:
+            if threshold is not None:
+                patch.setattr(cls, "compact_threshold", threshold)
+            storage = cls.from_events(base_events)
+            arrival = ListStorage.from_events(base_events)
+            for ev in appended:
+                storage.append(ev)
+                arrival.append(ev)
+            _assert_arrival_parity(storage, arrival)
+            _assert_query_parity(storage, oracle)
+
+
+def _assert_arrival_parity(storage, ref):
+    """Point lookups, scalars and views equal those of ``ref``, a list
+    storage fed the same appends: same indices, same key order."""
+    n = len(ref)
+    assert len(storage) == n
+    assert [storage.event_at(i) for i in range(-n, n)] == [
+        ref.event_at(i) for i in range(-n, n)
+    ]
+    assert [storage.time_at(i) for i in range(-n, n)] == [
+        ref.time_at(i) for i in range(-n, n)
+    ]
+    assert list(storage.iter_uvt()) == list(ref.iter_uvt())
+    assert (storage.start_time, storage.end_time) == (ref.start_time, ref.end_time)
+    assert (storage.num_nodes, storage.num_edges) == (ref.num_nodes, ref.num_edges)
+    for view in ("node_events", "node_times", "edge_events", "edge_times"):
+        got, want = getattr(storage, view), getattr(ref, view)
+        assert got == want, view
+        assert list(got) == list(want), view
 
 
 # ----------------------------------------------------------------------

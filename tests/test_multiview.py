@@ -880,3 +880,19 @@ def test_push_many_takes_the_per_event_path_when_the_lane_cannot_serve(monkeypat
     assert by_name.push_many(named) == want
     assert len(calls) == 1
     assert _ordered(by_name.counts("all")) == _ordered(one_by_one.counts("all"))
+
+    # Nanosecond epochs: float64 steps by 256 there, so a float64 lane
+    # column would merge and reorder times 100 ns apart.
+    epoch = 1_700_000_000_000_000_000
+    nanos = [Event(i % 4, (i + 1) % 4, epoch + 100 * i) for i in range(200)]
+    ns_constraints = TimingConstraints(delta_c=1000, delta_w=3000)
+    batched, single = (
+        MultiViewCensus(3, ns_constraints, 3000, max_nodes=3, backend="list")
+        for _ in range(2)
+    )
+    batched.add_view("all", 3000)
+    single.add_view("all", 3000)
+    want = [inst for ev in nanos for inst in single.push(ev)]
+    assert batched.push_many(nanos) == want
+    assert len(calls) == 1
+    assert _ordered(batched.counts("all")) == _ordered(single.counts("all"))

@@ -13,7 +13,9 @@ suite covers the two pure-Python backends and skips the rest.
 
 from __future__ import annotations
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -35,11 +37,13 @@ from repro.storage import (
     ENV_VAR,
     GraphStorage,
     ListStorage,
+    NumpyStorage,
     available_backends,
     get_backend,
     make_storage,
     register_backend,
 )
+from repro.storage.columns import ColumnStore
 
 BACKENDS = tuple(
     name for name in ("list", "columnar", "numpy") if name in available_backends()
@@ -148,6 +152,17 @@ class TestRegistry:
             "c = run_census(g, n_events=3, constraints=TimingConstraints.only_w(60),\n"
             "               predicate=satisfies_consecutive_events)\n"
             "print(dict(c.code_counts))\n"
+            # Columnar and its column-store core answer NumPy-free, with a
+            # compaction crossed and a tail pending.
+            "g = TemporalGraph.from_tuples([(0, 1, 10), (1, 2, 20), (0, 2, 25)],\n"
+            "                              backend='columnar')\n"
+            "s = g.storage\n"
+            "s.compact_threshold = 3\n"
+            "g.extend([(2, 0, 30), (0, 1, 31), (1, 2, 40), (2, 3, 41)])\n"
+            "print(len(s._tail), s.count_node_events_in(0, 20, 31),\n"
+            "      s.node_events_in(1, 10, 40), s.bisect_time_left(31))\n"
+            "c = run_census(g, n_events=3, constraints=TimingConstraints.only_w(11))\n"
+            "print(dict(c.code_counts))\n"
         )
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
@@ -165,6 +180,10 @@ class TestRegistry:
             # Without the restriction the census would also hold the
             # triangle, which (0, 3, 22) interrupts at node 0.
             "{'010203': 1, '011203': 1}",
+            # A one-event tail; the list backend gives the same answers.
+            "1 3 [0, 1, 4, 5] 4",
+            "{'011220': 2, '012112': 1, '012120': 1, '011002': 1, '012003': 1, "
+            "'011203': 1, '011223': 1}",
         ]
 
 
@@ -190,6 +209,45 @@ CONTRACT = {
 
 def test_abstract_contract_is_thirteen_members():
     assert GraphStorage.__abstractmethods__ == CONTRACT
+
+
+#: What the column-store core writes once for both column backends: the
+#: append tail, the views, the point lookups and the window queries.
+CORE = {
+    "compact_threshold",
+    "_clear_tail",
+    "_invalidate_views",
+    "append",
+    "__len__",
+    "events",
+    "times",
+    "node_events",
+    "node_times",
+    "edge_events",
+    "edge_times",
+    "nodes",
+    "num_nodes",
+    "num_edges",
+    "start_time",
+    "end_time",
+    "event_at",
+    "iter_uvt",
+    "time_at",
+    "bisect_time_left",
+    "bisect_time_right",
+    "node_event_indices",
+    "node_events_in",
+    "count_node_events_in",
+    "count_edge_events_in",
+    "node_events_between",
+}
+
+
+def test_column_backends_keep_no_copy_of_the_core():
+    assert CORE <= set(vars(ColumnStore))
+    for cls in (NumpyStorage, ColumnarStorage):
+        assert issubclass(cls, ColumnStore)
+        assert not CORE & set(vars(cls)), cls.__name__
 
 
 class TestContract:
@@ -300,6 +358,14 @@ class TestContract:
         assert storage.event_at(-1) == storage.events[-1]
         storage.append(Event(7, 8, 99))
         assert storage.event_at(len(storage) - 1) == Event(7, 8, 99)
+
+    def test_pickles_with_indexes_built_and_a_tail(self, storage):
+        storage.count_node_events_in(0, 0, 100)
+        storage.append(Event(3, 0, 41))
+        for clone in (pickle.loads(pickle.dumps(storage)), copy.deepcopy(storage)):
+            assert clone.to_events() == storage.to_events()
+            assert clone.node_events_in(0, 0, 100) == [0, 2, 4, 5]
+            assert clone.count_edge_events_in((0, 1), 10, 30) == 2
 
     def test_append_rejects_loops_and_negatives(self, storage):
         with pytest.raises(ValueError):
