@@ -7,9 +7,9 @@ arrival.  This benchmark times both sides on the same generated stream,
 per storage backend:
 
 * **online_replay** — push the whole stream through
-  :class:`~repro.online.OnlineCensus` (auto-pruned), total seconds; the
-  comparison table divides by the event count for the amortized per-event
-  cost;
+  :class:`~repro.online.OnlineCensus` (auto-pruned), total seconds, the
+  median of several replays; the comparison table divides by the event
+  count for the amortized per-event cost;
 * **batch_recount** — one ``run_census`` over the trailing W-window
   slice, the median of several timings at each of several checkpoints
   spread along the stream, averaged over the checkpoints: the cost a
@@ -59,6 +59,9 @@ RECOUNT_POINTS = 5
 #: Each checkpoint's recount is timed this many times; the median counts.
 RECOUNT_REPEATS = 5
 
+#: The stream is replayed this many times per backend; the median counts.
+REPLAY_REPEATS = 3
+
 #: Minimum per-event speedup of the online engine over a batch recount.
 TARGET_SPEEDUP = 10.0
 
@@ -70,6 +73,27 @@ def _replay(events, backend: str) -> OnlineCensus:
     for event in events:
         engine.push(event)
     return engine
+
+
+def _replay_seconds(events, backend: str, batch) -> float:
+    """Median seconds of :data:`REPLAY_REPEATS` replays, each parity-checked.
+
+    One replay of the default stream takes about a second and has
+    swung by half its time between runs of the same code, so each
+    replay starts from a fresh ``gc.collect()`` and the median counts.
+    Every replay's final window must equal ``batch``, the batch recount
+    of that window, bit-for-bit.
+    """
+    runs = []
+    for _ in range(REPLAY_REPEATS):
+        gc.collect()
+        started = time.perf_counter()
+        engine = _replay(events, backend)
+        runs.append(time.perf_counter() - started)
+        online = engine.census()
+        assert online.code_counts == batch.code_counts, f"{backend}: parity broken"
+        assert online.total == batch.total
+    return statistics.median(runs)
 
 
 def _recount_checkpoints(graph: TemporalGraph) -> list[float]:
@@ -95,25 +119,16 @@ def _recount_checkpoints(graph: TemporalGraph) -> list[float]:
 
 
 def compare(n_events: int = STREAM_CONFIG.n_events) -> dict[str, dict[str, float]]:
-    """Per-backend kernel seconds (one replay, averaged recounts)."""
+    """Per-backend kernel seconds (median replay, averaged recounts)."""
     events = generate(replace(STREAM_CONFIG, n_events=n_events), seed=42).events
+    now = events[-1].t
     out: dict[str, dict[str, float]] = {}
     for backend in BACKENDS:
-        started = time.perf_counter()
-        engine = _replay(events, backend)
-        online_seconds = time.perf_counter() - started
-
         graph = TemporalGraph(events, backend=backend)
+        # Parity: every replay's final window must equal this recount.
+        batch = run_census(graph.slice(now - WINDOW, now), 3, CONSTRAINTS, max_nodes=3)
+        online_seconds = _replay_seconds(events, backend, batch)
         recounts = _recount_checkpoints(graph)
-
-        # Parity: the engine's final window must equal the last recount.
-        batch = run_census(
-            graph.slice(engine.now - WINDOW, engine.now), 3, CONSTRAINTS, max_nodes=3
-        )
-        online = engine.census()
-        assert online.code_counts == batch.code_counts, f"{backend}: parity broken"
-        assert online.total == batch.total
-
         out[backend] = {
             "online_replay": online_seconds,
             "batch_recount": sum(recounts) / len(recounts),

@@ -3,14 +3,14 @@
 One compiled :class:`ExecutionPlan` (:func:`compile_plan`) resolves the
 chained-deadline schedule and restriction shard-safety once per run.  A
 bound :class:`~repro.engine.kernels.ExtensionKernel` answers the single
-primitive every counting path shares — which events extend which
-partial instances — in two shapes: ``extend_frontier(partials, lo, hi)``
-over Partial-like records (the online engine's per-push shape), and the
-numpy kernel's array-native block lane (``grow_block(roots)``), which
-grows whole root blocks with their motif codes on every storage
-whenever NumPy imports.  :func:`run_plan` drives either in the serial
-DFS yield order; :func:`run_plan_blocks` hands the lane's blocks to
-array consumers.
+primitive every batch counting path shares — which events extend which
+partial instances — in two shapes: ``extend_frontier(partials)`` over
+Partial-like records (the generic kernel's scalar path), and the numpy
+kernel's array-native block lane (``grow_block(roots)``), which grows
+whole root blocks with their motif codes on every storage whenever
+NumPy imports.  :func:`run_plan` drives either in the serial DFS yield
+order; :func:`run_plan_blocks` hands the lane's blocks to array
+consumers.
 
 Consumers:
 
@@ -18,12 +18,14 @@ Consumers:
   driver over the plan (public API unchanged);
 * :mod:`repro.parallel.engine` ships the compiled plan to shard workers
   instead of re-deriving constraints per shard;
-* :class:`repro.online.OnlineCensus` runs its per-arrival prefix
-  admission and snapshot-restore regrow through the same kernel;
+* :class:`repro.online.MultiViewCensus` discovers a ``push_many``
+  batch through :func:`run_plan_blocks` and regrows its prefix store
+  on snapshot restore through the enumerator; a single arrival is
+  admitted against its node buckets in the online engine itself;
 * :mod:`repro.algorithms.sampling` enumerates from sampled roots
   through the plan (and the parallel engine via ``jobs=``).
 
-This is the only home of the extension-admission arithmetic; see
+This is the home of the batch extension-admission arithmetic; see
 ROADMAP.md "Execution engine contract (PR 5)" for the invariants.
 """
 

@@ -207,10 +207,9 @@ def _lane_blocks(plan, kernel, graph, roots, stats, first_block):
 def _partial_instances(plan, kernel, roots, stats, first_block) -> Iterator[Instance]:
     """The Partial-object path: each root block grown one kernel call per level."""
     storage = kernel.storage
-    m = len(storage)
     times = storage.times
     event_at = storage.event_at
-    for block in _root_blocks(range(m) if roots is None else roots, first_block):
+    for block in _root_blocks(range(len(storage)) if roots is None else roots, first_block):
         frontier = []
         for root in block:
             ev = event_at(root)
@@ -221,7 +220,7 @@ def _partial_instances(plan, kernel, roots, stats, first_block) -> Iterator[Inst
             # Next frontier in DFS pop order: parents keep their order,
             # each parent's children flip to descending (the LIFO
             # reversal).
-            frontier = kernel.next_frontier(frontier, 0, m, times)
+            frontier = kernel.next_frontier(frontier, times)
             if stats is not None:
                 stats[0].observe(stats[2], len(frontier))
             if not frontier:
@@ -229,7 +228,7 @@ def _partial_instances(plan, kernel, roots, stats, first_block) -> Iterator[Inst
         else:
             if stats is not None:
                 stats[0].observe(stats[1], len(frontier))
-            extensions = kernel.extend_frontier(frontier, 0, m, need_nodes=False)
+            extensions = kernel.extend_frontier(frontier, need_nodes=False)
             if stats is not None:
                 stats[0].observe(stats[2], len(extensions))
             for pos, idx, _nodes in extensions:

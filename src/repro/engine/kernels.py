@@ -1,18 +1,16 @@
-"""Extension kernels: the one implementation of frontier admission.
+"""Extension kernels: frontier admission for the batch engine.
 
-A kernel answers the engine's only primitive question: *which events can
-extend which partial instances?*  The contract is
-:meth:`ExtensionKernel.extend_frontier`::
+A kernel answers the batch engine's only primitive question: *which
+events of its storage can extend which partial instances?*  The contract
+is :meth:`ExtensionKernel.extend_frontier`::
 
-    extend_frontier(partials, lo, hi, need_nodes=True)
+    extend_frontier(partials, need_nodes=True)
         -> [(partial_position, event_index, new_node_tuple | None), ...]
 
 ``partials`` is any sequence of records exposing ``nodes`` (tuple of the
 partial's distinct nodes in first-appearance order), ``t_root`` and
-``t_last`` — the engine's :class:`Partial`, or the online engine's
-prefix records.  ``[lo, hi)`` bounds the candidate *event indices* (the
-full storage for a batch run; the single arriving event for the online
-engine).  A triple is emitted exactly when the event
+``t_last``, such as the engine's :class:`Partial`.  Every event of the
+storage is a candidate.  A triple is emitted exactly when the event
 
 * is adjacent to the partial (shares a node),
 * is strictly later than the partial's last event and at or before the
@@ -47,6 +45,11 @@ Two kernels, one rule (:func:`kernel_for`):
   bisection per partial, exact on every backend.  It is the reference
   the lane is tested against, and the path of runs without NumPy and of
   graphs whose node ids do not fit int64 columns.
+
+The online engine binds no kernel: an arrival meets only the prefixes
+in its endpoints' node buckets, so
+:meth:`repro.online.multiview.MultiViewCensus._push` applies the same
+timing rule and node cap to them itself.
 """
 
 from __future__ import annotations
@@ -96,14 +99,12 @@ class Partial:
 
 
 class ExtensionKernel:
-    """The generic kernel: the scalar admission arithmetic, both traversals.
+    """The generic kernel: the scalar admission arithmetic, one traversal.
 
-    Both the partial-major path (the driver's Partial-object levels) and
-    the event-major path (single arriving event, the online engine's
-    per-push shape) are shared by every kernel, so the scalar admission
-    comparisons exist exactly once per traversal direction.  Bound alone
-    (``kernel="generic"``, or no NumPy) it is the reference path, exact
-    on every storage.
+    Partial-major: each partial asks the storage for its candidate
+    events (the driver's Partial-object levels).  Every kernel inherits
+    it.  Bound alone (``kernel="generic"``, or no NumPy) it is the
+    reference path, exact on every storage.
     """
 
     kernel_name = "generic"
@@ -121,100 +122,16 @@ class ExtensionKernel:
         return self._storage
 
     def extend_frontier(
-        self,
-        partials: Sequence,
-        lo: int,
-        hi: int,
-        *,
-        need_nodes: bool = True,
+        self, partials: Sequence, *, need_nodes: bool = True
     ) -> list[Extension]:
         """All admissible ``(partial, event)`` extensions (see module doc).
 
+        Each partial asks the storage for its candidates with one
+        :meth:`~repro.storage.base.GraphStorage.adjacent_events_between`
+        bisection over its window ``(t_last, deadline]``.
         ``need_nodes=False`` skips building the updated node tuples (the
         driver's final level — completed instances never extend again).
         """
-        if hi - lo == 1:
-            return self._extend_by_event(partials, lo, need_nodes)
-        return self._extend_partialwise(partials, lo, hi, need_nodes)
-
-    def next_frontier(
-        self,
-        partials: Sequence[Partial],
-        lo: int,
-        hi: int,
-        times: Sequence[float],
-    ) -> list[Partial]:
-        """The driver's non-final level: extended partials in DFS pop order.
-
-        Semantically ``extend_frontier`` folded into new :class:`Partial`
-        records — parents keep their order, each parent's children flip
-        to descending event order (the LIFO reversal of the historical
-        DFS; see :mod:`repro.engine.driver`).
-        """
-        nxt: list[Partial] = []
-        group: list[Partial] = []
-        current = -1
-        for pos, idx, new_nodes in self.extend_frontier(partials, lo, hi):
-            if pos != current:
-                if group:
-                    group.reverse()
-                    nxt.extend(group)
-                    group = []
-                current = pos
-            parent = partials[pos]
-            group.append(
-                Partial(parent.seq + (idx,), new_nodes, parent.t_root, times[idx])
-            )
-        if group:
-            group.reverse()
-            nxt.extend(group)
-        return nxt
-
-    # ------------------------------------------------------------------
-    # event-major: one arriving event against many partials (online push)
-    # ------------------------------------------------------------------
-    def _extend_by_event(
-        self, partials: Sequence, idx: int, need_nodes: bool
-    ) -> list[Extension]:
-        ev = self._storage.event_at(idx)
-        u, v, t = ev.u, ev.v, ev.t
-        plan = self._plan
-        dc = plan.delta_c
-        dw = plan.delta_w
-        node_cap = plan.node_cap
-        out: list[Extension] = []
-        for pos, p in enumerate(partials):
-            if t <= p.t_last:
-                continue
-            if t > p.t_last + dc or t > p.t_root + dw:
-                continue
-            nodes = p.nodes
-            u_in = u in nodes
-            v_in = v in nodes
-            if not (u_in or v_in):
-                continue
-            extra = (not u_in) + (not v_in)
-            if extra and len(nodes) + extra > node_cap:
-                continue
-            if not need_nodes:
-                new_nodes = None
-            elif not extra:
-                new_nodes = nodes
-            elif u_in:
-                new_nodes = nodes + (v,)
-            elif v_in:
-                new_nodes = nodes + (u,)
-            else:
-                new_nodes = nodes + (u, v)
-            out.append((pos, idx, new_nodes))
-        return out
-
-    # ------------------------------------------------------------------
-    # partial-major: each partial asks the storage for its candidates
-    # ------------------------------------------------------------------
-    def _extend_partialwise(
-        self, partials: Sequence, lo: int, hi: int, need_nodes: bool
-    ) -> list[Extension]:
         storage = self._storage
         events = storage.events
         adjacent = storage.adjacent_events_between
@@ -222,7 +139,6 @@ class ExtensionKernel:
         dc = plan.delta_c
         dw = plan.delta_w
         node_cap = plan.node_cap
-        bounded = lo > 0 or hi < len(events)
         out: list[Extension] = []
         for pos, p in enumerate(partials):
             t_last = p.t_last
@@ -230,8 +146,6 @@ class ExtensionKernel:
             if deadline <= t_last:
                 continue
             for idx in adjacent(p.nodes, t_last, deadline):
-                if bounded and not lo <= idx < hi:
-                    continue
                 ev = events[idx]
                 u = ev.u
                 v = ev.v
@@ -253,6 +167,35 @@ class ExtensionKernel:
                     new_nodes = nodes + (u, v)
                 out.append((pos, idx, new_nodes))
         return out
+
+    def next_frontier(
+        self, partials: Sequence[Partial], times: Sequence[float]
+    ) -> list[Partial]:
+        """The driver's non-final level: extended partials in DFS pop order.
+
+        Semantically ``extend_frontier`` folded into new :class:`Partial`
+        records — parents keep their order, each parent's children flip
+        to descending event order (the LIFO reversal of the historical
+        DFS; see :mod:`repro.engine.driver`).
+        """
+        nxt: list[Partial] = []
+        group: list[Partial] = []
+        current = -1
+        for pos, idx, new_nodes in self.extend_frontier(partials):
+            if pos != current:
+                if group:
+                    group.reverse()
+                    nxt.extend(group)
+                    group = []
+                current = pos
+            parent = partials[pos]
+            group.append(
+                Partial(parent.seq + (idx,), new_nodes, parent.t_root, times[idx])
+            )
+        if group:
+            group.reverse()
+            nxt.extend(group)
+        return nxt
 
 
 #: Largest motif whose block-lane code fits an int64: the code packs two
@@ -281,9 +224,9 @@ class NumpyExtensionKernel(ExtensionKernel):
     per-event tables built once per run and keeps a whole root block in
     arrays from its roots to its completed instances and their motif
     codes.  The per-partial contract (``extend_frontier`` /
-    ``next_frontier``) is the inherited scalar code: the online engine
-    calls it one arriving event at a time, and the driver only when a
-    graph's node ids do not fit the lane's int64 columns.
+    ``next_frontier``) is the inherited scalar code, which the driver
+    calls only when a graph's node ids do not fit the lane's int64
+    columns.
     """
 
     kernel_name = "numpy"
@@ -317,11 +260,10 @@ class NumpyExtensionKernel(ExtensionKernel):
         partial's window ``(t_last, min(t_last + ΔC, t_root + ΔW)]`` is
         exactly ``[lo[last], min(hi_c[last], hi_w[root]))``.
 
-        The arrays come from :func:`lane_arrays`, built here and not at
-        bind time: the online engine binds a kernel on every prune and
-        never runs the lane.  ``False`` (node ids that do not fit int64
-        columns) routes the driver to the Partial-object path, which
-        runs the generic kernel's scalar code.
+        The arrays come from :func:`lane_arrays`.  ``False`` (node ids
+        that do not fit int64 columns) routes the driver to the
+        Partial-object path, which runs the generic kernel's scalar
+        code.
         """
         arrays = lane_arrays(self._storage)
         if arrays is None:

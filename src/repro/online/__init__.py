@@ -15,12 +15,12 @@ each event arrives instead of re-running
   activity, never history; instances whose anchor event slides out of
   the window retire through a monotone expiry heap.
 * :class:`~repro.online.multiview.MultiViewCensus` — the multi-view
-  generalization: one shared core (graph tail, prefix store, compiled
-  kernel, discovery ledger) fans each ``push`` into many registered
-  views — heterogeneous window lengths, node-set slices, restriction
-  predicates — each owning only counters and an anchor-keyed expiry
-  heap, with ``add_view``/``drop_view`` live on a running stream and
-  per-view degradation to the sampling estimators under load.
+  generalization: one shared core (graph tail, prefix store, discovery
+  ledger) fans each ``push`` into many registered views — heterogeneous
+  window lengths, node-set slices, restriction predicates — each owning
+  only counters and an anchor-keyed expiry heap, with
+  ``add_view``/``drop_view`` live on a running stream and per-view
+  degradation to the sampling estimators under load.
   :class:`OnlineCensus` is its single-view facade.
 * :mod:`~repro.online.checkpoint` — page-directory checkpoints
   (:meth:`OnlineCensus.snapshot` / :meth:`OnlineCensus.restore`) built on

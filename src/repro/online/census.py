@@ -46,13 +46,14 @@ candidate seam — over the retained tail.
 
 Window-edge conventions mirror the rest of the library: the trailing
 window is closed (an anchor at exactly ``now - W`` is still counted,
-matching ``slice_time``'s ``bisect_left``), extension admission runs
-through the execution engine's kernel
-(:meth:`repro.engine.kernels.ExtensionKernel.extend_frontier` — the
-batch enumerator's own deadline arithmetic, in its only
-implementation), and the store's bucket prefilters are widened by the
-same ulp slack the parallel engine's shard planner uses, so
-floating-point never loses an instance at a boundary.
+matching ``slice_time``'s ``bisect_left``), an arrival extends a
+prefix when it is strictly later than the prefix's last event and at
+or before ``min(t_last + ΔC, t_root + ΔW)`` — the two sums and min of
+:meth:`~repro.core.constraints.TimingConstraints.next_event_deadline`,
+as the batch enumerator computes them — and the store's bucket
+prefilters are widened by the same ulp slack the parallel engine's
+shard planner uses, so floating-point never loses an instance at a
+boundary.
 """
 
 from __future__ import annotations

@@ -164,7 +164,6 @@ def load_checkpoint(
             name=loaded.name,
         )
     mv._graph = loaded
-    mv._bind_kernel()
     mv._offset = state["offset"]
     # The last event's time is the clock at the snapshot: a resumed push
     # at that same time is a timestamp tie.

@@ -10,8 +10,9 @@ shared by every view:
 * the node-bucketed **prefix store** of live partial instances
   (:class:`_PrefixStore`, defined here; each prefix carries its motif
   code, grown one digit pair per event, so a completion's code is
-  already known when it is counted),
-* the compiled **plan/kernel** pair from :mod:`repro.engine`, and
+  already known when it is counted; an arrival extends the prefixes in
+  its endpoints' buckets whose chained deadline it meets, checked in
+  :meth:`MultiViewCensus._push` itself), and
 * the **ledger** — a retention-bounded min-heap of every discovered
   instance (anchor time, canonical code, node set) that lets a view
   registered mid-stream backfill its counters instead of starting cold.
@@ -376,8 +377,8 @@ class MultiViewCensus:
     -----
     Views sharing one engine must share ``(n_events, constraints,
     max_nodes)`` — those parameters shape the prefix store and the
-    compiled kernel.  Views differ in window length, node slice and
-    restriction predicate, and can be added or dropped live
+    admission of each arrival.  Views differ in window length, node
+    slice and restriction predicate, and can be added or dropped live
     (:meth:`add_view` / :meth:`drop_view`).
     """
 
@@ -410,12 +411,12 @@ class MultiViewCensus:
             for b in (constraints.delta_c, constraints.delta_w, self._retention)
             if b is not None and math.isfinite(b)
         ]
+        # ΔC and ΔW as plain floats (inf when unset), as a plan resolves
+        # them, so the admission test is two adds and three compares.
+        self._delta_c = math.inf if constraints.delta_c is None else constraints.delta_c
+        self._delta_w = math.inf if constraints.delta_w is None else constraints.delta_w
         self._prefixes = _PrefixStore(min(bounds) if bounds else math.inf)
         self._graph = TemporalGraph((), backend=backend)
-        self._plan = compile_plan(
-            n_events, constraints, None, self._graph.storage, max_nodes=max_nodes
-        )
-        self._bind_kernel()
         self._offset = 0
         self._now: float | None = None
         self._last_event_t: float | None = None
@@ -689,9 +690,67 @@ class MultiViewCensus:
         ev = event if isinstance(event, Event) else Event(*event)
         if self._now is not None and ev.t < self._now:
             raise _backward_time(ev.t, self._now)
-        local = self._graph.append(ev)
-        gidx = local + self._offset
+        gidx = self._graph.append(ev) + self._offset
         t_a = ev.t
+        u, v = ev.u, ev.v
+        k = self._n_events
+        # Completions are (seq, code, anchor time, node tuple).
+        completions: list[tuple[Instance, str | None, float, tuple]] = []
+        if k == 1:
+            completions.append(((gidx,), "01", t_a, (u, v)))
+        else:
+            core_horizon = t_a - self._retention
+            dc = self._delta_c
+            dw = self._delta_w
+            node_cap = self._node_cap
+            prefixes = self._prefixes
+            add = prefixes.add
+            # Every candidate holds u or v (the store buckets by node), so
+            # the arrival is adjacent and adds at most one node.
+            for prefix in prefixes.candidates(u, v, t_a):
+                t_last = prefix.t_last
+                t_root = prefix.t_root
+                # Strictly later, at or before min(t_last + ΔC, t_root + ΔW).
+                if t_a <= t_last or t_a > t_last + dc or t_a > t_root + dw:
+                    continue
+                if t_root < core_horizon:
+                    # Anchored before every window any view may hold:
+                    # nothing grown from this prefix can ever be counted.
+                    continue
+                nodes = prefix.nodes
+                u_in = u in nodes
+                if not (u_in and v in nodes):
+                    if len(nodes) >= node_cap:
+                        continue
+                    nodes = nodes + ((v,) if u_in else (u,))
+                seq = prefix.seq + (gidx,)
+                code = prefix.code
+                if code is not None:
+                    # Nodes are in first-appearance order, so an
+                    # endpoint's digit is its position.
+                    if len(nodes) > MAX_NOTATION_NODES:
+                        code = None
+                    else:
+                        code = code + DIGITS[nodes.index(u)] + DIGITS[nodes.index(v)]
+                if len(seq) == k:
+                    completions.append((seq, code, t_root, nodes))
+                else:
+                    add(_Prefix(seq, code, nodes, t_root, t_a))
+            # Discovery order is event-index order.  The index tuples are
+            # distinct, so the plain tuple sort never compares past them.
+            completions.sort()
+            add(_Prefix((gidx,), "01", (u, v), t_a, t_a))
+            prefixes.maybe_sweep(t_a)
+        out: list[Instance] = []
+        self._arrive(t_a, completions, out)
+        return out
+
+    def _arrive(self, t_a: float, completions, out: list) -> None:
+        """One arrival's step: the clock, expiry, its completions, the prune cadence.
+
+        :meth:`_push` and the replay of :meth:`_push_lane` take it once
+        per event, after the event is appended and its completions found.
+        """
         if t_a == self._last_event_t:
             self._note_tie()
         self._last_event_t = t_a
@@ -699,54 +758,11 @@ class MultiViewCensus:
         self._pushed += 1
         self._retire_ledger(t_a - self._retention)
         self._run_wakes(t_a)
-
-        out: list[Instance] = []
-        k = self._n_events
-        u, v = ev.u, ev.v
-        # Completions are (seq, code, anchor time, node tuple).  A code
-        # grows one digit pair per event: the kernel's node tuples are in
-        # first-appearance order, so an endpoint's digit is its position.
-        completions: list[tuple[Instance, str | None, float, tuple]] = []
-        if k == 1:
-            completions.append(((gidx,), "01", t_a, (u, v)))
-        else:
-            core_horizon = t_a - self._retention
-            prefixes = self._prefixes
-            add = prefixes.add
-            candidates = prefixes.candidates(u, v, t_a)
-            for pos, _idx, new_nodes in self._kernel.extend_frontier(
-                candidates, local, local + 1
-            ):
-                prefix = candidates[pos]
-                t_root = prefix.t_root
-                if t_root < core_horizon:
-                    # Anchored before every window any view may hold:
-                    # nothing grown from this prefix can ever be counted.
-                    continue
-                seq = prefix.seq + (gidx,)
-                code = prefix.code
-                if code is not None:
-                    if len(new_nodes) > MAX_NOTATION_NODES:
-                        code = None
-                    else:
-                        code = code + DIGITS[new_nodes.index(u)] + DIGITS[new_nodes.index(v)]
-                if len(seq) == k:
-                    completions.append((seq, code, t_root, new_nodes))
-                else:
-                    add(_Prefix(seq, code, new_nodes, t_root, t_a))
-            # Discovery order is event-index order.  The index tuples are
-            # distinct, so the plain tuple sort never compares past them.
-            completions.sort()
         if completions:
             self._count_completions(completions, t_a, out)
-        if k > 1:
-            self._prefixes.add(_Prefix((gidx,), "01", (u, v), t_a, t_a))
-            self._prefixes.maybe_sweep(t_a)
-
         self._since_prune += 1
         if self._prune_every is not None and self._since_prune >= self._prune_every:
             self.prune()
-        return out
 
     def _count_completions(self, completions, t_a: float, out: list) -> None:
         """Build ledger entries for this push's completions and fan out."""
@@ -826,6 +842,8 @@ class MultiViewCensus:
 
         Returns the total instances retired across all views.
         """
+        if now != now:
+            raise ValueError("cannot advance the clock to a NaN time")
         if self._now is not None and now < self._now:
             raise ValueError(
                 f"cannot advance backward: clock is at t={self._now}, got t={now}"
@@ -952,22 +970,8 @@ class MultiViewCensus:
             rec.observe("online.push.discover.seconds", now - start)
             start = now
         out: list[Instance] = []
-        retention = self._retention
-        prune_every = self._prune_every
         for i, ev in enumerate(batch):
-            t_a = ev.t
-            if t_a == self._last_event_t:
-                self._note_tie()
-            self._last_event_t = t_a
-            self._now = t_a
-            self._pushed += 1
-            self._retire_ledger(t_a - retention)
-            self._run_wakes(t_a)
-            if bounds[i] < bounds[i + 1]:
-                self._count_completions(completions[bounds[i] : bounds[i + 1]], t_a, out)
-            self._since_prune += 1
-            if prune_every is not None and self._since_prune >= prune_every:
-                self.prune()
+            self._arrive(ev.t, completions[bounds[i] : bounds[i + 1]], out)
         prefixes = self._prefixes
         for prefix in extensible:
             prefixes.add(prefix)
@@ -1321,13 +1325,8 @@ class MultiViewCensus:
             return 0
         rebuilt = type(storage).from_events(kept, presorted=True)
         self._graph = TemporalGraph._from_storage(rebuilt, name=self._graph.name)
-        self._bind_kernel()
         self._offset += dropped
         return dropped
-
-    def _bind_kernel(self) -> None:
-        """(Re)bind the plan's kernel to the current retained storage."""
-        self._kernel = self._plan.bind(self._graph.storage)
 
     def _rebuild_prefixes(self) -> None:
         """Regrow the prefix store from the retained tail (restore path)."""

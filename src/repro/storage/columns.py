@@ -65,6 +65,14 @@ class ColumnStore(GraphStorage):
     def _edge_columns(self) -> tuple:
         """``(slot, off, idx, times)`` of the per-edge CSR index (main columns)."""
 
+    def _node_slots(self) -> dict:
+        """The node CSR's node -> slot map, for views that read no times."""
+        return self._node_columns()[0]
+
+    def _edge_slots(self) -> dict:
+        """The edge CSR's edge -> slot map, for views that read no times."""
+        return self._edge_columns()[0]
+
     @abstractmethod
     def compact(self) -> None:
         """Fold the tail into the main columns, then call :meth:`_clear_tail`."""
@@ -136,18 +144,18 @@ class ColumnStore(GraphStorage):
     # ------------------------------------------------------------------
     @property
     def nodes(self) -> set[int]:
-        out = set(self._node_columns()[0])
+        out = set(self._node_slots())
         out.update(self._tail_node_events)
         return out
 
     @property
     def num_nodes(self) -> int:
-        slot = self._node_columns()[0]
+        slot = self._node_slots()
         return len(slot) + sum(1 for n in self._tail_node_events if n not in slot)
 
     @property
     def num_edges(self) -> int:
-        slot = self._edge_columns()[0]
+        slot = self._edge_slots()
         return len(slot) + sum(1 for e in self._tail_edge_events if e not in slot)
 
     @property

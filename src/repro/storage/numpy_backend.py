@@ -307,6 +307,12 @@ class NumpyStorage(ColumnStore):
             )
         return self._edge_csr
 
+    def _node_slots(self) -> dict:
+        return self._node_index()[0]
+
+    def _edge_slots(self) -> dict:
+        return self._edge_index()[0]
+
     def _node_columns(self) -> tuple:
         if self._node_cols is None:
             slot, off, idx = self._node_index()

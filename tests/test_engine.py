@@ -9,8 +9,7 @@ Three layers of guarantees:
 * **kernel differential** — Hypothesis suites asserting parity between
   the generic kernel (``kernel="generic"``, the lane's independent
   oracle) and the vectorized NumPy kernel's block lane, on every
-  registered storage backend, and between the partial-major and
-  event-major traversals;
+  registered storage backend;
 * **consumer bit-identity** — ``run_census`` (per backend, forced
   kernels, precompiled plans) and ``OnlineCensus`` (push-by-push against
   the batch window, through snapshot/restore) produce identical output,
@@ -215,7 +214,7 @@ class TestCompilePlan:
 
 
 # ----------------------------------------------------------------------
-# kernel differential: generic vs numpy, partial-major vs event-major
+# kernel differential: generic vs numpy, across backends
 # ----------------------------------------------------------------------
 class TestKernelParity:
     @settings(max_examples=60, deadline=None)
@@ -238,7 +237,7 @@ class TestKernelParity:
             )
             partials = _prefix_partials(graph, j, constraints, max_nodes)
             kernel = plan.bind(graph.storage)
-            result = kernel.extend_frontier(partials, 0, len(graph))
+            result = kernel.extend_frontier(partials)
             if reference is None:
                 reference = result
             else:
@@ -271,39 +270,12 @@ class TestKernelParity:
             kernel="numpy",
         ).bind(graph.storage)
         assert vectorized.kernel_name == "numpy"
-        m = len(graph)
-        assert vectorized.extend_frontier(partials, 0, m) == (
-            generic.extend_frontier(partials, 0, m)
-        )
+        assert vectorized.extend_frontier(partials) == generic.extend_frontier(partials)
         # need_nodes=False drops only the node tuples, nothing else.
-        lean = vectorized.extend_frontier(partials, 0, m, need_nodes=False)
+        lean = vectorized.extend_frontier(partials, need_nodes=False)
         assert [(p, i) for p, i, _ in lean] == [
-            (p, i) for p, i, _ in generic.extend_frontier(partials, 0, m)
+            (p, i) for p, i, _ in generic.extend_frontier(partials)
         ]
-
-    @settings(max_examples=40, deadline=None)
-    @given(event_lists(max_events=12), configs)
-    def test_event_major_agrees_with_partial_major(self, events, config):
-        n_events, delta_c, delta_w, max_nodes = config
-        if n_events < 2:
-            n_events = 2
-        constraints = _constraints(delta_c, delta_w)
-        graph = TemporalGraph(events)
-        plan = compile_plan(
-            n_events, constraints, None, graph.storage, max_nodes=max_nodes
-        )
-        partials = _prefix_partials(graph, 1, constraints, max_nodes)
-        kernel = plan.bind(graph.storage)
-        m = len(graph)
-        whole = kernel.extend_frontier(partials, 0, m)
-        # One event at a time (the online push shape): same pairs, same
-        # node tuples, grouped by event instead of by partial.
-        stitched = [
-            triple
-            for idx in range(m)
-            for triple in kernel.extend_frontier(partials, idx, idx + 1)
-        ]
-        assert sorted(stitched) == sorted(whole)
 
     @requires_numpy_backend
     @pytest.mark.parametrize("max_nodes", [1, 2])
@@ -343,10 +315,7 @@ class TestKernelParity:
         generic = compile_plan(
             3, constraints, None, graph.storage, kernel="generic"
         ).bind(graph.storage)
-        m = len(graph)
-        assert kernel.extend_frontier(partials, 0, m) == (
-            generic.extend_frontier(partials, 0, m)
-        )
+        assert kernel.extend_frontier(partials) == generic.extend_frontier(partials)
 
 
 # ----------------------------------------------------------------------
@@ -634,10 +603,10 @@ class TestEarlyTermination:
             # block's root partials.
             next_frontier = ExtensionKernel.next_frontier
 
-            def counted(self, partials, lo, hi, times):
+            def counted(self, partials, times):
                 if all(len(p.seq) == 1 for p in partials):
                     grown.append(len(partials))
-                return next_frontier(self, partials, lo, hi, times)
+                return next_frontier(self, partials, times)
 
             monkeypatch.setattr(ExtensionKernel, "next_frontier", counted)
 

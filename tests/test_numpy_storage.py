@@ -84,6 +84,17 @@ class TestColumns:
         assert np.shares_memory(other._t, storage._t)
         assert other.to_events() == storage.to_events()
 
+    def test_scalar_views_gather_no_index_times(self, storage):
+        fresh = NumpyStorage.from_arrays(storage._u, storage._v, storage._t)
+        reference = ListStorage.from_events(storage.to_events())
+        assert fresh.nodes == reference.nodes
+        assert fresh.num_nodes == reference.num_nodes
+        assert fresh.num_edges == reference.num_edges
+        # Node and edge counts read the slot maps only: the timestamps
+        # parallel to each CSR index are gathered by the first window query.
+        assert fresh._node_t is None
+        assert fresh._edge_t is None
+
     def test_slice_time_and_range_are_views(self, storage):
         t0, t1 = storage.start_time, storage.end_time
         sliced = storage.slice_time(t0, (t0 + t1) / 2)

@@ -61,7 +61,7 @@ configs = st.tuples(
     st.sampled_from([2.0, 4.0, None]),                  # delta_c
     st.sampled_from([6.0, 12.0, None]),                 # delta_w
     st.sampled_from([3.0, 7.0, 15.0]),                  # window W
-    st.sampled_from([None, 3]),                         # max_nodes
+    st.sampled_from([None, 3, 1, 2]),                   # max_nodes
 )
 
 
@@ -343,6 +343,19 @@ class TestBookkeeping:
         engine.push(Event(0, 1, 5.0))
         with pytest.raises(ValueError, match="backward"):
             engine.advance_to(1.0)
+
+    @pytest.mark.parametrize("start", [None, 5.0])
+    def test_advance_rejects_nan(self, start):
+        engine = OnlineCensus(2, TimingConstraints(delta_w=5.0), 10.0)
+        if start is not None:
+            engine.push(Event(0, 1, start))
+        with pytest.raises(ValueError, match="NaN"):
+            engine.advance_to(math.nan)
+        # The clock stays put, so later pushes keep their ordering check.
+        assert engine.now == start
+        engine.push(Event(1, 2, 6.0))
+        with pytest.raises(ValueError, match="non-decreasing"):
+            engine.push(Event(0, 2, 1.0))
 
     def test_constructor_validation(self):
         constraints = TimingConstraints(delta_w=5.0)
